@@ -20,9 +20,6 @@ from .torus import (
 )
 from .truncation import (
     ToeplitzRep,
-    adjoint,
-    matmul,
-    matpow,
     operator_norm,
     smooth,
     sn_map,

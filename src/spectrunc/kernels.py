@@ -15,11 +15,14 @@ kernels converge to:
     prod:  prod_j conj(g_{1,j}) g_{2,j}          (offset forced to 0)
     sep:   base(x, y) * prod_j conj(a_j) a_j
 
-Single-pair evaluation goes through the dense matrix calculus.  Gram and
-cross-kernel assembly use a mathematically identical matrix-free route,
-S_n(A^* B)(z) = (1/n) (A u(z))^* (B u(z)) with u(z)_r = e^{-irz}, which
-turns each Toeplitz-times-u product into windowed prefix sums; the two
-routes are pinned against each other in the test suite.
+Single-pair evaluation (``evaluate``) goes through the dense matrix calculus
+and is the oracle the tests pin the batched route to.  Gram and cross-kernel
+blocks share one block core with a single family dispatch: a mathematically
+identical matrix-free route, S_n(A^* B)(z) = (1/n) (A u(z))^* (B u(z)) with
+u(z)_r = e^{-irz}, which turns each Toeplitz-times-u product into windowed
+prefix sums.  ``gram_values`` runs the core with the same samples on both
+sides, so the pair routes evaluate only the upper triangle, and fills the
+lower one in place by the Hermitian law k(x, y) = k(y, x)^*.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, ConfigError, GridMismatchError
+from .errors import ConfigError, GridMismatchError
 from .torus import FunctionTuple, SampledFunction, TorusGrid, integrate
-from .truncation import adjoint, matmul, matpow, sn_map, smooth, truncate
+from .truncation import check_alias_free, grid_coefficients, sn_map, smooth, truncate
 
 __all__ = [
     "INF",
@@ -263,9 +266,9 @@ def k_poly(spec: PolyKernel, x: FunctionTuple, y: FunctionTuple,
     n = int(spec.n)
     acc = np.zeros((n, n), dtype=complex)
     for a, xc, yc in zip(spec.alpha, x.components, y.components):
-        left = matpow(adjoint(truncate(xc, n, allow_aliasing).dense()), spec.q)
-        right = matpow(truncate(yc, n, allow_aliasing).dense(), spec.q)
-        acc += a * matmul(left, right)
+        left = np.linalg.matrix_power(truncate(xc, n, allow_aliasing).dense().conj().T, spec.q)
+        right = np.linalg.matrix_power(truncate(yc, n, allow_aliasing).dense(), spec.q)
+        acc += a * (left @ right)
     return sn_map(acc, grid)
 
 
@@ -294,11 +297,11 @@ def k_prod(spec: ProdKernel, x: FunctionTuple, y: FunctionTuple,
     n = int(spec.n)
     left = np.eye(n, dtype=complex)
     for f in g1:
-        left = matmul(left, adjoint(truncate(f, n, allow_aliasing).dense()))
+        left = left @ truncate(f, n, allow_aliasing).dense().conj().T
     right = np.eye(n, dtype=complex)
     for f in g2:
-        right = matmul(right, truncate(f, n, allow_aliasing).dense())
-    vals = sn_map(matmul(left, right), grid).values
+        right = right @ truncate(f, n, allow_aliasing).dense()
+    vals = sn_map(left @ right, grid).values
     if spec.beta:
         vals = vals + spec.beta * prod_offset(spec, x, y)
     return SampledFunction(grid, vals)
@@ -309,11 +312,11 @@ def sep_weight_matrix(spec: SepKernel, allow_aliasing: bool = False) -> np.ndarr
     n = int(spec.n)
     left = np.eye(n, dtype=complex)
     for a in spec.weights:
-        left = matmul(left, adjoint(truncate(a, n, allow_aliasing).dense()))
+        left = left @ truncate(a, n, allow_aliasing).dense().conj().T
     right = np.eye(n, dtype=complex)
     for a in spec.weights:
-        right = matmul(right, truncate(a, n, allow_aliasing).dense())
-    return matmul(left, right)
+        right = right @ truncate(a, n, allow_aliasing).dense()
+    return left @ right
 
 
 def _smooth_tuple(t: FunctionTuple, n: int, allow_aliasing: bool) -> FunctionTuple:
@@ -367,28 +370,14 @@ def kernel_limit_gap(spec: KernelSpec, x: FunctionTuple, y: FunctionTuple,
 # ---------------------------------------------------------------------------
 # batched evaluation: Gram fields and cross-kernel blocks
 #
-# Everything below computes the same values as `evaluate`, restructured as
-# S_n(A^* B)(z) = (1/n) (A u(z))^* (B u(z)) with u(z)_r = e^{-irz}, so the
-# per-pair work is O(n m) for q = 1 instead of O(n^3).
+# Everything below computes the same values as `evaluate`, the dense oracle
+# the tests pin it to, restructured as S_n(A^* B)(z) = (1/n) (A u(z))^* (B u(z))
+# with u(z)_r = e^{-irz}, so the per-pair work is O(n m) for q = 1 instead of
+# O(n^3).  `_block` is the one family dispatch behind both entry points.
 # ---------------------------------------------------------------------------
 
 
-_PAIR_CHUNK_BUDGET = 1 << 22  # complex elements per (chunk, 2n-1, m) workspace
-
-
-def _batch_grid_coeffs(values: np.ndarray, grid: TorusGrid, n: int,
-                       allow_aliasing: bool) -> np.ndarray:
-    """Rectangle-rule coefficients -(n-1)..(n-1) for a stack of grid-value
-    rows (B, m) -> (B, 2n-1)."""
-    m = grid.m
-    if not allow_aliasing and 2 * (n - 1) >= m:
-        raise AliasingError(
-            f"truncation n={n} aliases on an m={m} grid; "
-            "pass allow_aliasing=True to fold bins"
-        )
-    bins = np.fft.fft(values, axis=-1) / m
-    ks = np.arange(-(n - 1), n)
-    return bins[..., np.mod(ks, m)]
+_PAIR_CHUNK_BUDGET = 1 << 18  # complex elements per (chunk, width) pair workspace
 
 
 def _toeplitz_times_phase(coeffs: np.ndarray, grid: TorusGrid, n: int) -> np.ndarray:
@@ -427,36 +416,14 @@ def _chain_columns(coeff_stacks: list[np.ndarray], grid: TorusGrid, n: int) -> n
     return cols
 
 
-def _pair_chunks(total: int, n: int, m: int):
-    chunk = max(1, _PAIR_CHUNK_BUDGET // max(1, (2 * n - 1) * m))
-    for start in range(0, total, chunk):
-        yield start, min(start + chunk, total)
-
-
 def _poly_columns(spec: PolyKernel, samples, allow_aliasing: bool) -> np.ndarray:
     """Per-sample columns W[i, c] = R_n(x_{i,c})^q u(z); shape (N, d, n, m)."""
     grid = samples[0].grid
     n = int(spec.n)
     vals = np.stack([t.value_matrix().T for t in samples])   # (N, d, m)
-    coeffs = _batch_grid_coeffs(vals, grid, n, allow_aliasing)
+    coeffs = grid_coefficients(vals, n - 1, allow_aliasing)
     cols = _chain_columns([coeffs.reshape(-1, 2 * n - 1)] * spec.q, grid, n)
     return cols.reshape(len(samples), samples[0].d, n, grid.m)
-
-
-def _poly_upper_triangle(spec: PolyKernel, w: np.ndarray) -> np.ndarray:
-    """(B, m) polynomial-kernel values for the upper-triangle pairs, row by
-    row: the alpha-weighted (1/n) (W[i])^* W[j] contraction."""
-    N, _, n, m = w.shape
-    alpha = np.asarray(spec.alpha)
-    scaled = np.conj(w) * alpha[None, :, None, None]
-    out = np.empty((N * (N + 1) // 2, m), dtype=complex)
-    pos = 0
-    for i in range(N):
-        out[pos : pos + N - i] = np.einsum(
-            "crp,jcrp->jp", scaled[i], w[i:], optimize=True
-        ) / n
-        pos += N - i
-    return out
 
 
 def _poly_cross_block(spec: PolyKernel, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
@@ -467,15 +434,14 @@ def _poly_cross_block(spec: PolyKernel, wx: np.ndarray, wy: np.ndarray) -> np.nd
     alpha = np.asarray(spec.alpha)
     a = np.conj(wx).transpose(3, 0, 1, 2).reshape(m, Nx, d * n)
     b = (wy * alpha[None, :, None, None]).transpose(3, 1, 2, 0).reshape(m, d * n, Ny)
-    return np.matmul(a, b) / n
+    out = np.matmul(a, b)
+    out /= n
+    return out
 
 
-def _inf_values_block(spec: KernelSpec, xs, ys, pairs_i, pairs_j) -> np.ndarray:
-    """(B, m) commutative-limit values for index pairs into xs/ys."""
-    xv = np.stack([t.value_matrix() for t in xs])            # (Nx, m, d)
-    yv = np.stack([t.value_matrix() for t in ys])
-    a = xv[pairs_i]
-    b = yv[pairs_j]
+def _inf_values_block(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(B, m) commutative-limit values for paired sample values a, b of
+    shape (B, m, d)."""
     if isinstance(spec, PolyKernel):
         alpha = np.asarray(spec.alpha)
         return np.einsum("bmd,d->bm", (np.conj(a) * b) ** spec.q, alpha)
@@ -520,46 +486,34 @@ def _folded_pair_sn(bins1: np.ndarray, bins2: np.ndarray, grid: TorusGrid,
     return np.einsum("bup,bup->bp", np.conj(S1), np.matmul(K, S2)) / n
 
 
-def _prod_pair_values(spec: ProdKernel, xs, ys, pairs_i, pairs_j,
+def _prod_pair_values(spec: ProdKernel, a: np.ndarray, b: np.ndarray, grid: TorusGrid,
                       allow_aliasing: bool) -> np.ndarray:
-    """(B, m) finite-n product-kernel values for index pairs into xs/ys."""
-    grid = xs[0].grid
+    """(B, m) finite-n product-kernel values for paired sample values a, b
+    of shape (B, m, d)."""
     n = int(spec.n)
     m = grid.m
-    if not allow_aliasing and 2 * (n - 1) >= m:
-        raise AliasingError(
-            f"truncation n={n} aliases on an m={m} grid; "
-            "pass allow_aliasing=True to fold bins"
-        )
-    xv = np.stack([t.value_matrix() for t in xs])
-    yv = np.stack([t.value_matrix() for t in ys])
-    folded = spec.q == 1 and m < n
-    out = np.empty((len(pairs_i), m), dtype=complex)
-    for lo, hi in _pair_chunks(len(pairs_i), n, m):
-        a = xv[pairs_i[lo:hi]]
-        b = yv[pairs_j[lo:hi]]
-        g1 = [b1.pairwise(a, b) for b1 in spec.bases1]        # each (B, m)
-        g2 = [b2.pairwise(a, b) for b2 in spec.bases2]
-        bins1 = [np.fft.fft(g, axis=-1) / m for g in g1]
-        bins2 = [np.fft.fft(g, axis=-1) / m for g in g2]
-        if folded:
-            vals = _folded_pair_sn(bins1[0], bins2[0], grid, n)
-        else:
-            ks = np.mod(np.arange(-(n - 1), n), m)
-            c1 = [bn[..., ks] for bn in bins1]
-            c2 = [bn[..., ks] for bn in bins2]
-            # (prod_j T1_j^*)^* u = T1_q ... T1_1 u ; right chain is T2_1 ... T2_q u
-            left = _chain_columns(list(reversed(c1)), grid, n)
-            right = _chain_columns(c2, grid, n)
-            vals = np.einsum("brp,brp->bp", np.conj(left), right) / n
-        if spec.beta:
-            # normalized means are the k = 0 bins
-            off = np.ones(hi - lo, dtype=complex)
-            for ca, cb in zip(bins1, bins2):
-                off *= np.conj(ca[:, 0]) * cb[:, 0]
-            vals = vals + spec.beta * off[:, None]
-        out[lo:hi] = vals
-    return out
+    check_alias_free(n - 1, m, allow_aliasing)
+    g1 = [b1.pairwise(a, b) for b1 in spec.bases1]            # each (B, m)
+    g2 = [b2.pairwise(a, b) for b2 in spec.bases2]
+    bins1 = [np.fft.fft(g, axis=-1) / m for g in g1]
+    bins2 = [np.fft.fft(g, axis=-1) / m for g in g2]
+    if spec.q == 1 and m < n:
+        vals = _folded_pair_sn(bins1[0], bins2[0], grid, n)
+    else:
+        ks = np.mod(np.arange(-(n - 1), n), m)
+        c1 = [bn[..., ks] for bn in bins1]
+        c2 = [bn[..., ks] for bn in bins2]
+        # (prod_j T1_j^*)^* u = T1_q ... T1_1 u ; right chain is T2_1 ... T2_q u
+        left = _chain_columns(list(reversed(c1)), grid, n)
+        right = _chain_columns(c2, grid, n)
+        vals = np.einsum("brp,brp->bp", np.conj(left), right) / n
+    if spec.beta:
+        # normalized means are the k = 0 bins
+        off = np.ones(len(a), dtype=complex)
+        for ca, cb in zip(bins1, bins2):
+            off *= np.conj(ca[:, 0]) * cb[:, 0]
+        vals = vals + spec.beta * off[:, None]
+    return vals
 
 
 def _sep_blocks(spec: SepKernel, xs, ys, allow_aliasing: bool) -> np.ndarray:
@@ -570,62 +524,73 @@ def _sep_blocks(spec: SepKernel, xs, ys, allow_aliasing: bool) -> np.ndarray:
         for a in spec.weights:
             wvals *= np.conj(a.values) * a.values
         xv = np.stack([t.value_matrix() for t in xs])
-        yv = np.stack([t.value_matrix() for t in ys])
+        yv = xv if ys is xs else np.stack([t.value_matrix() for t in ys])
     else:
         n = int(spec.n)
         wvals = sn_map(sep_weight_matrix(spec, allow_aliasing), grid).values
         xv = np.stack([_smooth_tuple(t, n, allow_aliasing).value_matrix() for t in xs])
-        yv = np.stack([_smooth_tuple(t, n, allow_aliasing).value_matrix() for t in ys])
+        yv = xv if ys is xs else np.stack(
+            [_smooth_tuple(t, n, allow_aliasing).value_matrix() for t in ys])
     d2 = spec.base.distance_sq(xv[:, None], yv[None, :])     # (Nx, Ny)
     scal = spec.base.from_distance_sq(d2)
     return wvals[:, None, None] * scal[None, :, :]
 
 
-def cross_values(spec: KernelSpec, xs, ys, allow_aliasing: bool = False) -> np.ndarray:
-    """Full cross-kernel block K[p, i, j] = k(xs[i], ys[j])(z_p), (m, Nx, Ny)."""
-    xs = list(xs)
-    ys = list(ys)
+def _block(spec: KernelSpec, xs: list, ys: list, allow_aliasing: bool) -> np.ndarray:
+    """(m, Nx, Ny) block K[p, i, j] = k(xs[i], ys[j])(z_p).
+
+    Poly and sep use their factorized whole-block routes; finite prod and the
+    n = INF limits evaluate index pairs in chunks bounded by
+    ``_PAIR_CHUNK_BUDGET``.  When ``ys is xs`` those pair routes evaluate only
+    the pairs j >= i and leave the strict lower triangle unset.
+    """
     grid = _check_pair(spec, xs[0], ys[0])
+    same = ys is xs
     if isinstance(spec, SepKernel):
         return _sep_blocks(spec, xs, ys, allow_aliasing)
     if isinstance(spec, PolyKernel) and not spec.is_infinite:
         wx = _poly_columns(spec, xs, allow_aliasing)
-        wy = _poly_columns(spec, ys, allow_aliasing)
+        wy = wx if same else _poly_columns(spec, ys, allow_aliasing)
         return _poly_cross_block(spec, wx, wy)
-    pairs_i, pairs_j = np.meshgrid(np.arange(len(xs)), np.arange(len(ys)), indexing="ij")
-    pairs_i = pairs_i.ravel()
-    pairs_j = pairs_j.ravel()
-    if spec.is_infinite:
-        flat = _inf_values_block(spec, xs, ys, pairs_i, pairs_j)
+    xv = np.stack([t.value_matrix() for t in xs])            # (Nx, m, d)
+    yv = xv if same else np.stack([t.value_matrix() for t in ys])
+    if same:
+        pairs_i, pairs_j = np.triu_indices(len(xs))
     else:
-        flat = _prod_pair_values(spec, xs, ys, pairs_i, pairs_j, allow_aliasing)
-    return flat.reshape(len(xs), len(ys), grid.m).transpose(2, 0, 1)
+        pairs_i, pairs_j = np.divmod(np.arange(len(xs) * len(ys)), len(ys))
+    if spec.is_infinite:
+        width = grid.m * xv.shape[-1]
+    else:
+        width = (2 * int(spec.n) - 1) * grid.m
+    chunk = max(1, _PAIR_CHUNK_BUDGET // width)
+    out = np.empty((grid.m, len(xs), len(ys)), dtype=complex)
+    for lo in range(0, len(pairs_i), chunk):
+        ci, cj = pairs_i[lo : lo + chunk], pairs_j[lo : lo + chunk]
+        if spec.is_infinite:
+            vals = _inf_values_block(spec, xv[ci], yv[cj])
+        else:
+            vals = _prod_pair_values(spec, xv[ci], yv[cj], grid, allow_aliasing)
+        out[:, ci, cj] = vals.T
+    return out
+
+
+def cross_values(spec: KernelSpec, xs, ys, allow_aliasing: bool = False) -> np.ndarray:
+    """Full cross-kernel block K[p, i, j] = k(xs[i], ys[j])(z_p), (m, Nx, Ny)."""
+    return _block(spec, list(xs), list(ys), allow_aliasing)
 
 
 def gram_values(spec: KernelSpec, xs, allow_aliasing: bool = False) -> tuple[np.ndarray, int]:
     """Hermitian Gram field G[p, i, j] = k(xs[i], xs[j])(z_p).
 
-    Evaluates the upper triangle (N(N+1)/2 pair evaluations) and mirrors
-    the rest by the Hermitian law.  Returns (field, evaluation count).
+    The block core evaluates the upper triangle (N(N+1)/2 pair evaluations
+    on the pair routes); the strict lower triangle is then overwritten in
+    place, one grid point at a time, with the conjugate of the upper one.
+    Returns (field, N(N+1)/2).
     """
     xs = list(xs)
     N = len(xs)
-    grid = _check_pair(spec, xs[0], xs[0])
-    iu, ju = np.triu_indices(N)
-    count = len(iu)
-    if isinstance(spec, SepKernel):
-        block = _sep_blocks(spec, xs, xs, allow_aliasing)
-        upper = block[:, iu, ju].T                            # (B, m)
-    elif isinstance(spec, PolyKernel) and not spec.is_infinite:
-        w = _poly_columns(spec, xs, allow_aliasing)
-        upper = _poly_upper_triangle(spec, w)
-    elif spec.is_infinite:
-        upper = _inf_values_block(spec, xs, xs, iu, ju)
-    else:
-        upper = _prod_pair_values(spec, xs, xs, iu, ju, allow_aliasing)
-    field = np.zeros((grid.m, N, N), dtype=complex)
-    field[:, iu, ju] = upper.T
-    mirror = np.conj(np.swapaxes(field, 1, 2))
-    off = ~np.eye(N, dtype=bool)
-    field[:, off] += mirror[:, off]
-    return field, count
+    field = _block(spec, xs, xs, allow_aliasing)
+    iu, ju = np.triu_indices(N, 1)
+    for mat in field:
+        mat[ju, iu] = np.conj(mat[iu, ju])
+    return field, N * (N + 1) // 2

@@ -51,11 +51,6 @@ class TorusGrid:
     def spacing(self) -> float:
         return 2.0 * np.pi / self.m
 
-    def max_alias_free_coeff(self) -> int:
-        """Largest |k| for which the rectangle rule recovers the Fourier
-        coefficient of a degree-<m/2 trigonometric polynomial exactly."""
-        return (self.m - 1) // 2
-
 
 @dataclass(frozen=True)
 class SampledFunction:

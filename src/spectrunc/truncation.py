@@ -29,9 +29,6 @@ __all__ = [
     "sn_map",
     "sn_map_at",
     "smooth",
-    "adjoint",
-    "matmul",
-    "matpow",
     "operator_norm",
 ]
 
@@ -77,8 +74,19 @@ class ToeplitzRep:
         )
 
 
-def grid_coefficients(x: SampledFunction, kmax: int, allow_aliasing: bool = False) -> np.ndarray:
-    """Rectangle-rule Fourier coefficients of x for k = -kmax..kmax.
+def check_alias_free(kmax: int, m: int, allow_aliasing: bool) -> None:
+    """Reject coefficients up to |kmax| on an m-point grid unless they are
+    alias-free (|k| < m/2) or ``allow_aliasing`` opts into folded bins."""
+    if not allow_aliasing and 2 * kmax >= m:
+        raise AliasingError(
+            f"coefficients up to |k|={kmax} alias on an m={m} grid "
+            "(need |k| < m/2); pass allow_aliasing=True to fold bins"
+        )
+
+
+def grid_coefficients(values: np.ndarray, kmax: int, allow_aliasing: bool = False) -> np.ndarray:
+    """Rectangle-rule Fourier coefficients k = -kmax..kmax of a stack of
+    grid-value rows, (..., m) -> (..., 2 kmax + 1).
 
     Computed from the DFT of the grid values, so coefficient k is the DFT
     bin at k mod m.  In the strict (default) regime every requested k must
@@ -87,15 +95,10 @@ def grid_coefficients(x: SampledFunction, kmax: int, allow_aliasing: bool = Fals
     bins are returned as-is, which is what evaluating the defining
     quadrature at an under-resolved k produces.
     """
-    m = x.grid.m
-    if not allow_aliasing and 2 * kmax >= m:
-        raise AliasingError(
-            f"coefficients up to |k|={kmax} alias on an m={m} grid "
-            "(need |k| < m/2); pass allow_aliasing=True to fold bins"
-        )
-    bins = np.fft.fft(x.values) / m
-    ks = np.arange(-kmax, kmax + 1)
-    return bins[np.mod(ks, m)]
+    m = values.shape[-1]
+    check_alias_free(kmax, m, allow_aliasing)
+    bins = np.fft.fft(values, axis=-1) / m
+    return bins[..., np.mod(np.arange(-kmax, kmax + 1), m)]
 
 
 def truncate(x: SampledFunction, n: int, allow_aliasing: bool = False) -> ToeplitzRep:
@@ -109,7 +112,7 @@ def truncate(x: SampledFunction, n: int, allow_aliasing: bool = False) -> Toepli
     """
     if n < 1:
         raise ValueError(f"truncation order must be positive, got n={n}")
-    return ToeplitzRep(n, grid_coefficients(x, n - 1, allow_aliasing=allow_aliasing))
+    return ToeplitzRep(n, grid_coefficients(x.values, n - 1, allow_aliasing=allow_aliasing))
 
 
 def _diagonal_sums(A: np.ndarray) -> np.ndarray:
@@ -144,29 +147,6 @@ def sn_map_at(A: np.ndarray, z) -> np.ndarray:
 def smooth(x: SampledFunction, n: int, allow_aliasing: bool = False) -> SampledFunction:
     """Round trip S_n(R_n(x)), i.e. Fejer smoothing of x at order n."""
     return sn_map(truncate(x, n, allow_aliasing=allow_aliasing).dense(), x.grid)
-
-
-def adjoint(A: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(A)).T
-
-
-def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.shape[1] != B.shape[0]:
-        raise ValueError(f"size mismatch: {A.shape} @ {B.shape}")
-    return A @ B
-
-
-def matpow(A: np.ndarray, q: int) -> np.ndarray:
-    """Repeated product A^q, q >= 1."""
-    if q < 1:
-        raise ValueError(f"power must be >= 1, got q={q}")
-    out = np.asarray(A)
-    for _ in range(q - 1):
-        out = matmul(out, A)
-    return out
 
 
 def operator_norm(A: np.ndarray) -> float:

@@ -45,7 +45,6 @@ from spectrunc.experiments import (
 )
 from spectrunc.regression import predict_batch
 from spectrunc.serialize import write_rows_csv
-from spectrunc.truncation import adjoint, matmul
 
 
 def report(criterion: str, detail: str) -> None:
@@ -67,9 +66,9 @@ def test_01_fejer_two_path_identity():
                 yc = [random_trig_coeffs(rng, deg=2, scale=0.5) for _ in range(q)]
                 M = np.eye(n, dtype=complex)
                 for c in xc:
-                    M = matmul(M, adjoint(truncate(trig_from_coeffs(grid, c), n).dense()))
+                    M = M @ truncate(trig_from_coeffs(grid, c), n).dense().conj().T
                 for c in yc:
-                    M = matmul(M, truncate(trig_from_coeffs(grid, c), n).dense())
+                    M = M @ truncate(trig_from_coeffs(grid, c), n).dense()
 
                 def integrand(t, xc=xc, yc=yc, q=q):
                     out = np.ones(t.shape[1:], dtype=complex)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from spectrunc import (
     smooth,
 )
 from spectrunc.errors import ConfigError
-from spectrunc.kernels import prod_offset
+from spectrunc.kernels import cross_values, gram_values, prod_offset
 
 
 GRID = TorusGrid(32)
@@ -292,3 +293,62 @@ class TestBaseKernels:
     def test_gaussian_gamma_checked(self):
         with pytest.raises(ConfigError):
             GaussianKernel(gamma=0.0)
+
+
+PIN_GRID = TorusGrid(14)
+
+
+def block_spec(family, n, q):
+    g = GaussianKernel(gamma=0.6)
+    if family == "poly":
+        return PolyKernel(n=n, q=q, alpha=(0.5, 1.5))
+    if family == "prod":
+        return ProdKernel(n=n, q=q, bases1=(g, LinearKernel())[:q], bases2=(g,) * q, beta=0.4)
+    a = SampledFunction.from_callable(PIN_GRID, lambda z: (np.sin(z) + 1.5).astype(complex))
+    return SepKernel(n=n, q=q, weights=(a,) * q, base=L2GaussianTupleKernel(scale=0.8))
+
+
+class TestBatchedBlocks:
+    """gram_values / cross_values pinned to the dense `evaluate` oracle."""
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("n", [5, 20, INF], ids=["strict", "folded", "inf"])
+    @pytest.mark.parametrize("family", ["poly", "prod", "sep"])
+    def test_blocks_match_dense_oracle(self, rng, family, n, q):
+        spec = block_spec(family, n, q)
+        xs = [random_trig_tuple(PIN_GRID, rng, d=2, deg=3) for _ in range(4)]
+        ys = [random_trig_tuple(PIN_GRID, rng, d=2, deg=3) for _ in range(3)]
+        field, count = gram_values(spec, xs, allow_aliasing=True)
+        cross = cross_values(spec, ys, xs, allow_aliasing=True)
+        assert count == 4 * 5 // 2
+        for block, rows in ((field, xs), (cross, ys)):
+            want = np.stack([[evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
+                             for x in rows]).transpose(2, 0, 1)
+            assert block.shape == want.shape
+            assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want))
+        iu, ju = np.triu_indices(4, 1)
+        assert np.array_equal(field[:, ju, iu], np.conj(field[:, iu, ju]))
+
+    @pytest.mark.parametrize("family", ["poly", "prod", "sep"])
+    def test_blocks_reject_aliasing_by_default(self, rng, family):
+        spec = block_spec(family, 20, 1)
+        xs = [random_trig_tuple(PIN_GRID, rng, d=2, deg=3) for _ in range(2)]
+        with pytest.raises(AliasingError):
+            gram_values(spec, xs)
+        with pytest.raises(AliasingError):
+            cross_values(spec, xs, xs)
+
+    @pytest.mark.parametrize("n", [16, INF])
+    def test_gram_workspace_bounded_by_field(self, n):
+        grid = TorusGrid(30)
+        rng = np.random.default_rng(0)
+        xs = [FunctionTuple(tuple(SampledFunction(grid, rng.standard_normal(30) + 0j)
+                                  for _ in range(2))) for _ in range(400)]
+        spec = PolyKernel(n=n, q=1, alpha=(1.0, 1.0))
+        tracemalloc.start()
+        try:
+            field, _ = gram_values(spec, xs, allow_aliasing=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * field.nbytes

@@ -7,10 +7,7 @@ from spectrunc import (
     SampledFunction,
     TorusGrid,
     ToeplitzRep,
-    adjoint,
     fourier_coeff,
-    matmul,
-    matpow,
     operator_norm,
     smooth,
     sn_map,
@@ -95,7 +92,7 @@ class TestSnMap:
         rng = np.random.default_rng(6)
         A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         g = TorusGrid(20)
-        lhs = sn_map(adjoint(A), g).values
+        lhs = sn_map(A.conj().T, g).values
         rhs = np.conj(sn_map(A, g).values)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -163,22 +160,9 @@ class TestSmooth:
 
 
 class TestMatrixCalculus:
-    def test_matpow_identity(self):
-        assert np.allclose(matpow(np.eye(3), 5), np.eye(3))
-
-    def test_adjoint_shift(self):
-        S = lower_shift(3)
-        assert np.allclose(adjoint(S), np.eye(3, k=1))
-
     def test_shift_gram(self):
         S = lower_shift(4)
-        assert np.allclose(matmul(adjoint(S), S), np.diag([1, 1, 1, 0]))
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.eye(3), np.eye(4))
-        with pytest.raises(ValueError):
-            matpow(np.eye(2), 0)
+        assert np.allclose(S.conj().T @ S, np.diag([1, 1, 1, 0]))
 
     def test_operator_norms(self):
         assert operator_norm(np.eye(5)) == pytest.approx(1.0)
