@@ -64,7 +64,10 @@ def worker_count() -> int:
     raw = os.environ.get(WORKERS_ENV)
     if raw is None:
         return os.cpu_count() or 1
-    count = int(raw)
+    try:
+        count = int(raw)
+    except ValueError:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
     if count < 1:
         raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {raw}")
     return count
@@ -120,6 +123,10 @@ class SyntheticConfig:
     runs: int = 5
     window_normalized: bool = False
     kernels: tuple[KernelSpec, ...] = field(default_factory=tuple)
+
+    def __post_init__(self):
+        if self.lam < 0:
+            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
 
     def resolved_kernels(self) -> list[KernelSpec]:
         if self.kernels:

@@ -48,6 +48,7 @@ ORACLE_MAX_N = 8
 ORACLE_MAX_Q = 2
 LATTICE_MAX_M = 4
 CONVOLVE_MAX_EVALS = 1 << 22
+BETA_POLICIES = ("manual", "bound", "estimate")
 
 
 def dirichlet(n: int, s) -> np.ndarray | complex:

@@ -17,12 +17,18 @@ kernels converge to:
 
 Single-pair evaluation (``evaluate``) goes through the dense matrix calculus
 and is the oracle the tests pin the batched route to.  Gram and cross-kernel
-blocks share one block core with a single family dispatch: a mathematically
-identical matrix-free route, S_n(A^* B)(z) = (1/n) (A u(z))^* (B u(z)) with
-u(z)_r = e^{-irz}, which turns each Toeplitz-times-u product into windowed
-prefix sums.  ``gram_values`` runs the core with the same samples on both
-sides, so the pair routes evaluate only the upper triangle, and fills the
-lower one in place by the Hermitian law k(x, y) = k(y, x)^*.
+blocks share one block core with a single family dispatch.  Poly and the
+q > 1 product chains take a mathematically identical matrix-free route,
+S_n(A^* B)(z) = (1/n) (A u(z))^* (B u(z)) with u(z)_r = e^{-irz}, which turns
+each Toeplitz-times-u product into windowed prefix sums.  A q = 1 product
+pair is a weighted correlation of the two DFT bin rows: one cached table of
+window counts K[u, v] (``_folded_reduce_matrix``), summed by frequency offset
+(v - u) mod m and sent back to the grid by one inverse FFT, serves the strict
+and the folded regime alike.  The separable family smooths its inputs with
+``truncation.smooth``, one FFT pair per component.  ``gram_values`` runs the
+core with the same samples on both sides, so the pair routes evaluate only
+the upper triangle, and fills the lower one in place by the Hermitian law
+k(x, y) = k(y, x)^*.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError
+from .fejer import BETA_POLICIES
 from .torus import FunctionTuple, SampledFunction, TorusGrid, integrate
 from .truncation import check_alias_free, grid_coefficients, sn_map, smooth, truncate
 
@@ -177,6 +184,8 @@ class ProdKernel:
 
     ``bases1``/``bases2`` each hold q base scalar kernels.  beta is forced
     to 0 at n = INF, where the offset is not part of the limit kernel.
+    ``beta_policy`` names one of the policies ``fejer.beta_from_policy``
+    knows; it is recorded, not resolved, so beta is the value used.
     """
 
     n: int | float
@@ -196,6 +205,9 @@ class ProdKernel:
         object.__setattr__(self, "bases2", tuple(self.bases2))
         if self.beta < 0:
             raise ConfigError(f"beta must be >= 0, got {self.beta}")
+        if self.beta_policy not in BETA_POLICIES:
+            raise ConfigError(f"beta_policy must be one of {BETA_POLICIES}, "
+                              f"got {self.beta_policy!r}")
         if self.n == INF:
             object.__setattr__(self, "beta", 0.0)
 
@@ -372,12 +384,15 @@ def kernel_limit_gap(spec: KernelSpec, x: FunctionTuple, y: FunctionTuple,
 #
 # Everything below computes the same values as `evaluate`, the dense oracle
 # the tests pin it to, restructured as S_n(A^* B)(z) = (1/n) (A u(z))^* (B u(z))
-# with u(z)_r = e^{-irz}, so the per-pair work is O(n m) for q = 1 instead of
-# O(n^3).  `_block` is the one family dispatch behind both entry points.
+# with u(z)_r = e^{-irz} (O(n m) per chain factor instead of O(n^3)), or for
+# q = 1 products as a DFT-domain weight table (O(nnz + m log m) per pair).
+# `_block` is the one family dispatch behind both entry points.
 # ---------------------------------------------------------------------------
 
 
-_PAIR_CHUNK_BUDGET = 1 << 18  # complex elements per (chunk, width) pair workspace
+# complex elements per (chunk, width) pair workspace; width is the q = 1 table
+# size plus m, (2n-1)*m for the q > 1 chains, m*d for the n = INF limits
+_PAIR_CHUNK_BUDGET = 1 << 18
 
 
 def _toeplitz_times_phase(coeffs: np.ndarray, grid: TorusGrid, n: int) -> np.ndarray:
@@ -453,37 +468,74 @@ def _inf_values_block(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndar
     raise ConfigError("no pointwise-limit block for this family")
 
 
-@functools.lru_cache(maxsize=64)
-def _folded_reduce_matrix(n: int, m: int) -> np.ndarray:
-    """Real m x m matrix K with S_n(R(g1)^* R(g2))(z) = (1/n) S1^* K S2.
+def _folded_reduce_matrix(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Window counts K with S_n(R(g1)^* R(g2))(z_p) = (1/n) S1^* K S2, on
+    their support only: returns (cols, K[cols][:, cols]).
 
     On the uniform grid both the folded coefficients c_k = bins[k mod m]
     and the phases e^{ikz_p} are m-periodic in k, so the length-n window
     sums W_r of s_k = c_k e^{ikz} are m-periodic in the row index r:
     W = M S with M = alpha * ones + (circular window of length n mod m),
     where S_j = bins_j e^{ijz} and n = alpha*m + rho.  Summing the row
-    products with their residue multiplicities cnt gives K = M^T diag(cnt) M.
+    products with their residue multiplicities cnt gives K = M^T diag(cnt) M;
+    K[u, v] counts the length-n windows holding a frequency k1 = u and a
+    frequency k2 = v (mod m), for every n, strict or folded.  Only the
+    min(n, m) rows with cnt > 0 and the min(2n-1, m) residues cols of
+    |k| < n enter, so building K costs O(n * min(2n-1, m)^2), never O(m^3).
+    Its row 0 is not the folded Fejer weight of ``truncation.smooth`` once
+    n > m.
     """
     alpha, rho = divmod(n, m)
-    ks = np.arange(m)
-    window = (np.mod(ks[:, None] - ks[None, :], m) < rho).astype(float)
-    M = alpha + window
-    cnt = (alpha + (ks < rho)).astype(float)
-    K = M.T @ (cnt[:, None] * M)
-    K.setflags(write=False)
-    return K
+    rows = np.arange(min(n, m))
+    cols = np.unique(np.mod(np.arange(-(n - 1), n), m))
+    M = alpha + (np.mod(rows[:, None] - cols[None, :], m) < rho)
+    cnt = (alpha + (rows < rho)).astype(float)
+    return cols, M.T @ (cnt[:, None] * M)
+
+
+@functools.lru_cache(maxsize=64)
+def _band_table(n: int, m: int) -> tuple[np.ndarray, ...]:
+    """The q = 1 weight table: the nonzero entries (u, v, w) of
+    ``_folded_reduce_matrix(n, m)`` sorted by delta = (v - u) mod m, with
+    the start of each delta run and that run's delta.  It holds at most
+    min(2n-1, m)^2 entries (3n^2 - 3n + 1 while 2n-1 <= m)."""
+    cols, K = _folded_reduce_matrix(n, m)
+    iu, iv = np.nonzero(K)
+    u, v = cols[iu], cols[iv]
+    delta = np.mod(v - u, m)
+    order = np.argsort(delta, kind="stable")
+    u, v, delta, w = u[order], v[order], delta[order], K[iu[order], iv[order]]
+    starts = np.flatnonzero(np.diff(delta, prepend=-1))
+    table = (u, v, w, starts, delta[starts])
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+def _band_pair_sn(bins1: np.ndarray, bins2: np.ndarray, n: int) -> np.ndarray:
+    """(B, m) values of S_n(R(g1)^* R(g2)) from raw DFT bin rows (B, m).
+
+    S_n(z_p) = (1/n) sum_{u,v} K[u, v] conj(bins1_u) bins2_v e^{2 pi i (v-u) p/m}
+    is a weighted correlation of the bin rows: summing the table by delta
+    gives its DFT-domain coefficients c_delta, and one inverse FFT returns
+    the grid values.  O(nnz + m log m) per item, exact in both regimes.
+    """
+    m = bins1.shape[-1]
+    u, v, w, starts, deltas = _band_table(n, m)
+    terms = np.take(np.conj(bins1), u, axis=1)
+    terms *= w
+    terms *= np.take(bins2, v, axis=1)
+    c = np.zeros((len(bins1), m), dtype=complex)
+    c[:, deltas] = np.add.reduceat(terms, starts, axis=1)
+    return np.fft.ifft(c, axis=1) * (m / n)
 
 
 def _folded_pair_sn(bins1: np.ndarray, bins2: np.ndarray, grid: TorusGrid,
                     n: int) -> np.ndarray:
-    """(B, m) values of S_n(R(g1)^* R(g2)) from raw DFT bin rows; O(m^3)
-    per item independent of n, exact in both the strict and folded regimes."""
-    m = grid.m
-    K = _folded_reduce_matrix(n, m)
-    phase = np.exp(1j * np.arange(m)[:, None] * grid.points[None, :])  # (m, m_z)
-    S1 = bins1[:, :, None] * phase[None]
-    S2 = bins2[:, :, None] * phase[None]
-    return np.einsum("bup,bup->bp", np.conj(S1), np.matmul(K, S2)) / n
+    """The folded-regime (m < n) entry to ``_band_pair_sn``, where every
+    residue pair (u, v) carries weight; strict pairs call ``_band_pair_sn``
+    themselves.  ``grid`` is unused: the bins fix m."""
+    return _band_pair_sn(bins1, bins2, n)
 
 
 def _prod_pair_values(spec: ProdKernel, a: np.ndarray, b: np.ndarray, grid: TorusGrid,
@@ -493,12 +545,15 @@ def _prod_pair_values(spec: ProdKernel, a: np.ndarray, b: np.ndarray, grid: Toru
     n = int(spec.n)
     m = grid.m
     check_alias_free(n - 1, m, allow_aliasing)
-    g1 = [b1.pairwise(a, b) for b1 in spec.bases1]            # each (B, m)
-    g2 = [b2.pairwise(a, b) for b2 in spec.bases2]
-    bins1 = [np.fft.fft(g, axis=-1) / m for g in g1]
-    bins2 = [np.fft.fft(g, axis=-1) / m for g in g2]
+    # (B, m) DFT bins of z -> base(a(z), b(z)), once per distinct base kernel
+    bins = {base: np.fft.fft(base.pairwise(a, b), axis=-1) / m
+            for base in set(spec.bases1 + spec.bases2)}
+    bins1 = [bins[base] for base in spec.bases1]
+    bins2 = [bins[base] for base in spec.bases2]
     if spec.q == 1 and m < n:
         vals = _folded_pair_sn(bins1[0], bins2[0], grid, n)
+    elif spec.q == 1:
+        vals = _band_pair_sn(bins1[0], bins2[0], n)
     else:
         ks = np.mod(np.arange(-(n - 1), n), m)
         c1 = [bn[..., ks] for bn in bins1]
@@ -560,6 +615,8 @@ def _block(spec: KernelSpec, xs: list, ys: list, allow_aliasing: bool) -> np.nda
         pairs_i, pairs_j = np.divmod(np.arange(len(xs) * len(ys)), len(ys))
     if spec.is_infinite:
         width = grid.m * xv.shape[-1]
+    elif spec.q == 1:
+        width = len(_band_table(int(spec.n), grid.m)[0]) + grid.m
     else:
         width = (2 * int(spec.n) - 1) * grid.m
     chunk = max(1, _PAIR_CHUNK_BUDGET // width)

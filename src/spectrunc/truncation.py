@@ -7,7 +7,8 @@ sends a matrix back to the function
     S_n(A)(z) = (1/n) * sum_{j,l=0..n-1} A_{j,l} e^{i (j-l) z},
 
 and the round trip ``smooth`` is exactly Fejer smoothing: the coefficient
-at k is damped by (1 - |k|/n) for |k| < n and dropped beyond.
+at k is damped by (1 - |k|/n) for |k| < n and dropped beyond.  On the grid
+``smooth`` is one FFT pair with those weights folded by residue mod m.
 
 Matrices are plain complex ndarrays.  Products of Toeplitz matrices are not
 Toeplitz, so intermediate products are kept dense; desk-scale O(n^3) dense
@@ -16,6 +17,7 @@ products are deliberate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,9 +146,29 @@ def sn_map_at(A: np.ndarray, z) -> np.ndarray:
     return (d @ np.exp(1j * ks[:, None] * z.reshape(1, -1))).reshape(z.shape) / n
 
 
+@functools.lru_cache(maxsize=64)
+def _fejer_weights(n: int, m: int) -> np.ndarray:
+    """Fejer weights folded by residue: w[u] = sum of (1 - |k|/n) over
+    |k| < n with k = u (mod m)."""
+    ks = np.arange(-(n - 1), n)
+    w = np.bincount(np.mod(ks, m), weights=1.0 - np.abs(ks) / n, minlength=m)
+    w.setflags(write=False)
+    return w
+
+
 def smooth(x: SampledFunction, n: int, allow_aliasing: bool = False) -> SampledFunction:
-    """Round trip S_n(R_n(x)), i.e. Fejer smoothing of x at order n."""
-    return sn_map(truncate(x, n, allow_aliasing=allow_aliasing).dense(), x.grid)
+    """Round trip S_n(R_n(x)), i.e. Fejer smoothing of x at order n.
+
+    On the grid S_n(R_n(x))(z_p) = sum_{|k|<n} (1 - |k|/n) bins[k mod m]
+    e^{ikz_p}, and e^{ikz_p} is m-periodic in k, so the round trip is one
+    FFT, a multiply by the residue-folded Fejer weights and one inverse FFT.
+    Same aliasing rule as ``truncate``.
+    """
+    if n < 1:
+        raise ValueError(f"truncation order must be positive, got n={n}")
+    m = x.grid.m
+    check_alias_free(n - 1, m, allow_aliasing)
+    return SampledFunction(x.grid, np.fft.ifft(np.fft.fft(x.values) * _fejer_weights(n, m)))
 
 
 def operator_norm(A: np.ndarray) -> float:

@@ -162,6 +162,24 @@ def test_config_error_exit_code(tmp_path):
                  "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+def test_negative_lambda_rejected_before_any_cell(tmp_path):
+    config = {"n_samples": 4, "n_test": 2, "runs": 1, "lambda": -1,
+              "kernels": [{"family": "poly", "n": 4, "q": 1, "alpha": [1.0, 1.0]}]}
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run-synth", "--config", str(cfg), "--out", str(tmp_path / "res")]) == EXIT_CONFIG
+    assert not (tmp_path / "res" / "results.csv").exists()
+
+
+def test_bad_worker_count_exit_code(monkeypatch, tmp_path):
+    config = {"n_samples": 4, "n_test": 2, "runs": 1,
+              "kernels": [{"family": "poly", "n": 4, "q": 1, "alpha": [1.0, 1.0]}]}
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(config))
+    monkeypatch.setenv("SPECTRUNC_WORKERS", "abc")
+    assert main(["run-synth", "--config", str(cfg), "--out", str(tmp_path / "res")]) == EXIT_CONFIG
+
+
 def test_bad_kernel_config_exit_code(tmp_path, tiny_dataset):
     bad = tmp_path / "bad_kernel.json"
     bad.write_text(json.dumps({"family": "poly", "n": 0, "q": 1, "alpha": [1.0]}))

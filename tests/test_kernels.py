@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from helpers import random_trig_tuple
 from spectrunc import (
@@ -26,6 +28,7 @@ from spectrunc import (
     kernel_limit_gap,
     smooth,
 )
+from spectrunc import kernels as kernels_mod
 from spectrunc.errors import ConfigError
 from spectrunc.kernels import cross_values, gram_values, prod_offset
 
@@ -337,6 +340,73 @@ class TestBatchedBlocks:
             gram_values(spec, xs)
         with pytest.raises(AliasingError):
             cross_values(spec, xs, xs)
+
+    # m in [5, 40], odd and even; n in [1, 3m]: alias-free, aliased n <= m,
+    # n = m, n = m + 1 and folded n > m
+    @settings(max_examples=30, deadline=None)
+    @given(hst.integers(5, 40).flatmap(lambda m: hst.tuples(hst.just(m), hst.integers(1, 3 * m))),
+           hst.sampled_from([0.0, 0.4]), hst.integers(0, 2**16))
+    @example((12, 5), 0.4, 0)
+    @example((12, 9), 0.0, 1)
+    @example((30, 30), 0.4, 2)
+    @example((31, 32), 0.0, 3)
+    @example((5, 15), 0.4, 4)
+    def test_prod_q1_blocks_match_dense_oracle_any_n(self, mn, beta, seed):
+        m, n = mn
+        grid = TorusGrid(m)
+        rng = np.random.default_rng(seed)
+        xs = [FunctionTuple(tuple(SampledFunction(grid, rng.standard_normal(m)
+                                                  + 1j * rng.standard_normal(m))
+                                  for _ in range(2))) for _ in range(3)]
+        spec = ProdKernel(n=n, q=1, bases1=(GaussianKernel(gamma=0.6),),
+                          bases2=(LinearKernel(),), beta=beta)
+        field, _ = gram_values(spec, xs, allow_aliasing=True)
+        cross = cross_values(spec, xs[:2], xs, allow_aliasing=True)
+        for block, rows in ((field, xs), (cross, xs[:2])):
+            want = np.stack([[evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
+                             for x in rows]).transpose(2, 0, 1)
+            assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want))
+        if 2 * (n - 1) >= m:
+            with pytest.raises(AliasingError):
+                gram_values(spec, xs)
+            with pytest.raises(AliasingError):
+                cross_values(spec, xs[:2], xs)
+        else:
+            assert np.array_equal(cross_values(spec, xs[:2], xs), cross)
+
+    @pytest.mark.parametrize("q, windowed", [(1, False), (2, True)])
+    def test_prod_q1_never_builds_prefix_sum_windows(self, monkeypatch, q, windowed):
+        calls = []
+        real = kernels_mod._toeplitz_times_phase
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kernels_mod, "_toeplitz_times_phase", spy)
+        grid = TorusGrid(256)
+        rng = np.random.default_rng(0)
+        xs = [FunctionTuple(tuple(SampledFunction(grid, rng.standard_normal(256) + 0j)
+                                  for _ in range(2))) for _ in range(3)]
+        g = GaussianKernel(gamma=0.6)
+        spec = ProdKernel(n=16, q=q, bases1=(g,) * q, bases2=(g,) * q, beta=0.4)
+        gram_values(spec, xs)
+        cross_values(spec, xs[:2], xs)
+        assert bool(calls) == windowed
+
+    @pytest.mark.parametrize("n, m", [(16, 4096), (64, 4096), (16, 16384)])
+    def test_band_table_built_from_its_support(self, n, m):
+        # an m x m window-count matrix at m = 4096 alone is 128 MiB; the table
+        # and its workspace scale with min(2n-1, m)^2, not m^2
+        tracemalloc.start()
+        u, v, w, starts, deltas = kernels_mod._band_table.__wrapped__(n, m)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        side = min(2 * n - 1, m)
+        assert len(u) <= side ** 2
+        assert peak <= 128 * side ** 2 + 16 * m
+        # the window counts sum to n^3 (n windows of n x n frequency pairs)
+        assert np.sum(w) == n ** 3
 
     @pytest.mark.parametrize("n", [16, INF])
     def test_gram_workspace_bounded_by_field(self, n):

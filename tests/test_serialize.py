@@ -118,6 +118,13 @@ class TestKernelJson:
         doc = kernel_to_json(PolyKernel(n=INF, q=1, alpha=(1.0,)))
         assert doc["n"] == "inf"
 
+    def test_unknown_beta_policy(self):
+        doc = kernel_to_json(ProdKernel(n=4, q=1, bases1=(GaussianKernel(gamma=1.0),),
+                                        bases2=(LinearKernel(),), beta=0.1))
+        doc["beta_policy"] = "surprise"
+        with pytest.raises(ConfigError):
+            kernel_from_json(doc)
+
     def test_unknown_family(self):
         with pytest.raises(ConfigError):
             kernel_from_json({"family": "mystery", "n": 2, "q": 1})

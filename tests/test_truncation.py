@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from helpers import random_trig_function
 from spectrunc import (
@@ -144,6 +146,29 @@ class TestSmooth:
             assert fourier_coeff(sm, k) == pytest.approx(want, abs=1e-12)
         for k in (n, n + 1, -(n + 2)):
             assert fourier_coeff(sm, k) == pytest.approx(0.0, abs=1e-12)
+
+    # independent oracle: the dense matrix round trip, in every aliasing regime
+    @settings(max_examples=40, deadline=None)
+    @given(hst.integers(5, 40).flatmap(lambda m: hst.tuples(hst.just(m), hst.integers(1, 3 * m))),
+           hst.integers(0, 2**16))
+    @example((12, 5), 0)
+    @example((12, 9), 1)
+    @example((30, 30), 2)
+    @example((31, 32), 3)
+    @example((5, 15), 4)
+    def test_matches_dense_round_trip_any_n(self, mn, seed):
+        m, n = mn
+        g = TorusGrid(m)
+        rng = np.random.default_rng(seed)
+        f = SampledFunction(g, rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        want = sn_map(truncate(f, n, allow_aliasing=True).dense(), g).values
+        got = smooth(f, n, allow_aliasing=True).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        if 2 * (n - 1) >= m:
+            with pytest.raises(AliasingError):
+                smooth(f, n)
+        else:
+            assert np.array_equal(smooth(f, n).values, got)
 
     def test_matches_fejer_convolution_path(self):
         # independent route: quadrature of x(t) F_n(z - t) under the
