@@ -19,6 +19,7 @@ import numpy as np
 
 from . import diagnostics, experiments, fejer, regression, serialize
 from .errors import ConfigError, NumericalError
+from .serialize import load_json, n_from_json
 from .torus import FunctionTuple, l2_distance
 
 EXIT_OK = 0
@@ -26,19 +27,12 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _load_json(path) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 def _tuple_from_doc(docs, base_dir) -> FunctionTuple:
     return FunctionTuple(tuple(serialize.function_from_json(d, base_dir) for d in docs))
 
 
 def _cmd_gen_synth(args) -> int:
-    config = experiments.SyntheticConfig.from_json(_load_json(args.config),
+    config = experiments.SyntheticConfig.from_json(load_json(args.config),
                                                    Path(args.config).parent)
     (train_x, train_y), (test_x, test_y) = experiments.gen_synthetic(config, args.run)
     out = Path(args.out)
@@ -49,7 +43,7 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _cmd_run_synth(args) -> int:
-    doc = _load_json(args.config)
+    doc = load_json(args.config)
     config = experiments.SyntheticConfig.from_json(doc, Path(args.config).parent)
     if args.full_scale:
         config = dataclasses.replace(config, n_samples=1000, n_test=1000, runs=5)
@@ -64,7 +58,7 @@ def _cmd_run_synth(args) -> int:
 
 
 def _cmd_eigen_study(args) -> int:
-    config = experiments.SyntheticConfig.from_json(_load_json(args.config),
+    config = experiments.SyntheticConfig.from_json(load_json(args.config),
                                                    Path(args.config).parent)
     rows = experiments.run_eigen_study(config, point_index=args.point)
     serialize.write_rows_csv(Path(args.out), ["family", "n", "index", "mean", "std"], rows)
@@ -73,7 +67,7 @@ def _cmd_eigen_study(args) -> int:
 
 
 def _cmd_inpaint(args) -> int:
-    config = experiments.InpaintConfig.from_json(_load_json(args.config))
+    config = experiments.InpaintConfig.from_json(load_json(args.config))
     rows, recovered = experiments.run_inpaint(config)
     out = Path(args.out)
     serialize.write_rows_csv(out / "errors.csv", ["n", "test_error"], rows)
@@ -109,7 +103,7 @@ def _cmd_fejer_min(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    doc = _load_json(args.config)
+    doc = load_json(args.config)
     base = Path(args.config).parent
     x = _tuple_from_doc(doc["x"], base)
     y = _tuple_from_doc(doc["y"], base)
@@ -117,7 +111,8 @@ def _cmd_converge(args) -> int:
     for kdoc in doc["kernels"]:
         spec = serialize.kernel_from_json(kdoc, base)
         specs[spec.family] = spec
-    rows = diagnostics.convergence_report(specs, x, y, doc["n_list"],
+    n_list = [n_from_json(n) for n in doc["n_list"]]
+    rows = diagnostics.convergence_report(specs, x, y, n_list,
                                           allow_aliasing=doc.get("allow_aliasing", False))
     serialize.write_rows_csv(Path(args.out), ["family", "n", "sup_gap", "mean_gap"],
                              [(r["family"], r["n"], r["sup_gap"], r["mean_gap"]) for r in rows])
@@ -126,17 +121,18 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
-    doc = _load_json(args.config)
+    doc = load_json(args.config)
     base = Path(args.config).parent
     samples = [_tuple_from_doc(d, base) for d in doc["samples"]]
     B = float(doc.get("B", 1.0))
     L = float(doc.get("L", 1.0))
     delta = float(doc.get("delta", 0.05))
+    n_list = [n_from_json(n) for n in doc["n_list"]]
     rows = []
     for kdoc in doc["kernels"]:
         spec = serialize.kernel_from_json(kdoc, base)
-        for n in doc["n_list"]:
-            spec_n = dataclasses.replace(spec, n=int(n))
+        for n in n_list:
+            spec_n = dataclasses.replace(spec, n=n)
             report = diagnostics.complexity_report(
                 spec_n, samples, B=B, L=L, delta=delta,
                 allow_aliasing=doc.get("allow_aliasing", False))

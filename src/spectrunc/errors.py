@@ -1,21 +1,21 @@
 """Exception and warning types shared across the package."""
 
 
-class GridMismatchError(ValueError):
+class ConfigError(ValueError):
+    """Invalid configuration (bad parameter values, malformed files)."""
+
+
+class GridMismatchError(ConfigError):
     """Two sampled functions do not live on the same grid."""
 
 
-class AliasingError(ValueError):
+class AliasingError(ConfigError):
     """A requested Fourier coefficient or truncation order is not alias-free
     on the given grid."""
 
 
-class BudgetError(ValueError):
+class BudgetError(ConfigError):
     """A combinatorial or quadrature budget guard was exceeded."""
-
-
-class ConfigError(ValueError):
-    """Invalid configuration (bad parameter values, malformed files)."""
 
 
 class NumericalError(RuntimeError):

@@ -19,6 +19,7 @@ and re-runs are fully deterministic.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -37,7 +38,15 @@ from .kernels import (
     SepKernel,
 )
 from .regression import assemble_gram, fit, predict_batch, test_error
-from .serialize import kernel_from_json, kernel_to_json, read_pgm
+from .serialize import (
+    config_from_json,
+    config_to_json,
+    kernel_from_json,
+    kernel_to_json,
+    n_from_json,
+    n_label,
+    read_pgm,
+)
 from .torus import FunctionTuple, SampledFunction, TorusGrid, l2_distance, window_membership
 
 __all__ = [
@@ -99,8 +108,7 @@ def default_synthetic_kernels(n_list=(8, 16, 32, 64, 128, INF), delta: float | N
             specs.append(PolyKernel(n=n, q=1, alpha=(1.0, 1.0)))
         if "prod" in families:
             g = GaussianKernel(gamma=1.0)
-            beta = 0.0 if n == INF else 1.0
-            specs.append(ProdKernel(n=n, q=1, bases1=(g,), bases2=(g,), beta=beta))
+            specs.append(ProdKernel(n=n, q=1, bases1=(g,), bases2=(g,), beta=1.0))
         if "sep" in families:
             specs.append(SepKernel(n=n, q=2, weights=(a, a),
                                    base=L2GaussianTupleKernel(scale=0.1 / delta**2)))
@@ -135,36 +143,20 @@ class SyntheticConfig:
 
     @classmethod
     def from_json(cls, doc: dict, base_dir: Path | None = None) -> "SyntheticConfig":
-        kernels = tuple(
-            kernel_from_json(k, base_dir) for k in doc.get("kernels", [])
-        )
-        kwargs = {}
-        for key, name in [
-            ("n_samples", "n_samples"), ("n_test", "n_test"), ("grid_m", "grid_m"),
-            ("seed", "seed"), ("input_noise", "input_noise"),
-            ("output_noise", "output_noise"), ("delta", "delta"),
-            ("lambda", "lam"), ("runs", "runs"),
-            ("window_normalized", "window_normalized"),
-        ]:
-            if key in doc:
-                kwargs[name] = doc[key]
-        return cls(kernels=kernels, **kwargs)
+        return config_from_json(
+            cls, doc, kernels=lambda ks: tuple(kernel_from_json(k, base_dir) for k in ks))
 
     def to_json(self) -> dict:
-        return {
-            "n_samples": self.n_samples, "n_test": self.n_test,
-            "grid_m": self.grid_m, "seed": self.seed,
-            "input_noise": self.input_noise, "output_noise": self.output_noise,
-            "delta": self.delta, "lambda": self.lam, "runs": self.runs,
-            "window_normalized": self.window_normalized,
-            "kernels": [kernel_to_json(k) for k in self.resolved_kernels()],
-        }
+        return config_to_json(self, kernels=[kernel_to_json(k) for k in self.resolved_kernels()])
 
 
+@functools.lru_cache(maxsize=8)
 def _window_matrix(grid: TorusGrid, delta: float, normalized: bool) -> np.ndarray:
     rows = np.stack([window_membership(grid, z, delta) for z in grid.points])
     scale = (1.0 / grid.m) if normalized else grid.spacing
-    return rows.astype(float) * scale
+    out = rows.astype(float) * scale
+    out.setflags(write=False)
+    return out
 
 
 def synthetic_target(x: FunctionTuple, delta: float, normalized: bool = False) -> SampledFunction:
@@ -206,55 +198,39 @@ def gen_synthetic(config: SyntheticConfig, run_index: int):
     return train, test
 
 
-def _spec_n_label(spec: KernelSpec) -> str:
-    return "inf" if spec.is_infinite else str(int(spec.n))
-
-
 def _synthetic_cell(config: SyntheticConfig, datasets, spec: KernelSpec, run: int):
     (train_x, train_y), (test_x, test_y) = datasets[run]
     model = fit(spec, train_x, train_y, config.lam, allow_aliasing=True)
     return test_error(model, test_x, test_y)
 
 
-def run_synthetic(config: SyntheticConfig, progress=None):
+def run_synthetic(config: SyntheticConfig):
     """Sweep (kernel spec x run); returns (result rows, summary rows).
 
     Result rows are (family, n, run, test_error); summary rows aggregate
     the runs per spec as (family, n, median, q1, q3).  A failed cell is
     recorded with a NaN error instead of aborting the sweep.
     """
+    workers = worker_count()
     specs = config.resolved_kernels()
     datasets = [gen_synthetic(config, run) for run in range(config.runs)]
-    cells = [(s_idx, run) for s_idx in range(len(specs)) for run in range(config.runs)]
-    errors: dict[tuple[int, int], float] = {}
+    cells = [(spec, run) for spec in specs for run in range(config.runs)]
 
-    def work(cell: tuple[int, int]) -> float:
-        s_idx, run = cell
-        return _synthetic_cell(config, datasets, specs[s_idx], run)
+    def work(cell) -> float:
+        spec, run = cell
+        try:
+            return _synthetic_cell(config, datasets, spec, run)
+        except Exception as exc:  # a failed cell is recorded, not fatal
+            print(f"cell family={spec.family} n={n_label(spec.n)} run={run} failed: {exc}",
+                  file=sys.stderr)
+            return float("nan")
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        futures = {pool.submit(work, cell): cell for cell in cells}
-        for fut in concurrent.futures.as_completed(futures):
-            s_idx, run = futures[fut]
-            try:
-                err = fut.result()
-            except Exception as exc:  # a failed cell is recorded, not fatal
-                print(f"cell family={specs[s_idx].family} n={_spec_n_label(specs[s_idx])} "
-                      f"run={run} failed: {exc}", file=sys.stderr)
-                err = float("nan")
-            errors[(s_idx, run)] = err
-            if progress is not None:
-                progress(specs[s_idx], run, err)
-
-    rows = []
-    for s_idx, spec in enumerate(specs):
-        for run in range(config.runs):
-            rows.append((spec.family, _spec_n_label(spec), run, errors[(s_idx, run)]))
-    summary = []
-    for s_idx, spec in enumerate(specs):
-        vals = np.array([errors[(s_idx, run)] for run in range(config.runs)])
-        q1, med, q3 = np.percentile(vals, [25, 50, 75])
-        summary.append((spec.family, _spec_n_label(spec), float(med), float(q1), float(q3)))
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        errors = list(pool.map(work, cells))
+    rows = [(spec.family, n_label(spec.n), run, err) for (spec, run), err in zip(cells, errors)]
+    quartiles = np.percentile(np.reshape(errors, (len(specs), config.runs)), [25, 50, 75], axis=1)
+    summary = [(spec.family, n_label(spec.n), float(med), float(q1), float(q3))
+               for spec, (q1, med, q3) in zip(specs, quartiles.T)]
     return rows, summary
 
 
@@ -265,12 +241,12 @@ def run_eigen_study(config: SyntheticConfig, point_index: int = 0):
     Returns rows (family, n, eigenvalue index, mean, std) with eigenvalues
     sorted in descending order within each run.
     """
-    specs = config.resolved_kernels()
+    trains = [_synthetic_split(config, run, _SPLIT_TRAIN, config.n_samples)[0]
+              for run in range(config.runs)]
     rows = []
-    for spec in specs:
+    for spec in config.resolved_kernels():
         per_run = []
-        for run in range(config.runs):
-            (train_x, _), _ = gen_synthetic(config, run)
+        for train_x in trains:
             gram = assemble_gram(spec, train_x, allow_aliasing=True)
             eig = np.linalg.eigvalsh(gram.matrices[point_index])[::-1].real
             per_run.append(eig)
@@ -278,7 +254,7 @@ def run_eigen_study(config: SyntheticConfig, point_index: int = 0):
         mean = stacked.mean(axis=0)
         std = stacked.std(axis=0)
         for idx in range(stacked.shape[1]):
-            rows.append((spec.family, _spec_n_label(spec), idx,
+            rows.append((spec.family, n_label(spec.n), idx,
                          float(mean[idx]), float(std[idx])))
     return rows
 
@@ -313,21 +289,7 @@ class InpaintConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "InpaintConfig":
-        kwargs = {}
-        for key, name in [
-            ("height", "height"), ("width", "width"), ("mask_h", "mask_h"),
-            ("mask_w", "mask_w"), ("n_train", "n_train"), ("n_test", "n_test"),
-            ("seed", "seed"), ("lambda", "lam"), ("gamma", "gamma"),
-            ("beta", "beta"), ("source", "source"),
-            ("recover_count", "recover_count"),
-        ]:
-            if key in doc:
-                kwargs[name] = doc[key]
-        if "n_list" in doc:
-            kwargs["n_list"] = tuple(
-                INF if n == "inf" else int(n) for n in doc["n_list"]
-            )
-        return cls(**kwargs)
+        return config_from_json(cls, doc, n_list=lambda ns: tuple(n_from_json(n) for n in ns))
 
     def mask(self) -> np.ndarray:
         if self.mask_h > self.height or self.mask_w > self.width:
@@ -340,8 +302,7 @@ class InpaintConfig:
 
     def kernel(self, n) -> ProdKernel:
         g = GaussianKernel(gamma=self.gamma)
-        beta = 0.0 if n == INF else self.beta
-        return ProdKernel(n=n, q=1, bases1=(g,), bases2=(g,), beta=beta)
+        return ProdKernel(n=n, q=1, bases1=(g,), bases2=(g,), beta=self.beta)
 
 
 def blob_images(config: InpaintConfig, split: int, count: int) -> np.ndarray:
@@ -361,14 +322,14 @@ def blob_images(config: InpaintConfig, split: int, count: int) -> np.ndarray:
     return np.clip(images, 0.0, 1.0)
 
 
-def load_image_dir(directory, count: int) -> np.ndarray:
+def load_image_dir(directory, count: int, shape: tuple[int, int]) -> np.ndarray:
+    """The first ``count`` PGM images of a directory, each (H, W) = ``shape``."""
     paths = sorted(Path(directory).glob("*.pgm"))
     if len(paths) < count:
         raise ConfigError(f"{directory}: found {len(paths)} PGM images, need {count}")
     images = [read_pgm(p) for p in paths[:count]]
-    shape = images[0].shape
     if any(img.shape != shape for img in images):
-        raise ConfigError(f"{directory}: images have mixed dimensions")
+        raise ConfigError(f"{directory}: images are not all {shape}, the config's (height, width)")
     return np.stack(images)
 
 
@@ -377,14 +338,9 @@ def inpaint_images(config: InpaintConfig):
     if config.source == "blobs":
         return (blob_images(config, _SPLIT_BLOBS, config.n_train),
                 blob_images(config, _SPLIT_TEST, config.n_test))
-    train = load_image_dir(Path(config.source) / "train", config.n_train)
-    test = load_image_dir(Path(config.source) / "test", config.n_test)
-    if train.shape[1:] != (config.height, config.width):
-        raise ConfigError(
-            f"images are {train.shape[1:]} but config says "
-            f"{(config.height, config.width)}"
-        )
-    return train, test
+    shape = (config.height, config.width)
+    return (load_image_dir(Path(config.source) / "train", config.n_train, shape),
+            load_image_dir(Path(config.source) / "test", config.n_test, shape))
 
 
 def image_to_tuple(image: np.ndarray, grid: TorusGrid) -> FunctionTuple:
@@ -403,15 +359,14 @@ def run_inpaint(config: InpaintConfig):
     grid = TorusGrid(H * W)
     mask = config.mask().ravel()
 
-    def masked(imgs: np.ndarray) -> np.ndarray:
-        out = imgs.reshape(len(imgs), -1).copy()
-        out[:, mask] = 0.0
-        return out
+    def split(imgs: np.ndarray):
+        """(masked input tuples, output functions) of a stack of images."""
+        flat = imgs.reshape(len(imgs), -1)
+        return ([image_to_tuple(np.where(mask, 0.0, v), grid) for v in flat],
+                [SampledFunction(grid, v.astype(complex)) for v in flat])
 
-    train_x = [image_to_tuple(v.reshape(H, W), grid) for v in masked(train_imgs)]
-    train_y = [SampledFunction(grid, v.astype(complex)) for v in train_imgs.reshape(len(train_imgs), -1)]
-    test_x = [image_to_tuple(v.reshape(H, W), grid) for v in masked(test_imgs)]
-    test_y = [SampledFunction(grid, v.astype(complex)) for v in test_imgs.reshape(len(test_imgs), -1)]
+    train_x, train_y = split(train_imgs)
+    test_x, test_y = split(test_imgs)
 
     rows = []
     recovered = {}
@@ -420,10 +375,7 @@ def run_inpaint(config: InpaintConfig):
         model = fit(spec, train_x, train_y, config.lam, allow_aliasing=True)
         preds = predict_batch(model, test_x)
         err = float(np.mean([l2_distance(p, o) for p, o in zip(preds, test_y)]))
-        label = "inf" if n == INF else str(int(n))
-        rows.append((label, err))
-        take = min(config.recover_count, len(preds))
-        recovered[label] = np.stack([
-            np.clip(preds[i].values.real, 0.0, 1.0).reshape(H, W) for i in range(take)
-        ])
+        rows.append((n_label(n), err))
+        recovered[n_label(n)] = np.stack([np.clip(p.values.real, 0.0, 1.0).reshape(H, W)
+                                          for p in preds[: config.recover_count]])
     return rows, recovered

@@ -41,8 +41,8 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatchError
 from .fejer import BETA_POLICIES
-from .torus import FunctionTuple, SampledFunction, TorusGrid, integrate
-from .truncation import check_alias_free, grid_coefficients, sn_map, smooth, truncate
+from .torus import FunctionTuple, SampledFunction, TorusGrid, check_alias_free, integrate
+from .truncation import grid_coefficients, sn_map, smooth, truncate
 
 __all__ = [
     "INF",
@@ -373,6 +373,8 @@ def kernel_limit_gap(spec: KernelSpec, x: FunctionTuple, y: FunctionTuple,
     limit = evaluate(dataclasses.replace(spec, n=INF), x, y)
     rows = []
     for n in n_list:
+        if n == INF:
+            raise ConfigError("gaps to the limit are taken at finite n; drop inf from n_list")
         fin = evaluate(dataclasses.replace(spec, n=int(n)), x, y, allow_aliasing)
         gap = np.abs(fin.values - limit.values)
         rows.append((int(n), float(np.max(gap)), float(np.mean(gap))))
@@ -412,11 +414,6 @@ def _toeplitz_times_phase(coeffs: np.ndarray, grid: TorusGrid, n: int) -> np.nda
     return win * rows
 
 
-def _toeplitz_dense_batch(coeffs: np.ndarray, n: int) -> np.ndarray:
-    idx = np.arange(n)[:, None] - np.arange(n)[None, :] + n - 1
-    return coeffs[..., idx]
-
-
 def _chain_columns(coeff_stacks: list[np.ndarray], grid: TorusGrid, n: int) -> np.ndarray:
     """Columns (F_1 (F_2 (... (F_K u(z))))) for per-item factor stacks.
 
@@ -425,9 +422,9 @@ def _chain_columns(coeff_stacks: list[np.ndarray], grid: TorusGrid, n: int) -> n
     Returns (B, n, m).
     """
     cols = _toeplitz_times_phase(coeff_stacks[-1], grid, n)
+    idx = np.arange(n)[:, None] - np.arange(n)[None, :] + n - 1
     for coeffs in reversed(coeff_stacks[:-1]):
-        dense = _toeplitz_dense_batch(coeffs, n)
-        cols = np.matmul(dense, cols)
+        cols = np.matmul(coeffs[..., idx], cols)
     return cols
 
 
@@ -530,11 +527,10 @@ def _band_pair_sn(bins1: np.ndarray, bins2: np.ndarray, n: int) -> np.ndarray:
     return np.fft.ifft(c, axis=1) * (m / n)
 
 
-def _folded_pair_sn(bins1: np.ndarray, bins2: np.ndarray, grid: TorusGrid,
-                    n: int) -> np.ndarray:
+def _folded_pair_sn(bins1: np.ndarray, bins2: np.ndarray, n: int) -> np.ndarray:
     """The folded-regime (m < n) entry to ``_band_pair_sn``, where every
     residue pair (u, v) carries weight; strict pairs call ``_band_pair_sn``
-    themselves.  ``grid`` is unused: the bins fix m."""
+    themselves."""
     return _band_pair_sn(bins1, bins2, n)
 
 
@@ -551,7 +547,7 @@ def _prod_pair_values(spec: ProdKernel, a: np.ndarray, b: np.ndarray, grid: Toru
     bins1 = [bins[base] for base in spec.bases1]
     bins2 = [bins[base] for base in spec.bases2]
     if spec.q == 1 and m < n:
-        vals = _folded_pair_sn(bins1[0], bins2[0], grid, n)
+        vals = _folded_pair_sn(bins1[0], bins2[0], n)
     elif spec.q == 1:
         vals = _band_pair_sn(bins1[0], bins2[0], n)
     else:
@@ -578,15 +574,17 @@ def _sep_blocks(spec: SepKernel, xs, ys, allow_aliasing: bool) -> np.ndarray:
         wvals = np.ones(grid.m, dtype=complex)
         for a in spec.weights:
             wvals *= np.conj(a.values) * a.values
-        xv = np.stack([t.value_matrix() for t in xs])
-        yv = xv if ys is xs else np.stack([t.value_matrix() for t in ys])
+        prepare = FunctionTuple.value_matrix
     else:
-        n = int(spec.n)
         wvals = sn_map(sep_weight_matrix(spec, allow_aliasing), grid).values
-        xv = np.stack([_smooth_tuple(t, n, allow_aliasing).value_matrix() for t in xs])
-        yv = xv if ys is xs else np.stack(
-            [_smooth_tuple(t, n, allow_aliasing).value_matrix() for t in ys])
-    d2 = spec.base.distance_sq(xv[:, None], yv[None, :])     # (Nx, Ny)
+        prepare = lambda t: _smooth_tuple(t, int(spec.n), allow_aliasing).value_matrix()
+    xv = np.stack([prepare(t) for t in xs])
+    yv = xv if ys is xs else np.stack([prepare(t) for t in ys])
+    # (Nx, Ny) distances in row chunks: each builds (rows, Ny, m, d) temporaries
+    d2 = np.empty((len(xv), len(yv)))
+    rows = max(1, _PAIR_CHUNK_BUDGET // yv[0].size // len(yv))
+    for lo in range(0, len(xv), rows):
+        d2[lo : lo + rows] = spec.base.distance_sq(xv[lo : lo + rows, None], yv[None, :])
     scal = spec.base.from_distance_sq(d2)
     return wvals[:, None, None] * scal[None, :, :]
 
@@ -601,6 +599,11 @@ def _block(spec: KernelSpec, xs: list, ys: list, allow_aliasing: bool) -> np.nda
     """
     grid = _check_pair(spec, xs[0], ys[0])
     same = ys is xs
+    for i, t in enumerate(xs if same else xs + ys):
+        if t.grid != grid:
+            raise GridMismatchError(f"block sample {i} is on an m={t.grid.m} grid, not m={grid.m}")
+        if t.d != xs[0].d:
+            raise ConfigError(f"block sample {i} has d={t.d}, not d={xs[0].d}")
     if isinstance(spec, SepKernel):
         return _sep_blocks(spec, xs, ys, allow_aliasing)
     if isinstance(spec, PolyKernel) and not spec.is_infinite:

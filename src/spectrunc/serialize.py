@@ -4,12 +4,14 @@ SampledFunction CSV carries a ``z,re,im`` header with one row per grid
 point at 17 significant digits, which round-trips doubles exactly.  A
 FunctionTuple is one CSV per component plus a JSON manifest listing the
 component file names, d, and m.  Kernel specs are JSON documents keyed by
-family, with ``"inf"`` accepted for the truncation order.
+family, with ``"inf"`` for the truncation order n = INF.  Config dataclasses
+are JSON objects keyed by field name; an unknown key is a ConfigError.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -32,6 +34,12 @@ from .torus import FunctionTuple, SampledFunction, TorusGrid
 
 __all__ = [
     "fmt",
+    "load_json",
+    "n_to_json",
+    "n_from_json",
+    "n_label",
+    "config_from_json",
+    "config_to_json",
     "write_function_csv",
     "read_function_csv",
     "write_tuple",
@@ -55,6 +63,57 @@ __all__ = [
 def fmt(x: float) -> str:
     """17 significant digits: lossless for IEEE doubles."""
     return format(float(x), ".17g")
+
+
+def load_json(path):
+    """Parse a JSON file; an unreadable or malformed file is a ConfigError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def n_to_json(n) -> int | str:
+    return "inf" if n == INF else int(n)
+
+
+def n_from_json(raw) -> int | float:
+    """A truncation order from JSON: an integer or ``"inf"``."""
+    if raw == "inf":
+        return INF
+    if isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer()):
+        return int(raw)
+    raise ConfigError(f'truncation order must be an integer or "inf", got {raw!r}')
+
+
+def n_label(n) -> str:
+    """The truncation order as it appears in result tables."""
+    return str(n_to_json(n))
+
+
+# config field name -> JSON key where the two differ
+_CONFIG_KEYS = {"lam": "lambda"}
+
+
+def config_from_json(cls, doc, **decode):
+    """Config dataclass ``cls`` from a JSON object keyed by field name;
+    ``decode`` maps a field name to a function applied to its raw value."""
+    names = {_CONFIG_KEYS.get(f.name, f.name): f.name for f in dataclasses.fields(cls)}
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(names))
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}; known keys are {sorted(names)}")
+    kwargs = {names[key]: raw for key, raw in doc.items()}
+    kwargs.update((name, fn(kwargs[name])) for name, fn in decode.items() if name in kwargs)
+    return cls(**kwargs)
+
+
+def config_to_json(config, **encoded) -> dict:
+    """JSON object of a config dataclass; ``encoded`` gives the JSON value
+    of fields that are not plain JSON."""
+    return {_CONFIG_KEYS.get(f.name, f.name): encoded.get(f.name, getattr(config, f.name))
+            for f in dataclasses.fields(config)}
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +166,7 @@ def write_tuple(t: FunctionTuple, directory, stem: str) -> Path:
 
 def read_tuple(manifest_path) -> FunctionTuple:
     manifest_path = Path(manifest_path)
-    spec = json.loads(manifest_path.read_text())
+    spec = load_json(manifest_path)
     comps = [read_function_csv(manifest_path.parent / name) for name in spec["components"]]
     if len(comps) != spec["d"] or any(c.grid.m != spec["m"] for c in comps):
         raise ConfigError(f"{manifest_path}: manifest does not match component files")
@@ -128,16 +187,6 @@ def write_toeplitz_csv(rep, path) -> None:
 # ---------------------------------------------------------------------------
 # kernel specs
 # ---------------------------------------------------------------------------
-
-
-def _n_to_json(n) -> int | str:
-    return "inf" if n == INF else int(n)
-
-
-def _n_from_json(n) -> int | float:
-    if n == "inf":
-        return INF
-    return int(n)
 
 
 def _base_to_json(b) -> dict:
@@ -171,10 +220,6 @@ def _weight_to_json(a: SampledFunction) -> dict:
 def function_from_json(doc: dict, base_dir: Path | None = None) -> SampledFunction:
     """Sampled function from a JSON fragment: a ``file`` reference, inline
     ``values`` rows, or inline ``trig`` Fourier-coefficient triplets."""
-    return _weight_from_json(doc, base_dir)
-
-
-def _weight_from_json(doc: dict, base_dir: Path | None) -> SampledFunction:
     if "file" in doc:
         if base_dir is None:
             raise ConfigError("weight file reference needs a base directory")
@@ -190,11 +235,11 @@ def _weight_from_json(doc: dict, base_dir: Path | None) -> SampledFunction:
         for k, re, im in doc["trig"]:
             vals += complex(float(re), float(im)) * np.exp(1j * int(k) * grid.points)
         return SampledFunction(grid, vals)
-    raise ConfigError("weight needs one of: file, values, trig")
+    raise ConfigError("a function needs one of: file, values, trig")
 
 
 def kernel_to_json(spec: KernelSpec) -> dict:
-    doc = {"family": spec.family, "n": _n_to_json(spec.n), "q": spec.q}
+    doc = {"family": spec.family, "n": n_to_json(spec.n), "q": spec.q}
     if isinstance(spec, PolyKernel):
         doc["alpha"] = list(spec.alpha)
     elif isinstance(spec, ProdKernel):
@@ -212,7 +257,7 @@ def kernel_to_json(spec: KernelSpec) -> dict:
 
 def kernel_from_json(doc: dict, base_dir: Path | None = None) -> KernelSpec:
     family = doc.get("family")
-    n = _n_from_json(doc["n"])
+    n = n_from_json(doc["n"])
     q = int(doc["q"])
     if family == "poly":
         return PolyKernel(n=n, q=q, alpha=tuple(float(a) for a in doc["alpha"]))
@@ -230,7 +275,7 @@ def kernel_from_json(doc: dict, base_dir: Path | None = None) -> KernelSpec:
             raise ConfigError(f"unknown tuple kernel kind {base_doc.get('kind')!r}")
         return SepKernel(
             n=n, q=q,
-            weights=tuple(_weight_from_json(w, base_dir) for w in doc["weights"]),
+            weights=tuple(function_from_json(w, base_dir) for w in doc["weights"]),
             base=L2GaussianTupleKernel(scale=float(base_doc["scale"])),
         )
     raise ConfigError(f"unknown kernel family {family!r}")
@@ -242,7 +287,7 @@ def write_kernel(spec: KernelSpec, path) -> None:
 
 def read_kernel(path) -> KernelSpec:
     path = Path(path)
-    return kernel_from_json(json.loads(path.read_text()), base_dir=path.parent)
+    return kernel_from_json(load_json(path), base_dir=path.parent)
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +295,15 @@ def read_kernel(path) -> KernelSpec:
 # ---------------------------------------------------------------------------
 
 
-def write_dataset(directory, inputs, outputs=None) -> Path:
-    """Write sample tuples (and optional outputs) plus a dataset manifest."""
+def write_dataset(directory, inputs, outputs=None) -> dict:
+    """Write sample tuples (and optional outputs) plus a dataset manifest
+    ``dataset.json``; returns the manifest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     inputs = list(inputs)
     samples = []
     for i, t in enumerate(inputs):
-        stem = f"x{i:04d}"
-        write_tuple(t, directory, stem)
-        entry = {"input": f"{stem}.json"}
+        entry = {"input": write_tuple(t, directory, f"x{i:04d}").name}
         if outputs is not None:
             yname = f"y{i:04d}.csv"
             write_function_csv(outputs[i], directory / yname)
@@ -271,47 +315,33 @@ def write_dataset(directory, inputs, outputs=None) -> Path:
         "n_samples": len(inputs),
         "samples": samples,
     }
-    path = directory / "dataset.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return path
+    (directory / "dataset.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    return manifest
 
 
 def read_dataset(directory):
     """Returns (inputs, outputs); outputs is None when the dataset has none."""
     directory = Path(directory)
-    manifest = json.loads((directory / "dataset.json").read_text())
-    inputs = []
-    outputs = []
-    has_outputs = all("output" in s for s in manifest["samples"])
-    for s in manifest["samples"]:
-        inputs.append(read_tuple(directory / s["input"]))
-        if has_outputs:
-            outputs.append(read_function_csv(directory / s["output"]))
-    return inputs, (outputs if has_outputs else None)
+    samples = load_json(directory / "dataset.json")["samples"]
+    inputs = [read_tuple(directory / s["input"]) for s in samples]
+    if not all("output" in s for s in samples):
+        return inputs, None
+    return inputs, [read_function_csv(directory / s["output"]) for s in samples]
 
 
 def write_model(model: RidgeModel, directory) -> Path:
+    """Write the training inputs with their coefficient functions as a
+    dataset, plus ``model.json`` naming those files."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    grid = model.grid
-    coeff_files = []
-    for j, c in enumerate(model.coefficient_functions()):
-        name = f"coef{j:04d}.csv"
-        write_function_csv(c, directory / name)
-        coeff_files.append(name)
-    input_files = []
-    for j, t in enumerate(model.inputs):
-        stem = f"train{j:04d}"
-        write_tuple(t, directory, stem)
-        input_files.append(f"{stem}.json")
+    samples = write_dataset(directory, model.inputs, model.coefficient_functions())["samples"]
     manifest = {
         "kernel": kernel_to_json(model.kernel),
         "lambda": model.lam,
         "N": len(model.inputs),
-        "m": grid.m,
+        "m": model.grid.m,
         "allow_aliasing": model.allow_aliasing,
-        "coefficients": coeff_files,
-        "training_inputs": input_files,
+        "coefficients": [s["output"] for s in samples],
+        "training_inputs": [s["input"] for s in samples],
     }
     path = directory / "model.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n")
@@ -320,7 +350,7 @@ def write_model(model: RidgeModel, directory) -> Path:
 
 def read_model(directory) -> RidgeModel:
     directory = Path(directory)
-    manifest = json.loads((directory / "model.json").read_text())
+    manifest = load_json(directory / "model.json")
     kernel = kernel_from_json(manifest["kernel"], base_dir=directory)
     inputs = tuple(read_tuple(directory / f) for f in manifest["training_inputs"])
     coeffs = np.stack([

@@ -134,6 +134,16 @@ def integrate(f: SampledFunction) -> complex:
     return complex(np.mean(f.values))
 
 
+def check_alias_free(kmax: int, m: int, allow_aliasing: bool) -> None:
+    """Reject coefficients up to |kmax| on an m-point grid unless they are
+    alias-free (|k| < m/2) or ``allow_aliasing`` opts into folded bins."""
+    if not allow_aliasing and 2 * kmax >= m:
+        raise AliasingError(
+            f"coefficients up to |k|={kmax} alias on an m={m} grid "
+            "(need |k| < m/2); pass allow_aliasing=True to fold bins"
+        )
+
+
 def fourier_coeff(f: SampledFunction, k: int) -> complex:
     """k-th Fourier coefficient (1/m) sum_p f(z_p) e^{-ik z_p}.
 
@@ -143,13 +153,7 @@ def fourier_coeff(f: SampledFunction, k: int) -> complex:
         If |k| >= m/2: the rectangle rule folds coefficient k onto
         k mod m and the result would be corrupted by aliasing.
     """
-    m = f.grid.m
-    if 2 * abs(k) >= m:
-        raise AliasingError(f"coefficient k={k} aliases on an m={m} grid")
-    return _fourier_coeff_unchecked(f, k)
-
-
-def _fourier_coeff_unchecked(f: SampledFunction, k: int) -> complex:
+    check_alias_free(abs(k), f.grid.m, False)
     return complex(np.mean(f.values * np.exp(-1j * k * f.grid.points)))
 
 

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AliasingError
-from .torus import SampledFunction, TorusGrid
+from .torus import SampledFunction, TorusGrid, check_alias_free
 
 __all__ = [
     "ToeplitzRep",
@@ -73,16 +72,6 @@ class ToeplitzRep:
         matrix is Hermitian (real-valued source function)."""
         return bool(
             np.max(np.abs(self.coeffs[::-1] - np.conj(self.coeffs))) <= tol
-        )
-
-
-def check_alias_free(kmax: int, m: int, allow_aliasing: bool) -> None:
-    """Reject coefficients up to |kmax| on an m-point grid unless they are
-    alias-free (|k| < m/2) or ``allow_aliasing`` opts into folded bins."""
-    if not allow_aliasing and 2 * kmax >= m:
-        raise AliasingError(
-            f"coefficients up to |k|={kmax} alias on an m={m} grid "
-            "(need |k| < m/2); pass allow_aliasing=True to fold bins"
         )
 
 

@@ -200,3 +200,105 @@ def test_numerical_error_exit_code(monkeypatch, tiny_dataset, tmp_path):
                  "--kernel", str(tiny_dataset / "kernel.json"),
                  "--lam", "0.1", "--out", str(tmp_path / "m")])
     assert code == EXIT_NUMERICAL
+
+
+@pytest.fixture
+def poly_dataset(tmp_path, rng):
+    g = TorusGrid(30)
+    xs = [random_trig_tuple(g, rng, d=1, real=True) for _ in range(3)]
+    ys = [SampledFunction(g, rng.normal(size=30) + 0j) for _ in range(3)]
+    write_dataset(tmp_path / "ds", xs, ys)
+    (tmp_path / "poly16.json").write_text(json.dumps(
+        {"family": "poly", "n": 16, "q": 1, "alpha": [1.0]}))
+    return tmp_path
+
+
+def test_aliasing_without_opt_in_exit_code(poly_dataset):
+    # n = 16 needs coefficients up to |k| = 15, which alias on m = 30
+    code = main(["fit", "--dataset", str(poly_dataset / "ds"),
+                 "--kernel", str(poly_dataset / "poly16.json"), "--lam", "0.1",
+                 "--out", str(poly_dataset / "model")])
+    assert code == EXIT_CONFIG
+    assert not (poly_dataset / "model" / "model.json").exists()
+    assert main(["fit", "--dataset", str(poly_dataset / "ds"),
+                 "--kernel", str(poly_dataset / "poly16.json"), "--lam", "0.1",
+                 "--allow-aliasing", "--out", str(poly_dataset / "model")]) == EXIT_OK
+
+
+def test_missing_dataset_exit_code(poly_dataset):
+    code = main(["fit", "--dataset", str(poly_dataset / "missing"),
+                 "--kernel", str(poly_dataset / "poly16.json"), "--lam", "0.1",
+                 "--out", str(poly_dataset / "model")])
+    assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("complexity", {"samples": [[{"m": 32, "trig": [[1, 1.0, 0.0]]}]]}),
+    ("converge", {"x": [{"m": 32, "trig": [[1, 1.0, 0.0]]}],
+                  "y": [{"m": 32, "trig": [[1, 1.0, 0.0]]}]}),
+], ids=["complexity", "converge"])
+def test_inf_in_finite_n_list_exit_code(tmp_path, command, extra):
+    # both tables are defined at finite n only
+    config = {"n_list": [2, "inf"],
+              "kernels": [{"family": "poly", "n": 2, "q": 1, "alpha": [1.0]}], **extra}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, written", [
+    ("run-synth", {"n_samples": 4, "n_test": 2, "runs": 1, "lamda": 5.0,
+                   "kernels": [{"family": "poly", "n": 4, "q": 1, "alpha": [1.0, 1.0]}]},
+     "results.csv"),
+    ("gen-synth", {"n_samples": 4, "n_test": 2, "lamda": 5.0}, "train/dataset.json"),
+    ("inpaint", {"height": 8, "width": 8, "mask_h": 4, "mask_w": 4, "n_train": 4,
+                 "n_test": 2, "n_list": [4], "lamda": 5.0}, "errors.csv"),
+], ids=["run-synth", "gen-synth", "inpaint"])
+def test_unknown_config_key_exit_code(tmp_path, command, config, written):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out" / written).exists()
+
+
+# results.csv and summary.csv of the run-synth configs of test_synthetic_pipeline
+# and test_run_synth_byte_identical, as written when each sweep cell was still
+# collected through its own future (numpy 2.4, OpenBLAS 0.3.31, x86-64)
+PINNED_SWEEPS = {
+    "pipeline": (
+        {"n_samples": 8, "n_test": 6, "grid_m": 30, "seed": 3, "runs": 1,
+         "kernels": [{"family": "poly", "n": 4, "q": 1, "alpha": [1.0, 1.0]},
+                     {"family": "poly", "n": "inf", "q": 1, "alpha": [1.0, 1.0]}]},
+        ["family,n,run,test_error",
+         "poly,4,0,0.018700656215547149",
+         "poly,inf,0,0.033598493966871375"],
+        ["family,n,median,q1,q3",
+         "poly,4,0.018700656215547149,0.018700656215547149,0.018700656215547149",
+         "poly,inf,0.033598493966871375,0.033598493966871375,0.033598493966871375"],
+    ),
+    "two-runs": (
+        {"n_samples": 6, "n_test": 4, "grid_m": 30, "seed": 11, "runs": 2,
+         "kernels": [{"family": "poly", "n": 4, "q": 1, "alpha": [1.0, 1.0]}]},
+        ["family,n,run,test_error",
+         "poly,4,0,0.015026727993472395",
+         "poly,4,1,0.016677384770286172"],
+        ["family,n,median,q1,q3",
+         "poly,4,0.015852056381879281,0.01543939218767584,0.016264720576082727"],
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
+def test_run_synth_csvs_pinned(monkeypatch, tmp_path, name, workers):
+    config, results, summary = PINNED_SWEEPS[name]
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(config))
+    monkeypatch.setenv("SPECTRUNC_WORKERS", workers)
+    assert main(["run-synth", "--config", str(cfg), "--out", str(tmp_path / "res")]) == EXIT_OK
+    for name, lines in (("results.csv", results), ("summary.csv", summary)):
+        # the csv module ends rows in \r\n
+        want = "".join(line + "\r\n" for line in lines).encode()
+        assert (tmp_path / "res" / name).read_bytes() == want

@@ -92,6 +92,15 @@ class TestGenSynthetic:
         (bx, _), _ = gen_synthetic(config, 1)
         assert not np.allclose(ax[0].components[0].values, bx[0].components[0].values)
 
+    def test_window_matrix_built_once_read_only(self):
+        from spectrunc.experiments import _window_matrix
+
+        grid = TorusGrid(30)
+        W = _window_matrix(grid, 0.2, False)
+        assert _window_matrix(TorusGrid(30), 0.2, False) is W
+        assert not W.flags.writeable
+        assert _window_matrix(grid, 0.2, True) is not W
+
     def test_train_test_noise_independent(self):
         config = tiny_synth(n_samples=4, n_test=4)
         (train, _), (test, _) = gen_synthetic(config, 0)
@@ -146,6 +155,21 @@ class TestEigenStudy:
     def test_deterministic(self):
         config = tiny_synth(runs=2, n_samples=8)
         assert run_eigen_study(config) == run_eigen_study(config)
+
+    def test_each_run_generated_once(self, monkeypatch):
+        from spectrunc import experiments
+
+        calls = []
+        real = experiments._synthetic_split
+
+        def spy(config, run, split, count):
+            calls.append((run, split))
+            return real(config, run, split, count)
+
+        monkeypatch.setattr(experiments, "_synthetic_split", spy)
+        config = tiny_synth(runs=3, n_samples=6)
+        run_eigen_study(config)
+        assert sorted(calls) == [(0, 0), (1, 0), (2, 0)]
 
     def test_manual_beta_outcome_recorded(self, capsys):
         # the reference configuration uses beta = 1, far below the provable
@@ -291,3 +315,27 @@ class TestConfigJson:
         config = InpaintConfig.from_json(doc)
         assert config.n_list == (4, INF)
         assert config.lam == 0.5
+
+    def test_keys_are_the_fields(self):
+        # every field is its own key except lam, written "lambda"
+        config = tiny_synth()
+        doc = config.to_json()
+        assert list(doc) == [("lambda" if f.name == "lam" else f.name)
+                             for f in dataclasses.fields(SyntheticConfig)]
+        assert SyntheticConfig.from_json(doc).to_json() == doc
+        assert InpaintConfig.from_json({"lambda": 0.5, "source": "blobs"}).lam == 0.5
+
+    @pytest.mark.parametrize("key", ["lamda", "lam", "n_samples "])
+    def test_unknown_key_rejected(self, key):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            SyntheticConfig.from_json({key: 5.0})
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            InpaintConfig.from_json({key: 5.0})
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ConfigError):
+            SyntheticConfig.from_json([{"lambda": 0.5}])
+
+    def test_bad_n_list_entry_rejected(self):
+        with pytest.raises(ConfigError):
+            InpaintConfig.from_json({"n_list": [4, "infinity"]})

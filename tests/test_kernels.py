@@ -277,6 +277,12 @@ class TestAlgebraicLaws:
         rows = kernel_limit_gap(spec, x, x, [2, 4])
         assert all(r[1] < 1e-12 for r in rows)
 
+    def test_limit_gap_needs_finite_n(self):
+        x = const_tuple(GRID, [1.0, 2.0])
+        spec = PolyKernel(n=4, q=1, alpha=(1.0, 1.0))
+        with pytest.raises(ConfigError):
+            kernel_limit_gap(spec, x, x, [2, INF])
+
 
 class TestBaseKernels:
     def test_gaussian_range_and_symmetry(self, rng):
@@ -408,13 +414,20 @@ class TestBatchedBlocks:
         # the window counts sum to n^3 (n windows of n x n frequency pairs)
         assert np.sum(w) == n ** 3
 
-    @pytest.mark.parametrize("n", [16, INF])
-    def test_gram_workspace_bounded_by_field(self, n):
+    @pytest.mark.parametrize("family, n", [
+        pytest.param("poly", 16, id="16"), pytest.param("poly", INF, id="inf"),
+        pytest.param("sep", 16, id="sep-16"), pytest.param("sep", INF, id="sep-inf"),
+    ])
+    def test_gram_workspace_bounded_by_field(self, family, n):
         grid = TorusGrid(30)
         rng = np.random.default_rng(0)
         xs = [FunctionTuple(tuple(SampledFunction(grid, rng.standard_normal(30) + 0j)
                                   for _ in range(2))) for _ in range(400)]
-        spec = PolyKernel(n=n, q=1, alpha=(1.0, 1.0))
+        if family == "poly":
+            spec = PolyKernel(n=n, q=1, alpha=(1.0, 1.0))
+        else:
+            a = SampledFunction(grid, np.exp(np.sin(grid.points)).astype(complex))
+            spec = SepKernel(n=n, q=2, weights=(a, a), base=L2GaussianTupleKernel(scale=2.3))
         tracemalloc.start()
         try:
             field, _ = gram_values(spec, xs, allow_aliasing=True)
@@ -422,3 +435,18 @@ class TestBatchedBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * field.nbytes
+
+    @pytest.mark.parametrize("family", ["poly", "prod"])
+    def test_block_checks_every_sample(self, rng, family):
+        # poly takes the whole-block route, finite prod the pair route
+        spec = block_spec(family, 5, 1)
+        xs = [random_trig_tuple(PIN_GRID, rng, d=2) for _ in range(3)]
+        other_grid = xs[:2] + [random_trig_tuple(TorusGrid(16), rng, d=2)]
+        other_d = xs[:2] + [random_trig_tuple(PIN_GRID, rng, d=1)]
+        for bad, error in ((other_grid, GridMismatchError), (other_d, ConfigError)):
+            with pytest.raises(error, match="block sample 2"):
+                gram_values(spec, bad)
+            with pytest.raises(error, match="block sample 2"):
+                cross_values(spec, bad, xs)
+            with pytest.raises(error, match="block sample 5"):
+                cross_values(spec, xs, bad)

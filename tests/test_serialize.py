@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,9 @@ from spectrunc.serialize import (
     function_from_json,
     kernel_from_json,
     kernel_to_json,
+    n_from_json,
+    n_label,
+    n_to_json,
     read_dataset,
     read_function_csv,
     read_model,
@@ -164,6 +169,58 @@ class TestDatasetAndModel:
         back = read_model(tmp_path / "model")
         probe = random_trig_tuple(g, rng, d=1, real=True)
         assert np.array_equal(predict(back, probe).values, predict(model, probe).values)
+
+
+    def test_model_directory_is_a_dataset(self, tmp_path, rng):
+        # training inputs with their coefficient functions as outputs
+        g = TorusGrid(16)
+        xs = [random_trig_tuple(g, rng, d=2) for _ in range(3)]
+        ys = [SampledFunction(g, rng.normal(size=16) + 0j) for _ in range(3)]
+        model = fit(PolyKernel(n=4, q=1, alpha=(1.0, 0.5)), xs, ys, lam=0.1)
+        write_model(model, tmp_path / "model")
+        inputs, coeffs = read_dataset(tmp_path / "model")
+        assert [c.values.tobytes() for c in coeffs] == [c.tobytes() for c in model.coefficients]
+        assert np.array_equal(inputs[2].value_matrix(), xs[2].value_matrix())
+
+    def test_previous_model_layout_loads(self, tmp_path, rng):
+        # coefNNNN.csv and trainNNNN.json, as models were written before they
+        # went through write_dataset
+        g = TorusGrid(16)
+        xs = [random_trig_tuple(g, rng, d=2) for _ in range(3)]
+        ys = [SampledFunction(g, rng.normal(size=16) + 0j) for _ in range(3)]
+        model = fit(PolyKernel(n=4, q=1, alpha=(1.0, 0.5)), xs, ys, lam=0.1)
+        old = tmp_path / "old"
+        old.mkdir()
+        for j, c in enumerate(model.coefficient_functions()):
+            write_function_csv(c, old / f"coef{j:04d}.csv")
+            write_tuple(model.inputs[j], old, f"train{j:04d}")
+        (old / "model.json").write_text(json.dumps({
+            "kernel": kernel_to_json(model.kernel), "lambda": model.lam, "N": 3, "m": 16,
+            "allow_aliasing": False,
+            "coefficients": [f"coef{j:04d}.csv" for j in range(3)],
+            "training_inputs": [f"train{j:04d}.json" for j in range(3)]}))
+        write_model(model, tmp_path / "new")
+        probe = random_trig_tuple(g, rng, d=2)
+        back_old, back_new = read_model(old), read_model(tmp_path / "new")
+        assert np.array_equal(back_old.coefficients, model.coefficients)
+        assert np.array_equal(predict(back_old, probe).values, predict(back_new, probe).values)
+        assert np.array_equal(predict(back_old, probe).values, predict(model, probe).values)
+
+
+class TestNCodec:
+    def test_round_trip_and_label(self):
+        for n, doc, label in ((4, 4, "4"), (INF, "inf", "inf")):
+            assert n_to_json(n) == doc
+            assert n_from_json(doc) == n
+            assert n_label(n) == label
+        assert n_from_json(8.0) == 8 and isinstance(n_from_json(8.0), int)
+
+    @pytest.mark.parametrize("raw", [4.5, "four", "4", None, [4]])
+    def test_rejects_non_integers(self, raw):
+        with pytest.raises(ConfigError):
+            n_from_json(raw)
+        with pytest.raises(ConfigError):
+            kernel_from_json({"family": "poly", "n": raw, "q": 1, "alpha": [1.0]})
 
 
 class TestRowsCsvAndPgm:
