@@ -19,7 +19,7 @@ import numpy as np
 
 from . import diagnostics, experiments, fejer, regression, serialize
 from .errors import ConfigError, NumericalError
-from .serialize import load_json, n_from_json
+from .serialize import load_json, n_from_json, required_keys
 from .torus import FunctionTuple, l2_distance
 
 EXIT_OK = 0
@@ -105,13 +105,14 @@ def _cmd_fejer_min(args) -> int:
 def _cmd_converge(args) -> int:
     doc = load_json(args.config)
     base = Path(args.config).parent
-    x = _tuple_from_doc(doc["x"], base)
-    y = _tuple_from_doc(doc["y"], base)
-    specs = {}
-    for kdoc in doc["kernels"]:
-        spec = serialize.kernel_from_json(kdoc, base)
-        specs[spec.family] = spec
-    n_list = [n_from_json(n) for n in doc["n_list"]]
+    with required_keys(args.config):
+        x = _tuple_from_doc(doc["x"], base)
+        y = _tuple_from_doc(doc["y"], base)
+        specs = {}
+        for kdoc in doc["kernels"]:
+            spec = serialize.kernel_from_json(kdoc, base)
+            specs[spec.family] = spec
+        n_list = [n_from_json(n) for n in doc["n_list"]]
     rows = diagnostics.convergence_report(specs, x, y, n_list,
                                           allow_aliasing=doc.get("allow_aliasing", False))
     serialize.write_rows_csv(Path(args.out), ["family", "n", "sup_gap", "mean_gap"],
@@ -123,14 +124,15 @@ def _cmd_converge(args) -> int:
 def _cmd_complexity(args) -> int:
     doc = load_json(args.config)
     base = Path(args.config).parent
-    samples = [_tuple_from_doc(d, base) for d in doc["samples"]]
+    with required_keys(args.config):
+        samples = [_tuple_from_doc(d, base) for d in doc["samples"]]
+        n_list = [n_from_json(n) for n in doc["n_list"]]
+        specs = [serialize.kernel_from_json(kdoc, base) for kdoc in doc["kernels"]]
     B = float(doc.get("B", 1.0))
     L = float(doc.get("L", 1.0))
     delta = float(doc.get("delta", 0.05))
-    n_list = [n_from_json(n) for n in doc["n_list"]]
     rows = []
-    for kdoc in doc["kernels"]:
-        spec = serialize.kernel_from_json(kdoc, base)
+    for spec in specs:
         for n in n_list:
             spec_n = dataclasses.replace(spec, n=n)
             report = diagnostics.complexity_report(

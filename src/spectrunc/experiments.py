@@ -133,6 +133,10 @@ class SyntheticConfig:
     kernels: tuple[KernelSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        for name, low in (("n_samples", 1), ("n_test", 1), ("runs", 1), ("grid_m", 2)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.lam < 0:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
 

@@ -13,6 +13,10 @@ Dirichlet factors
 
 where D_n(s) = sum_{r=0}^{n-1} e^{irs}.  The chain form is validated against
 a direct lattice-point enumeration (``fejer_multi_oracle``), never assumed.
+Each factor depends on at most two coordinates, so ``_chain`` evaluates it
+at its own broadcast shape: on the sparse tensor grid of ``fejer_convolve``
+that is O(q m_axis^2) Dirichlet values plus 2q broadcast products over the
+m_axis^{2q} nodes.
 
 The kernel is real, even, bounded by n^{2q}, and integrates to 1 under the
 normalized measure on T^{2q}.
@@ -62,7 +66,7 @@ def dirichlet(n: int, s) -> np.ndarray | complex:
     near = wrapped < _NEAR_POLE
     den = np.where(near, 1.0, w - 1.0)
     out = (w**n - 1.0) / den
-    if np.any(near):
+    if near.any():
         # near s = 0 mod 2*pi the quotient cancels catastrophically; the
         # direct sum is exact and the masked subset is small
         out[near] = np.exp(1j * np.outer(flat[near], np.arange(n))).sum(axis=1)
@@ -77,13 +81,21 @@ def fejer_1d(n: int, t) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def _chain(n: int, t: np.ndarray) -> np.ndarray:
-    """Dirichlet chain over the last axis of t (length 2q), complex."""
-    val = np.asarray(dirichlet(n, -t[..., 0]), dtype=complex)
-    for k in range(t.shape[-1] - 1):
-        val = val * np.asarray(dirichlet(n, t[..., k] - t[..., k + 1]))
-    val = val * np.asarray(dirichlet(n, t[..., -1]))
-    return val / n
+def _chain(n: int, ts) -> np.ndarray:
+    """Dirichlet chain over the 2q coordinates ts (broadcastable arrays):
+    each factor at its own broadcast shape, all in one ``dirichlet`` call,
+    multiplied in chain order.  Complex; ArithmeticError if not real."""
+    args = [-ts[0], *(a - b for a, b in zip(ts[:-1], ts[1:])), ts[-1]]
+    d = dirichlet(n, np.concatenate([a.ravel() for a in args]))
+    ends = list(itertools.accumulate(a.size for a in args))
+    val = d[:ends[0]].reshape(args[0].shape)
+    for a, lo, hi in zip(args[1:], ends, ends[1:]):
+        val = val * d[lo:hi].reshape(a.shape)
+    val = val / n
+    worst = float(np.abs(val.imag).max())
+    if worst > 1e-10 * max(1.0, float(n) ** len(ts)):
+        raise ArithmeticError(f"Fejer chain produced imaginary part {worst:.3e}")
+    return val
 
 
 def fejer_multi(n: int, q: int, t) -> np.ndarray | float:
@@ -103,11 +115,7 @@ def fejer_multi(n: int, q: int, t) -> np.ndarray | float:
     t_arr = np.atleast_2d(np.asarray(t, dtype=float))
     if t_arr.shape[-1] != 2 * q:
         raise ValueError(f"expected points in T^{2 * q}, got last axis {t_arr.shape[-1]}")
-    val = _chain(n, t_arr)
-    scale = max(1.0, float(n) ** (2 * q))
-    worst = float(np.max(np.abs(val.imag)))
-    if worst > 1e-10 * scale:
-        raise ArithmeticError(f"Fejer chain produced imaginary part {worst:.3e}")
+    val = _chain(n, [t_arr[..., k] for k in range(2 * q)])
     out = val.real.reshape(np.shape(t)[:-1])
     return out if out.ndim else float(out)
 
@@ -206,7 +214,7 @@ def fejer_min_estimate(
     dim = 2 * q
 
     def f(t: np.ndarray) -> float:
-        return float(fejer_multi(n, q, np.remainder(t, 2.0 * np.pi)))
+        return float(_chain(n, np.remainder(t, 2.0 * np.pi)[:, None]).real[0])
 
     axis = 2.0 * np.pi * np.arange(grid_density) / grid_density
     if q == 1:
@@ -241,13 +249,16 @@ def fejer_convolve(g, n: int, q: int, z: float, m_axis: int = 32) -> complex:
 
         (g * F_n)(z 1) = int_{T^{2q}} g(t) F_n(z 1 - t) dt / (2 pi)^{2q}.
 
+    The kernel comes from ``_chain`` on the sparse grid z - t_k (see the
+    module docstring for the cost).
+
     Parameters
     ----------
     g : callable
         Evaluation callback; receives a stacked coordinate array of shape
         (2q, m, ..., m) and must return values of shape (m, ..., m).
     m_axis : int
-        Quadrature points per axis (m_axis^{2q} total evaluations).
+        Quadrature points per axis (m_axis^{2q} total evaluations of g).
     """
     if q > ORACLE_MAX_Q:
         raise BudgetError(f"convolution guarded to q<={ORACLE_MAX_Q}")
@@ -255,12 +266,11 @@ def fejer_convolve(g, n: int, q: int, z: float, m_axis: int = 32) -> complex:
     if total > CONVOLVE_MAX_EVALS:
         raise BudgetError(f"{total} quadrature nodes exceed budget {CONVOLVE_MAX_EVALS}")
     axis = 2.0 * np.pi * np.arange(m_axis) / m_axis
-    coords = np.meshgrid(*([axis] * (2 * q)), indexing="ij")
-    gvals = np.asarray(g(np.stack(coords)), dtype=complex)
-    if gvals.shape != coords[0].shape:
+    coords = np.meshgrid(*([axis] * (2 * q)), indexing="ij", sparse=True)
+    gvals = np.asarray(g(np.stack(np.broadcast_arrays(*coords))), dtype=complex)
+    if gvals.shape != (m_axis,) * (2 * q):
         raise ValueError("callback returned wrong shape")
-    u = np.stack([z - c for c in coords], axis=-1)
-    fvals = fejer_multi(n, q, u)
+    fvals = _chain(n, [z - c for c in coords]).real
     return complex(np.mean(gvals * fvals))
 
 

@@ -185,7 +185,9 @@ class ProdKernel:
     ``bases1``/``bases2`` each hold q base scalar kernels.  beta is forced
     to 0 at n = INF, where the offset is not part of the limit kernel.
     ``beta_policy`` names one of the policies ``fejer.beta_from_policy``
-    knows; it is recorded, not resolved, so beta is the value used.
+    knows.  beta is always the value used: ``serialize.kernel_from_json``
+    resolves a ``bound`` or ``estimate`` policy into beta when the document
+    gives none, and an explicit beta wins.
     """
 
     n: int | float

@@ -10,6 +10,7 @@ are JSON objects keyed by field name; an unknown key is a ConfigError.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
+from .fejer import beta_from_policy
 from .kernels import (
     INF,
     GaussianKernel,
@@ -35,6 +37,7 @@ from .torus import FunctionTuple, SampledFunction, TorusGrid
 __all__ = [
     "fmt",
     "load_json",
+    "required_keys",
     "n_to_json",
     "n_from_json",
     "n_label",
@@ -71,6 +74,16 @@ def load_json(path):
         return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def required_keys(what: str):
+    """Decode ``what`` inside this block: a missing key is a ConfigError
+    naming it, not a KeyError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{what} is missing required key {exc.args[0]!r}") from None
 
 
 def n_to_json(n) -> int | str:
@@ -256,29 +269,36 @@ def kernel_to_json(spec: KernelSpec) -> dict:
 
 
 def kernel_from_json(doc: dict, base_dir: Path | None = None) -> KernelSpec:
-    family = doc.get("family")
-    n = n_from_json(doc["n"])
-    q = int(doc["q"])
-    if family == "poly":
-        return PolyKernel(n=n, q=q, alpha=tuple(float(a) for a in doc["alpha"]))
-    if family == "prod":
-        return ProdKernel(
-            n=n, q=q,
-            bases1=tuple(_base_from_json(b) for b in doc["bases1"]),
-            bases2=tuple(_base_from_json(b) for b in doc["bases2"]),
-            beta=float(doc.get("beta", 0.0)),
-            beta_policy=str(doc.get("beta_policy", "manual")),
-        )
-    if family == "sep":
-        base_doc = doc["base"]
-        if base_doc.get("kind") != "l2_gaussian":
-            raise ConfigError(f"unknown tuple kernel kind {base_doc.get('kind')!r}")
-        return SepKernel(
-            n=n, q=q,
-            weights=tuple(function_from_json(w, base_dir) for w in doc["weights"]),
-            base=L2GaussianTupleKernel(scale=float(base_doc["scale"])),
-        )
-    raise ConfigError(f"unknown kernel family {family!r}")
+    """Kernel spec from its JSON document.  A finite-n prod kernel whose
+    ``beta_policy`` is ``bound`` or ``estimate`` and that gives no ``beta``
+    gets the policy's offset from ``fejer.beta_from_policy``."""
+    with required_keys("kernel spec"):
+        family = doc.get("family")
+        n = n_from_json(doc["n"])
+        q = int(doc["q"])
+        if family == "poly":
+            return PolyKernel(n=n, q=q, alpha=tuple(float(a) for a in doc["alpha"]))
+        if family == "prod":
+            spec = ProdKernel(
+                n=n, q=q,
+                bases1=tuple(_base_from_json(b) for b in doc["bases1"]),
+                bases2=tuple(_base_from_json(b) for b in doc["bases2"]),
+                beta=float(doc.get("beta", 0.0)),
+                beta_policy=str(doc.get("beta_policy", "manual")),
+            )
+            if "beta" not in doc and spec.beta_policy != "manual" and not spec.is_infinite:
+                spec = dataclasses.replace(spec, beta=beta_from_policy(spec.beta_policy, n, q))
+            return spec
+        if family == "sep":
+            base_doc = doc["base"]
+            if base_doc.get("kind") != "l2_gaussian":
+                raise ConfigError(f"unknown tuple kernel kind {base_doc.get('kind')!r}")
+            return SepKernel(
+                n=n, q=q,
+                weights=tuple(function_from_json(w, base_dir) for w in doc["weights"]),
+                base=L2GaussianTupleKernel(scale=float(base_doc["scale"])),
+            )
+        raise ConfigError(f"unknown kernel family {family!r}")
 
 
 def write_kernel(spec: KernelSpec, path) -> None:

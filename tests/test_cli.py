@@ -263,6 +263,52 @@ def test_unknown_config_key_exit_code(tmp_path, command, config, written):
     assert not (tmp_path / "out" / written).exists()
 
 
+@pytest.mark.parametrize("key", ["n", "q", "alpha"])
+def test_kernel_missing_key_exit_code(tiny_dataset, tmp_path, capsys, key):
+    doc = {"family": "poly", "n": 4, "q": 1, "alpha": [1.0]}
+    del doc[key]
+    bad = tmp_path / "bad_kernel.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["fit", "--dataset", str(tiny_dataset / "ds"), "--kernel", str(bad),
+                 "--lam", "0.1", "--out", str(tmp_path / "m")])
+    assert code == EXIT_CONFIG
+    assert repr(key) in capsys.readouterr().err
+
+
+CONVERGE = {"n_list": [4], "kernels": [{"family": "poly", "n": 4, "q": 1, "alpha": [1.0]}],
+            "x": [{"m": 32, "trig": [[1, 1.0, 0.0]]}], "y": [{"m": 32, "trig": [[1, 1.0, 0.0]]}]}
+COMPLEXITY = {"n_list": [4], "kernels": [{"family": "poly", "n": 4, "q": 1, "alpha": [1.0]}],
+              "samples": [[{"m": 32, "trig": [[1, 1.0, 0.0]]}]]}
+
+
+@pytest.mark.parametrize("command, key", [
+    ("converge", "x"), ("converge", "y"), ("converge", "kernels"), ("converge", "n_list"),
+    ("complexity", "samples"), ("complexity", "kernels"), ("complexity", "n_list"),
+])
+def test_config_missing_key_exit_code(tmp_path, capsys, command, key):
+    config = {"converge": CONVERGE, "complexity": COMPLEXITY}[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({k: v for k, v in config.items() if k != key}))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("runs", 0), ("n_samples", "abc"), ("n_samples", 0), ("n_test", 2.5), ("grid_m", 1),
+    ("runs", True),
+])
+def test_bad_config_value_rejected_before_any_cell(tmp_path, field, value):
+    config = {"n_samples": 4, "n_test": 2, "runs": 1,
+              "kernels": [{"family": "poly", "n": 4, "q": 1, "alpha": [1.0, 1.0]}],
+              field: value}
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run-synth", "--config", str(cfg), "--out", str(tmp_path / "res")]) == EXIT_CONFIG
+    assert not (tmp_path / "res" / "results.csv").exists()
+
+
 # results.csv and summary.csv of the run-synth configs of test_synthetic_pipeline
 # and test_run_synth_byte_identical, as written when each sweep cell was still
 # collected through its own future (numpy 2.4, OpenBLAS 0.3.31, x86-64)

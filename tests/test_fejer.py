@@ -1,9 +1,12 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import eval_trig, random_trig_coeffs
+from spectrunc import fejer
 from spectrunc import (
     beta_from_policy,
     dirichlet,
@@ -172,6 +175,13 @@ class TestMinEstimate:
         est = fejer_min_estimate(2, 2, grid_density=8, seed=1, n_random_starts=8)
         assert est >= -16.0
 
+    def test_matches_reference_estimates(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+        ref = json.loads(path.read_text())["seeds"]["0"]["fejer-diagnostics"]
+        for n, q in [(4, 1), (4, 2), (8, 1), (8, 2)]:
+            want = ref[f"fejer_min/n{n}/q{q}"]
+            assert fejer_min_estimate(n, q, seed=0) == pytest.approx(want, rel=1e-12)
+
 
 class TestBetaPolicy:
     def test_manual(self):
@@ -238,3 +248,67 @@ class TestConvolve:
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             fejer_convolve(lambda t: np.ones(t.shape[1:]), 2, 2, 0.0, m_axis=64)
+
+
+def _lattice_convolve(g, n, q, z, m_axis):
+    """The convolution's rectangle rule with the kernel from lattice
+    enumeration on the dense node array."""
+    axis = 2.0 * np.pi * np.arange(m_axis) / m_axis
+    coords = np.meshgrid(*([axis] * (2 * q)), indexing="ij")
+    u = np.stack([z - c for c in coords], axis=-1)
+    return complex(np.mean(g(np.stack(coords)) * fejer_multi_oracle(n, q, u)))
+
+
+def _random_integrand(q, m_axis):
+    """A callback returning fixed random node values near 1, so every kernel
+    value on the grid carries weight in the mean."""
+    rng = np.random.default_rng(11 + q)
+    shape = (m_axis,) * (2 * q)
+    vals = rng.uniform(0.5, 1.5, shape) + 1j * rng.uniform(-0.5, 0.5, shape)
+    return lambda t: vals
+
+
+class TestChainShapes:
+    @pytest.mark.parametrize("q,ns,m_axis", [(1, range(1, 9), 16), (2, range(1, 5), 6)])
+    def test_convolve_matches_lattice_oracle(self, q, ns, m_axis):
+        # z on a grid node puts factor arguments exactly on a pole of D_n
+        g = _random_integrand(q, m_axis)
+        for n in ns:
+            for z in (0.0, 2.0 * np.pi * 3 / m_axis, 1.234):
+                got = fejer_convolve(g, n, q, z, m_axis=m_axis)
+                want = _lattice_convolve(g, n, q, z, m_axis)
+                assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        sizes = []
+        real = fejer.dirichlet
+
+        def counted(n, s):
+            sizes.append(np.size(s))
+            return real(n, s)
+
+        monkeypatch.setattr(fejer, "dirichlet", counted)
+        return sizes
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_one_dirichlet_call_per_evaluation(self, spy, q):
+        t = np.random.default_rng(7).uniform(0, 2 * np.pi, size=(30, 2 * q))
+        fejer_multi(3, q, t)
+        assert spy == [(2 * q + 1) * 30]
+        spy.clear()
+        m_axis = 12
+        fejer_convolve(lambda t: np.ones(t.shape[1:]), 3, q, 0.7, m_axis=m_axis)
+        assert len(spy) == 1
+        assert spy[0] <= 2 * m_axis + (2 * q - 1) * m_axis**2
+        if q > 1:
+            assert spy[0] < m_axis ** (2 * q)
+
+    def test_complex_chain_raises(self, monkeypatch):
+        real = fejer.dirichlet
+        monkeypatch.setattr(fejer, "dirichlet", lambda n, s: real(n, s) * np.exp(0.3j))
+        for q in (1, 2):
+            with pytest.raises(ArithmeticError):
+                fejer_multi(3, q, np.zeros((4, 2 * q)))
+            with pytest.raises(ArithmeticError):
+                fejer_convolve(lambda t: np.ones(t.shape[1:]), 3, q, 0.0, m_axis=8)

@@ -21,6 +21,7 @@ from spectrunc import (
     fit,
     predict,
 )
+from spectrunc import regression
 from spectrunc import test_error as model_test_error
 from spectrunc.regression import predict_batch
 
@@ -74,6 +75,27 @@ class TestAssembleGram:
         spec = PolyKernel(n=6, q=2, alpha=(1.0,))
         gram = assemble_gram(spec, xs)
         assert gram.hermitian_defect() < 1e-8
+
+    @pytest.mark.parametrize("imag", [1e-3, 1e-12])
+    def test_diagonal_imaginary_part_checked(self, rng, monkeypatch, imag):
+        # the lower triangle is written as exact conjugates, so a defect can
+        # only sit on the diagonal; one above tolerance must still be caught
+        real = regression.gram_values
+
+        def tilted(*args, **kwargs):
+            mats, count = real(*args, **kwargs)
+            diag = np.arange(mats.shape[1])
+            mats[:, diag, diag] += 1j * imag
+            return mats, count
+
+        monkeypatch.setattr(regression, "gram_values", tilted)
+        xs = [random_trig_tuple(GRID, rng, d=1, deg=3) for _ in range(4)]
+        spec = PolyKernel(n=4, q=1, alpha=(1.0,))
+        if imag > 1e-8:
+            with pytest.raises(NumericalError):
+                assemble_gram(spec, xs)
+        else:
+            assert assemble_gram(spec, xs).hermitian_defect() == pytest.approx(2 * imag)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -16,10 +16,12 @@ from spectrunc import (
     SampledFunction,
     SepKernel,
     TorusGrid,
+    beta_from_policy,
     fit,
     predict,
     truncate,
 )
+from spectrunc import serialize
 from spectrunc.serialize import (
     function_from_json,
     kernel_from_json,
@@ -128,6 +130,48 @@ class TestKernelJson:
                                         bases2=(LinearKernel(),), beta=0.1))
         doc["beta_policy"] = "surprise"
         with pytest.raises(ConfigError):
+            kernel_from_json(doc)
+
+    def prod_doc(self, n=4, **extra):
+        spec = ProdKernel(n=n, q=1, bases1=(GaussianKernel(gamma=1.0),),
+                          bases2=(GaussianKernel(gamma=1.0),))
+        doc = kernel_to_json(spec)
+        del doc["beta"]
+        doc.update(extra)
+        return doc
+
+    def test_beta_policy_resolved_at_load(self):
+        assert kernel_from_json(self.prod_doc(beta_policy="bound")).beta == 16.0
+        est = kernel_from_json(self.prod_doc(beta_policy="estimate")).beta
+        assert est == beta_from_policy("estimate", 4, 1)
+        assert est > 0
+
+    def test_explicit_beta_wins(self):
+        for policy in ("manual", "bound", "estimate"):
+            assert kernel_from_json(self.prod_doc(beta_policy=policy, beta=0.3)).beta == 0.3
+
+    def test_beta_policy_left_alone(self):
+        assert kernel_from_json(self.prod_doc(beta_policy="manual")).beta == 0.0
+        assert kernel_from_json(self.prod_doc()).beta == 0.0
+        assert kernel_from_json(self.prod_doc(n=INF, beta_policy="bound")).beta == 0.0
+
+    def test_resolved_beta_written(self, monkeypatch):
+        spec = kernel_from_json(self.prod_doc(beta_policy="estimate"))
+        doc = kernel_to_json(spec)
+        assert doc["beta"] == spec.beta
+        assert doc["beta_policy"] == "estimate"
+        # a round trip reads the written beta back instead of estimating again
+        monkeypatch.setattr(serialize, "beta_from_policy", None)
+        assert kernel_from_json(doc) == spec
+
+    @pytest.mark.parametrize("family, key", [
+        ("poly", "n"), ("poly", "q"), ("poly", "alpha"),
+        ("prod", "bases1"), ("prod", "bases2"), ("sep", "weights"), ("sep", "base"),
+    ])
+    def test_missing_key_is_config_error(self, family, key):
+        doc = next(kernel_to_json(k) for k in self.kernels() if k.family == family)
+        del doc[key]
+        with pytest.raises(ConfigError, match=repr(key)):
             kernel_from_json(doc)
 
     def test_unknown_family(self):
