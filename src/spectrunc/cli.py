@@ -19,7 +19,6 @@ import numpy as np
 
 from . import diagnostics, experiments, fejer, regression, serialize
 from .errors import ConfigError, NumericalError
-from .serialize import load_json, n_from_json, required_keys
 from .torus import FunctionTuple, l2_distance
 
 EXIT_OK = 0
@@ -27,13 +26,41 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _tuple_from_doc(docs, base_dir) -> FunctionTuple:
-    return FunctionTuple(tuple(serialize.function_from_json(d, base_dir) for d in docs))
+@dataclasses.dataclass(frozen=True)
+class ConvergeConfig:
+    """The ``converge`` document; ``grid_m``, if given, is the grid size of x."""
+
+    x: FunctionTuple
+    y: FunctionTuple
+    kernels: tuple
+    n_list: tuple
+    allow_aliasing: bool = False
+    grid_m: int | None = None
+
+    def __post_init__(self):
+        if self.grid_m not in (None, self.x.grid.m):
+            raise ConfigError(f"grid_m is {self.grid_m}, but x lives on m={self.x.grid.m}")
+
+
+@dataclasses.dataclass(frozen=True)
+class ComplexityConfig:
+    """The ``complexity`` document."""
+
+    samples: tuple
+    kernels: tuple
+    n_list: tuple
+    B: float = 1.0
+    L: float = 1.0
+    delta: float = 0.05
+    allow_aliasing: bool = False
+
+    def __post_init__(self):
+        if not (self.B > 0 and self.L > 0 and 0 < self.delta < 1):
+            raise ConfigError(f"need B, L > 0 and 0 < delta < 1: {self.B}, {self.L}, {self.delta}")
 
 
 def _cmd_gen_synth(args) -> int:
-    config = experiments.SyntheticConfig.from_json(load_json(args.config),
-                                                   Path(args.config).parent)
+    config = serialize.read_config(experiments.SyntheticConfig, args.config)
     (train_x, train_y), (test_x, test_y) = experiments.gen_synthetic(config, args.run)
     out = Path(args.out)
     serialize.write_dataset(out / "train", train_x, train_y)
@@ -43,8 +70,7 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _cmd_run_synth(args) -> int:
-    doc = load_json(args.config)
-    config = experiments.SyntheticConfig.from_json(doc, Path(args.config).parent)
+    config = serialize.read_config(experiments.SyntheticConfig, args.config)
     if args.full_scale:
         config = dataclasses.replace(config, n_samples=1000, n_test=1000, runs=5)
     rows, summary = experiments.run_synthetic(config)
@@ -58,8 +84,7 @@ def _cmd_run_synth(args) -> int:
 
 
 def _cmd_eigen_study(args) -> int:
-    config = experiments.SyntheticConfig.from_json(load_json(args.config),
-                                                   Path(args.config).parent)
+    config = serialize.read_config(experiments.SyntheticConfig, args.config)
     rows = experiments.run_eigen_study(config, point_index=args.point)
     serialize.write_rows_csv(Path(args.out), ["family", "n", "index", "mean", "std"], rows)
     print(f"wrote {args.out}")
@@ -67,7 +92,7 @@ def _cmd_eigen_study(args) -> int:
 
 
 def _cmd_inpaint(args) -> int:
-    config = experiments.InpaintConfig.from_json(load_json(args.config))
+    config = serialize.read_config(experiments.InpaintConfig, args.config)
     rows, recovered = experiments.run_inpaint(config)
     out = Path(args.out)
     serialize.write_rows_csv(out / "errors.csv", ["n", "test_error"], rows)
@@ -103,18 +128,10 @@ def _cmd_fejer_min(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    doc = load_json(args.config)
-    base = Path(args.config).parent
-    with required_keys(args.config):
-        x = _tuple_from_doc(doc["x"], base)
-        y = _tuple_from_doc(doc["y"], base)
-        specs = {}
-        for kdoc in doc["kernels"]:
-            spec = serialize.kernel_from_json(kdoc, base)
-            specs[spec.family] = spec
-        n_list = [n_from_json(n) for n in doc["n_list"]]
-    rows = diagnostics.convergence_report(specs, x, y, n_list,
-                                          allow_aliasing=doc.get("allow_aliasing", False))
+    doc = serialize.read_config(ConvergeConfig, args.config)
+    specs = {spec.family: spec for spec in doc.kernels}
+    rows = diagnostics.convergence_report(specs, doc.x, doc.y, doc.n_list,
+                                          allow_aliasing=doc.allow_aliasing)
     serialize.write_rows_csv(Path(args.out), ["family", "n", "sup_gap", "mean_gap"],
                              [(r["family"], r["n"], r["sup_gap"], r["mean_gap"]) for r in rows])
     print(f"wrote {args.out}")
@@ -122,22 +139,13 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
-    doc = load_json(args.config)
-    base = Path(args.config).parent
-    with required_keys(args.config):
-        samples = [_tuple_from_doc(d, base) for d in doc["samples"]]
-        n_list = [n_from_json(n) for n in doc["n_list"]]
-        specs = [serialize.kernel_from_json(kdoc, base) for kdoc in doc["kernels"]]
-    B = float(doc.get("B", 1.0))
-    L = float(doc.get("L", 1.0))
-    delta = float(doc.get("delta", 0.05))
+    doc = serialize.read_config(ComplexityConfig, args.config)
     rows = []
-    for spec in specs:
-        for n in n_list:
-            spec_n = dataclasses.replace(spec, n=n)
+    for spec in doc.kernels:
+        for n in doc.n_list:
             report = diagnostics.complexity_report(
-                spec_n, samples, B=B, L=L, delta=delta,
-                allow_aliasing=doc.get("allow_aliasing", False))
+                dataclasses.replace(spec, n=n), doc.samples, B=doc.B, L=doc.L,
+                delta=doc.delta, allow_aliasing=doc.allow_aliasing)
             rows.append((report.family, report.n, float(np.sum(report.D_values)),
                          report.second_term, report.third_term))
     serialize.write_rows_csv(Path(args.out),

@@ -46,12 +46,7 @@ _IMAG_TOL = 1e-9
 
 @dataclasses.dataclass(frozen=True)
 class ComplexityReport:
-    """Per-sample complexity values and the bound terms they produce.
-
-    The closed-form bound assumes real-valued kernels; ``real_tagged``
-    records whether the configuration satisfies that assumption (the same
-    formulas are computed either way).
-    """
+    """Per-sample complexity values and the bound terms they produce."""
 
     family: str
     n: int
@@ -61,7 +56,6 @@ class ComplexityReport:
     B: float
     L: float
     delta: float
-    real_tagged: bool = True
 
     def __post_init__(self):
         D = np.asarray(self.D_values, dtype=float)
@@ -132,8 +126,7 @@ def bound_rhs(D_values, B: float, L: float, delta: float, empirical_losses) -> f
 
 
 def complexity_report(spec: KernelSpec, xs, B: float = 1.0, L: float = 1.0,
-                      delta: float = 0.05, allow_aliasing: bool = False,
-                      real_tagged: bool = True) -> ComplexityReport:
+                      delta: float = 0.05, allow_aliasing: bool = False) -> ComplexityReport:
     """Compute per-sample D values and the bound's second and third terms."""
     xs = list(xs)
     if not 0.0 < delta < 1.0:
@@ -145,7 +138,6 @@ def complexity_report(spec: KernelSpec, xs, B: float = 1.0, L: float = 1.0,
     return ComplexityReport(
         family=spec.family, n=int(spec.n), D_values=D,
         second_term=second, third_term=third, B=B, L=L, delta=delta,
-        real_tagged=real_tagged,
     )
 
 

@@ -22,7 +22,7 @@ import concurrent.futures
 import functools
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,17 +36,11 @@ from .kernels import (
     PolyKernel,
     ProdKernel,
     SepKernel,
+    _check_pair,
+    _integer,
 )
 from .regression import assemble_gram, fit, predict_batch, test_error
-from .serialize import (
-    config_from_json,
-    config_to_json,
-    kernel_from_json,
-    kernel_to_json,
-    n_from_json,
-    n_label,
-    read_pgm,
-)
+from .serialize import config_from_json, config_to_json, n_label, read_pgm
 from .torus import FunctionTuple, SampledFunction, TorusGrid, l2_distance, window_membership
 
 __all__ = [
@@ -80,6 +74,14 @@ def worker_count() -> int:
     if count < 1:
         raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {raw}")
     return count
+
+
+def _check_fields(config, lows: dict[str, int]) -> None:
+    """Each count in ``lows`` an integer >= its low bound, and lambda >= 0."""
+    for name, low in lows.items():
+        object.__setattr__(config, name, _integer(name, getattr(config, name), low))
+    if config.lam < 0:
+        raise ConfigError(f"lambda must be >= 0, got {config.lam}")
 
 
 def _rng(seed: int, run: int, split: int) -> np.random.Generator:
@@ -133,12 +135,7 @@ class SyntheticConfig:
     kernels: tuple[KernelSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        for name, low in (("n_samples", 1), ("n_test", 1), ("runs", 1), ("grid_m", 2)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
+        _check_fields(self, {"n_samples": 1, "n_test": 1, "runs": 1, "grid_m": 2})
 
     def resolved_kernels(self) -> list[KernelSpec]:
         if self.kernels:
@@ -147,11 +144,10 @@ class SyntheticConfig:
 
     @classmethod
     def from_json(cls, doc: dict, base_dir: Path | None = None) -> "SyntheticConfig":
-        return config_from_json(
-            cls, doc, kernels=lambda ks: tuple(kernel_from_json(k, base_dir) for k in ks))
+        return config_from_json(cls, doc, "synthetic config", base_dir)
 
     def to_json(self) -> dict:
-        return config_to_json(self, kernels=[kernel_to_json(k) for k in self.resolved_kernels()])
+        return config_to_json(replace(self, kernels=tuple(self.resolved_kernels())))
 
 
 @functools.lru_cache(maxsize=8)
@@ -213,11 +209,15 @@ def run_synthetic(config: SyntheticConfig):
 
     Result rows are (family, n, run, test_error); summary rows aggregate
     the runs per spec as (family, n, median, q1, q3).  A failed cell is
-    recorded with a NaN error instead of aborting the sweep.
+    recorded with a NaN error and the sweep goes on; a kernel that does not
+    fit the data (an alpha for another d, say) is a ConfigError before any cell.
     """
     workers = worker_count()
     specs = config.resolved_kernels()
     datasets = [gen_synthetic(config, run) for run in range(config.runs)]
+    (train_x, _), _ = datasets[0]
+    for spec in specs:
+        _check_pair(spec, train_x[0], train_x[0])
     cells = [(spec, run) for spec in specs for run in range(config.runs)]
 
     def work(cell) -> float:
@@ -291,9 +291,15 @@ class InpaintConfig:
     source: str = "blobs"
     recover_count: int = 4
 
+    def __post_init__(self):
+        _check_fields(self, dict.fromkeys(("height", "width", "mask_h", "mask_w", "n_train",
+                                           "n_test", "recover_count"), 1))
+        if self.beta < 0:
+            raise ConfigError(f"beta must be >= 0, got {self.beta}")
+
     @classmethod
     def from_json(cls, doc: dict) -> "InpaintConfig":
-        return config_from_json(cls, doc, n_list=lambda ns: tuple(n_from_json(n) for n in ns))
+        return config_from_json(cls, doc, "inpaint config")
 
     def mask(self) -> np.ndarray:
         if self.mask_h > self.height or self.mask_w > self.width:

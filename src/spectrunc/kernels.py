@@ -108,8 +108,7 @@ class PolynomialKernel:
     kind = "polynomial"
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ConfigError(f"polynomial degree must be >= 1, got {self.degree}")
+        object.__setattr__(self, "degree", _integer("polynomial degree", self.degree, 1))
         if self.offset < 0:
             raise ConfigError(f"polynomial offset must be >= 0, got {self.offset}")
 
@@ -149,11 +148,19 @@ class L2GaussianTupleKernel:
 # ---------------------------------------------------------------------------
 
 
-def _check_n_q(n, q: int) -> None:
-    if q < 1:
-        raise ConfigError(f"degree q must be >= 1, got {q}")
-    if n != INF and (not float(n).is_integer() or n < 1):
-        raise ConfigError(f"truncation n must be a positive integer or INF, got {n}")
+def _integer(name: str, value, low: int) -> int:
+    """``value`` as an int >= low; 2.0 counts, 2.5, True or "2" is a ConfigError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _check_n_q(spec: KernelSpec) -> None:
+    object.__setattr__(spec, "q", _integer("degree q", spec.q, 1))
+    if spec.n != INF:
+        object.__setattr__(spec, "n", _integer("truncation n", spec.n, 1))
 
 
 @dataclass(frozen=True)
@@ -167,7 +174,7 @@ class PolyKernel:
     family = "poly"
 
     def __post_init__(self):
-        _check_n_q(self.n, self.q)
+        _check_n_q(self)
         alpha = tuple(float(a) for a in self.alpha)
         if not alpha or any(a < 0 for a in alpha):
             raise ConfigError("alpha must be a nonempty tuple of weights >= 0")
@@ -200,7 +207,7 @@ class ProdKernel:
     family = "prod"
 
     def __post_init__(self):
-        _check_n_q(self.n, self.q)
+        _check_n_q(self)
         if len(self.bases1) != self.q or len(self.bases2) != self.q:
             raise ConfigError(f"need exactly q={self.q} base kernels per row")
         object.__setattr__(self, "bases1", tuple(self.bases1))
@@ -231,7 +238,7 @@ class SepKernel:
     family = "sep"
 
     def __post_init__(self):
-        _check_n_q(self.n, self.q)
+        _check_n_q(self)
         if len(self.weights) != self.q:
             raise ConfigError(f"need exactly q={self.q} weight functions")
         object.__setattr__(self, "weights", tuple(self.weights))
@@ -370,15 +377,16 @@ def kernel_limit_gap(spec: KernelSpec, x: FunctionTuple, y: FunctionTuple,
     """Pointwise gaps |k_n(x,y) - k_INF(x,y)| for each n in n_list.
 
     Returns (n, sup_gap, mean_gap) rows.  All finite-n specs share every
-    parameter with the limit spec.
+    parameter with the limit spec; each value is a 1 x 1 block of the batched
+    core, ``cross_values``.
     """
-    limit = evaluate(dataclasses.replace(spec, n=INF), x, y)
+    limit = cross_values(dataclasses.replace(spec, n=INF), [x], [y])[:, 0, 0]
     rows = []
     for n in n_list:
         if n == INF:
             raise ConfigError("gaps to the limit are taken at finite n; drop inf from n_list")
-        fin = evaluate(dataclasses.replace(spec, n=int(n)), x, y, allow_aliasing)
-        gap = np.abs(fin.values - limit.values)
+        fin = cross_values(dataclasses.replace(spec, n=int(n)), [x], [y], allow_aliasing)
+        gap = np.abs(fin[:, 0, 0] - limit)
         rows.append((int(n), float(np.max(gap)), float(np.mean(gap))))
     return rows
 

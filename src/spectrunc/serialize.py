@@ -3,9 +3,11 @@
 SampledFunction CSV carries a ``z,re,im`` header with one row per grid
 point at 17 significant digits, which round-trips doubles exactly.  A
 FunctionTuple is one CSV per component plus a JSON manifest listing the
-component file names, d, and m.  Kernel specs are JSON documents keyed by
-family, with ``"inf"`` for the truncation order n = INF.  Config dataclasses
-are JSON objects keyed by field name; an unknown key is a ConfigError.
+component file names, d, and m.  Kernel specs, base kernels and configs are
+JSON objects keyed by field name (``"inf"`` is n = INF), read by one field
+codec: an unknown key is a ConfigError, a field without a default is a
+required key, and ``family`` or ``kind`` names the class.  Each document and
+data file is decoded inside ``decoding``: a bad value is a ConfigError.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .kernels import (
     PolynomialKernel,
     ProdKernel,
     SepKernel,
+    _integer,
 )
 from .regression import RidgeModel
 from .torus import FunctionTuple, SampledFunction, TorusGrid
@@ -37,12 +40,13 @@ from .torus import FunctionTuple, SampledFunction, TorusGrid
 __all__ = [
     "fmt",
     "load_json",
-    "required_keys",
+    "decoding",
     "n_to_json",
     "n_from_json",
     "n_label",
     "config_from_json",
     "config_to_json",
+    "read_config",
     "write_function_csv",
     "read_function_csv",
     "write_tuple",
@@ -68,22 +72,24 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def load_json(path):
-    """Parse a JSON file; an unreadable or malformed file is a ConfigError."""
-    try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 @contextlib.contextmanager
-def required_keys(what: str):
-    """Decode ``what`` inside this block: a missing key is a ConfigError
-    naming it, not a KeyError."""
+def decoding(what):
+    """Decode the document or data file ``what`` in this block: a missing key, or a
+    TypeError, ValueError or OSError, is a ConfigError named by the innermost block."""
     try:
         yield
+    except ConfigError:
+        raise
     except KeyError as exc:
         raise ConfigError(f"{what} is missing required key {exc.args[0]!r}") from None
+    except (TypeError, ValueError, OSError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+def load_json(path):
+    """Parse a JSON file; an unreadable or malformed file is a ConfigError."""
+    with decoding(path):
+        return json.loads(Path(path).read_text())
 
 
 def n_to_json(n) -> int | str:
@@ -92,11 +98,7 @@ def n_to_json(n) -> int | str:
 
 def n_from_json(raw) -> int | float:
     """A truncation order from JSON: an integer or ``"inf"``."""
-    if raw == "inf":
-        return INF
-    if isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer()):
-        return int(raw)
-    raise ConfigError(f'truncation order must be an integer or "inf", got {raw!r}')
+    return INF if raw == "inf" else _integer('truncation order n (or "inf")', raw, 1)
 
 
 def n_label(n) -> str:
@@ -104,29 +106,79 @@ def n_label(n) -> str:
     return str(n_to_json(n))
 
 
-# config field name -> JSON key where the two differ
-_CONFIG_KEYS = {"lam": "lambda"}
+# field name -> JSON key where the two differ
+_JSON_KEYS = {"lam": "lambda"}
+# class attributes that name a dataclass of a tagged union in its document
+_TAGS = ("family", "kind")
+# the tagged unions: kernel families and base scalar kernels
+_KERNELS = (PolyKernel, ProdKernel, SepKernel)
+_BASES = (GaussianKernel, LinearKernel, PolynomialKernel)
 
 
-def config_from_json(cls, doc, **decode):
-    """Config dataclass ``cls`` from a JSON object keyed by field name;
-    ``decode`` maps a field name to a function applied to its raw value."""
-    names = {_CONFIG_KEYS.get(f.name, f.name): f.name for f in dataclasses.fields(cls)}
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - set(names))
-    if unknown:
-        raise ConfigError(f"unknown config keys {unknown}; known keys are {sorted(names)}")
-    kwargs = {names[key]: raw for key, raw in doc.items()}
-    kwargs.update((name, fn(kwargs[name])) for name, fn in decode.items() if name in kwargs)
-    return cls(**kwargs)
+def _decoders(base_dir: Path | None) -> dict:
+    """Field name -> decoder of its JSON value, for the fields that are not
+    plain JSON.  A field name means the same in every document; function
+    files are found under ``base_dir``."""
+    functions = lambda docs: tuple(function_from_json(d, base_dir) for d in docs)
+    tuples = lambda docs: FunctionTuple(functions(docs))
+    bases = lambda docs: tuple(config_from_json(_BASES, b, "base kernel") for b in docs)
+    return {"n": n_from_json, "n_list": lambda ns: tuple(map(n_from_json, ns)),
+            "kernels": lambda docs: tuple(kernel_from_json(k, base_dir) for k in docs),
+            "bases1": bases, "bases2": bases, "weights": functions,
+            "base": lambda b: config_from_json((L2GaussianTupleKernel,), b, "tuple kernel"),
+            "x": tuples, "y": tuples, "samples": lambda docs: tuple(map(tuples, docs))}
 
 
-def config_to_json(config, **encoded) -> dict:
-    """JSON object of a config dataclass; ``encoded`` gives the JSON value
-    of fields that are not plain JSON."""
-    return {_CONFIG_KEYS.get(f.name, f.name): encoded.get(f.name, getattr(config, f.name))
-            for f in dataclasses.fields(config)}
+def config_from_json(cls, doc, what: str = "config", base_dir: Path | None = None):
+    """Dataclass ``cls`` from the JSON object ``doc`` keyed by field name,
+    decoded inside ``decoding(what)``.  A key that names no field is a
+    ConfigError, a field without a default is a required key, and a ``bool``
+    field takes only true or false.  A tuple of dataclasses for ``cls`` is a
+    tagged union: the ``family`` or ``kind`` key holds that class attribute."""
+    with decoding(what):
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{what} must be a JSON object, got {type(doc).__name__}")
+        if isinstance(cls, tuple):
+            tag = next(t for t in _TAGS if hasattr(cls[0], t))
+            classes = {getattr(c, tag): c for c in cls}
+            doc = dict(doc)
+            name = doc.pop(tag)
+            if name not in classes:
+                raise ConfigError(f"{what} {tag} must be one of {sorted(classes)}, got {name!r}")
+            cls = classes[name]
+        fields = {_JSON_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+        unknown = sorted(set(doc) - set(fields))
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown} in {what}; "
+                              f"known keys are {sorted(fields)}")
+        for key, f in fields.items():
+            if key not in doc and f.default is f.default_factory is dataclasses.MISSING:
+                raise KeyError(key)
+            if f.type in ("bool", bool) and not isinstance(doc.get(key, False), bool):
+                raise ConfigError(f"{what} key {key!r} must be true or false, got {doc[key]!r}")
+        decode = _decoders(base_dir)
+        kwargs = {fields[key].name: raw for key, raw in doc.items()}
+        return cls(**{name: decode[name](raw) if name in decode else raw
+                      for name, raw in kwargs.items()})
+
+
+def config_to_json(config) -> dict:
+    """JSON object of a dataclass keyed by field name, led by its ``family``
+    or ``kind`` if it has one."""
+    doc = {tag: getattr(config, tag) for tag in _TAGS if hasattr(config, tag)}
+    for f in dataclasses.fields(config):
+        value, encode = getattr(config, f.name), _ENCODERS.get(f.name)
+        doc[_JSON_KEYS.get(f.name, f.name)] = encode(value) if encode else value
+    return doc
+
+
+# field name -> encoder of its value, the inverse of ``_decoders``
+_ENCODERS = {"n": n_to_json, "alpha": list, "base": config_to_json,
+             "bases1": lambda bases: list(map(config_to_json, bases)),
+             "bases2": lambda bases: list(map(config_to_json, bases)),
+             "kernels": lambda specs: list(map(config_to_json, specs)),
+             "weights": lambda ws: [{"m": a.grid.m, "values": [[fmt(v.real), fmt(v.imag)]
+                                                               for v in a.values]} for a in ws]}
 
 
 # ---------------------------------------------------------------------------
@@ -145,20 +197,19 @@ def write_function_csv(f: SampledFunction, path) -> None:
 
 def read_function_csv(path) -> SampledFunction:
     path = Path(path)
-    with path.open(newline="") as fh:
+    with decoding(path), path.open(newline="") as fh:
         r = csv.reader(fh)
         header = next(r, None)
         if header is None or [h.strip() for h in header] != ["z", "re", "im"]:
             raise ConfigError(f"{path}: expected header z,re,im")
         rows = [row for row in r if row]
-    m = len(rows)
-    grid = TorusGrid(m)
-    values = np.empty(m, dtype=complex)
-    for p, row in enumerate(rows):
-        z = float(row[0])
-        if abs(z - grid.points[p]) > 1e-9:
-            raise ConfigError(f"{path}: row {p} is not on the uniform m={m} grid")
-        values[p] = complex(float(row[1]), float(row[2]))
+        m = len(rows)
+        grid = TorusGrid(m)
+        values = np.empty(m, dtype=complex)
+        for p, (z, re, im) in enumerate(rows):
+            if abs(float(z) - grid.points[p]) > 1e-9:
+                raise ConfigError(f"{path}: row {p} is not on the uniform m={m} grid")
+            values[p] = complex(float(re), float(im))
     return SampledFunction(grid, values)
 
 
@@ -179,22 +230,18 @@ def write_tuple(t: FunctionTuple, directory, stem: str) -> Path:
 
 def read_tuple(manifest_path) -> FunctionTuple:
     manifest_path = Path(manifest_path)
-    spec = load_json(manifest_path)
-    comps = [read_function_csv(manifest_path.parent / name) for name in spec["components"]]
-    if len(comps) != spec["d"] or any(c.grid.m != spec["m"] for c in comps):
-        raise ConfigError(f"{manifest_path}: manifest does not match component files")
-    return FunctionTuple(tuple(comps))
+    with decoding(manifest_path):
+        spec = load_json(manifest_path)
+        comps = [read_function_csv(manifest_path.parent / name) for name in spec["components"]]
+        if len(comps) != spec["d"] or any(c.grid.m != spec["m"] for c in comps):
+            raise ConfigError(f"{manifest_path}: manifest does not match component files")
+        return FunctionTuple(tuple(comps))
 
 
 def write_toeplitz_csv(rep, path) -> None:
     """``k,re,im`` rows for k = -(n-1)..(n-1)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "re", "im"])
-        for k in range(-(rep.n - 1), rep.n):
-            v = rep.coeff(k)
-            w.writerow([k, fmt(v.real), fmt(v.imag)])
+    coeffs = [(k, rep.coeff(k)) for k in range(-(rep.n - 1), rep.n)]
+    write_rows_csv(path, ["k", "re", "im"], [(k, c.real, c.imag) for k, c in coeffs])
 
 
 # ---------------------------------------------------------------------------
@@ -202,103 +249,40 @@ def write_toeplitz_csv(rep, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _base_to_json(b) -> dict:
-    if isinstance(b, GaussianKernel):
-        return {"kind": "gaussian", "gamma": b.gamma}
-    if isinstance(b, LinearKernel):
-        return {"kind": "linear"}
-    if isinstance(b, PolynomialKernel):
-        return {"kind": "polynomial", "degree": b.degree, "offset": b.offset}
-    raise ConfigError(f"unknown base kernel {type(b).__name__}")
-
-
-def _base_from_json(doc: dict):
-    kind = doc.get("kind")
-    if kind == "gaussian":
-        return GaussianKernel(gamma=float(doc["gamma"]))
-    if kind == "linear":
-        return LinearKernel()
-    if kind == "polynomial":
-        return PolynomialKernel(degree=int(doc["degree"]), offset=float(doc.get("offset", 1.0)))
-    raise ConfigError(f"unknown base kernel kind {kind!r}")
-
-
-def _weight_to_json(a: SampledFunction) -> dict:
-    return {
-        "m": a.grid.m,
-        "values": [[fmt(v.real), fmt(v.imag)] for v in a.values],
-    }
-
-
 def function_from_json(doc: dict, base_dir: Path | None = None) -> SampledFunction:
     """Sampled function from a JSON fragment: a ``file`` reference, inline
     ``values`` rows, or inline ``trig`` Fourier-coefficient triplets."""
-    if "file" in doc:
-        if base_dir is None:
-            raise ConfigError("weight file reference needs a base directory")
-        return read_function_csv(base_dir / doc["file"])
-    if "values" in doc:
-        grid = TorusGrid(int(doc["m"]))
-        vals = np.array([complex(float(re), float(im)) for re, im in doc["values"]])
-        return SampledFunction(grid, vals)
-    if "trig" in doc:
+    with decoding("function"):
+        if "file" in doc:
+            if base_dir is None:
+                raise ConfigError("weight file reference needs a base directory")
+            return read_function_csv(base_dir / doc["file"])
+        if "values" not in doc and "trig" not in doc:
+            raise ConfigError("a function needs one of: file, values, trig")
+        grid = TorusGrid(_integer("function m", doc["m"], 2))
+        if "values" in doc:
+            vals = [complex(float(re), float(im)) for re, im in doc["values"]]
+            return SampledFunction(grid, np.array(vals))
         # inline Fourier coefficient triplets [k, re, im]
-        grid = TorusGrid(int(doc["m"]))
         vals = np.zeros(grid.m, dtype=complex)
         for k, re, im in doc["trig"]:
             vals += complex(float(re), float(im)) * np.exp(1j * int(k) * grid.points)
         return SampledFunction(grid, vals)
-    raise ConfigError("a function needs one of: file, values, trig")
 
 
 def kernel_to_json(spec: KernelSpec) -> dict:
-    doc = {"family": spec.family, "n": n_to_json(spec.n), "q": spec.q}
-    if isinstance(spec, PolyKernel):
-        doc["alpha"] = list(spec.alpha)
-    elif isinstance(spec, ProdKernel):
-        doc["bases1"] = [_base_to_json(b) for b in spec.bases1]
-        doc["bases2"] = [_base_to_json(b) for b in spec.bases2]
-        doc["beta"] = spec.beta
-        doc["beta_policy"] = spec.beta_policy
-    elif isinstance(spec, SepKernel):
-        doc["base"] = {"kind": spec.base.kind, "scale": spec.base.scale}
-        doc["weights"] = [_weight_to_json(a) for a in spec.weights]
-    else:
-        raise ConfigError(f"unknown kernel spec {type(spec).__name__}")
-    return doc
+    return config_to_json(spec)
 
 
 def kernel_from_json(doc: dict, base_dir: Path | None = None) -> KernelSpec:
     """Kernel spec from its JSON document.  A finite-n prod kernel whose
     ``beta_policy`` is ``bound`` or ``estimate`` and that gives no ``beta``
     gets the policy's offset from ``fejer.beta_from_policy``."""
-    with required_keys("kernel spec"):
-        family = doc.get("family")
-        n = n_from_json(doc["n"])
-        q = int(doc["q"])
-        if family == "poly":
-            return PolyKernel(n=n, q=q, alpha=tuple(float(a) for a in doc["alpha"]))
-        if family == "prod":
-            spec = ProdKernel(
-                n=n, q=q,
-                bases1=tuple(_base_from_json(b) for b in doc["bases1"]),
-                bases2=tuple(_base_from_json(b) for b in doc["bases2"]),
-                beta=float(doc.get("beta", 0.0)),
-                beta_policy=str(doc.get("beta_policy", "manual")),
-            )
-            if "beta" not in doc and spec.beta_policy != "manual" and not spec.is_infinite:
-                spec = dataclasses.replace(spec, beta=beta_from_policy(spec.beta_policy, n, q))
-            return spec
-        if family == "sep":
-            base_doc = doc["base"]
-            if base_doc.get("kind") != "l2_gaussian":
-                raise ConfigError(f"unknown tuple kernel kind {base_doc.get('kind')!r}")
-            return SepKernel(
-                n=n, q=q,
-                weights=tuple(function_from_json(w, base_dir) for w in doc["weights"]),
-                base=L2GaussianTupleKernel(scale=float(base_doc["scale"])),
-            )
-        raise ConfigError(f"unknown kernel family {family!r}")
+    spec = config_from_json(_KERNELS, doc, "kernel spec", base_dir)
+    if (spec.family == "prod" and "beta" not in doc and spec.beta_policy != "manual"
+            and not spec.is_infinite):
+        spec = dataclasses.replace(spec, beta=beta_from_policy(spec.beta_policy, spec.n, spec.q))
+    return spec
 
 
 def write_kernel(spec: KernelSpec, path) -> None:
@@ -306,8 +290,12 @@ def write_kernel(spec: KernelSpec, path) -> None:
 
 
 def read_kernel(path) -> KernelSpec:
-    path = Path(path)
-    return kernel_from_json(load_json(path), base_dir=path.parent)
+    return kernel_from_json(load_json(path), base_dir=Path(path).parent)
+
+
+def read_config(cls, path):
+    """Dataclass ``cls`` from a JSON file; the files it names lie next to it."""
+    return config_from_json(cls, load_json(path), str(path), Path(path).parent)
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +329,13 @@ def write_dataset(directory, inputs, outputs=None) -> dict:
 
 def read_dataset(directory):
     """Returns (inputs, outputs); outputs is None when the dataset has none."""
-    directory = Path(directory)
-    samples = load_json(directory / "dataset.json")["samples"]
-    inputs = [read_tuple(directory / s["input"]) for s in samples]
-    if not all("output" in s for s in samples):
-        return inputs, None
-    return inputs, [read_function_csv(directory / s["output"]) for s in samples]
+    path = Path(directory) / "dataset.json"
+    with decoding(path):
+        samples = load_json(path)["samples"]
+        inputs = [read_tuple(path.parent / s["input"]) for s in samples]
+        if not all("output" in s for s in samples):
+            return inputs, None
+        return inputs, [read_function_csv(path.parent / s["output"]) for s in samples]
 
 
 def write_model(model: RidgeModel, directory) -> Path:
@@ -370,21 +359,17 @@ def write_model(model: RidgeModel, directory) -> Path:
 
 def read_model(directory) -> RidgeModel:
     directory = Path(directory)
-    manifest = load_json(directory / "model.json")
-    kernel = kernel_from_json(manifest["kernel"], base_dir=directory)
-    inputs = tuple(read_tuple(directory / f) for f in manifest["training_inputs"])
-    coeffs = np.stack([
-        read_function_csv(directory / f).values for f in manifest["coefficients"]
-    ])
-    if len(inputs) != manifest["N"] or inputs[0].grid.m != manifest["m"]:
-        raise ConfigError(f"{directory}: model manifest does not match files")
-    return RidgeModel(
-        kernel=kernel,
-        lam=float(manifest["lambda"]),
-        inputs=inputs,
-        coefficients=coeffs,
-        allow_aliasing=bool(manifest.get("allow_aliasing", False)),
-    )
+    with decoding(directory / "model.json"):
+        manifest = load_json(directory / "model.json")
+        kernel = kernel_from_json(manifest["kernel"], base_dir=directory)
+        inputs = tuple(read_tuple(directory / f) for f in manifest["training_inputs"])
+        coeffs = np.stack([read_function_csv(directory / f).values
+                           for f in manifest["coefficients"]])
+        if len(inputs) != manifest["N"] or inputs[0].grid.m != manifest["m"]:
+            raise ConfigError(f"{directory}: model manifest does not match files")
+        return RidgeModel(kernel=kernel, lam=float(manifest["lambda"]), inputs=inputs,
+                          coefficients=coeffs,
+                          allow_aliasing=bool(manifest.get("allow_aliasing", False)))
 
 
 # ---------------------------------------------------------------------------
@@ -416,25 +401,25 @@ def write_pgm(image: np.ndarray, path, maxval: int = 255) -> None:
 
 def read_pgm(path) -> np.ndarray:
     """Read an ASCII (P2) or binary (P5) graymap into floats in [0, 1]."""
-    path = Path(path)
-    data = path.read_bytes()
-    if data[:2] == b"P2":
-        tokens = []
-        for line in data.decode("ascii").splitlines():
-            line = line.split("#", 1)[0]
-            tokens.extend(line.split())
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-        vals = np.array([int(t) for t in tokens[4 : 4 + w * h]], dtype=float)
-        return (vals / maxval).reshape(h, w)
-    if data[:2] == b"P5":
-        pos = 2
-        fields = []
-        while len(fields) < 3:
-            end = data.index(b"\n", pos)
-            line = data[pos:end].split(b"#", 1)[0]
-            fields.extend(line.split())
-            pos = end + 1
-        w, h, maxval = int(fields[0]), int(fields[1]), int(fields[2])
-        vals = np.frombuffer(data[pos : pos + w * h], dtype=np.uint8).astype(float)
-        return (vals / maxval).reshape(h, w)
-    raise ConfigError(f"{path}: not a P2/P5 graymap")
+    with decoding(path):
+        data = Path(path).read_bytes()
+        if data[:2] == b"P2":
+            tokens = []
+            for line in data.decode("ascii").splitlines():
+                line = line.split("#", 1)[0]
+                tokens.extend(line.split())
+            w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+            vals = np.array([int(t) for t in tokens[4 : 4 + w * h]], dtype=float)
+            return (vals / maxval).reshape(h, w)
+        if data[:2] == b"P5":
+            pos = 2
+            fields = []
+            while len(fields) < 3:
+                end = data.index(b"\n", pos)
+                line = data[pos:end].split(b"#", 1)[0]
+                fields.extend(line.split())
+                pos = end + 1
+            w, h, maxval = int(fields[0]), int(fields[1]), int(fields[2])
+            vals = np.frombuffer(data[pos : pos + w * h], dtype=np.uint8).astype(float)
+            return (vals / maxval).reshape(h, w)
+        raise ConfigError(f"{path}: not a P2/P5 graymap")

@@ -248,6 +248,21 @@ def test_inf_in_finite_n_list_exit_code(tmp_path, command, extra):
     assert not out.exists()
 
 
+CONVERGE = {"n_list": [4], "kernels": [{"family": "poly", "n": 4, "q": 1, "alpha": [1.0]}],
+            "x": [{"m": 32, "trig": [[1, 1.0, 0.0]]}], "y": [{"m": 32, "trig": [[1, 1.0, 0.0]]}]}
+COMPLEXITY = {"n_list": [4], "kernels": [{"family": "poly", "n": 4, "q": 1, "alpha": [1.0]}],
+              "samples": [[{"m": 32, "trig": [[1, 1.0, 0.0]]}]]}
+
+
+def assert_one_config_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+
+
+GAUSS = {"kind": "gaussian", "gamma": 1.0}
+PROD = {"family": "prod", "n": 4, "q": 1, "bases1": [GAUSS], "bases2": [GAUSS]}
+
+
 @pytest.mark.parametrize("command, config, written", [
     ("run-synth", {"n_samples": 4, "n_test": 2, "runs": 1, "lamda": 5.0,
                    "kernels": [{"family": "poly", "n": 4, "q": 1, "alpha": [1.0, 1.0]}]},
@@ -255,12 +270,16 @@ def test_inf_in_finite_n_list_exit_code(tmp_path, command, extra):
     ("gen-synth", {"n_samples": 4, "n_test": 2, "lamda": 5.0}, "train/dataset.json"),
     ("inpaint", {"height": 8, "width": 8, "mask_h": 4, "mask_w": 4, "n_train": 4,
                  "n_test": 2, "n_list": [4], "lamda": 5.0}, "errors.csv"),
-], ids=["run-synth", "gen-synth", "inpaint"])
-def test_unknown_config_key_exit_code(tmp_path, command, config, written):
+    ("run-synth", {"n_samples": 4, "n_test": 2, "runs": 1,
+                   "kernels": [{**PROD, "betta": 5.0}]}, "results.csv"),
+    ("converge", {**CONVERGE, "allow_aliasng": True}, ""),
+], ids=["run-synth", "gen-synth", "inpaint", "kernel-spec", "converge"])
+def test_unknown_config_key_exit_code(tmp_path, capsys, command, config, written):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert not (tmp_path / "out" / written).exists()
+    assert_one_config_error_line(capsys)
 
 
 @pytest.mark.parametrize("key", ["n", "q", "alpha"])
@@ -273,12 +292,6 @@ def test_kernel_missing_key_exit_code(tiny_dataset, tmp_path, capsys, key):
                  "--lam", "0.1", "--out", str(tmp_path / "m")])
     assert code == EXIT_CONFIG
     assert repr(key) in capsys.readouterr().err
-
-
-CONVERGE = {"n_list": [4], "kernels": [{"family": "poly", "n": 4, "q": 1, "alpha": [1.0]}],
-            "x": [{"m": 32, "trig": [[1, 1.0, 0.0]]}], "y": [{"m": 32, "trig": [[1, 1.0, 0.0]]}]}
-COMPLEXITY = {"n_list": [4], "kernels": [{"family": "poly", "n": 4, "q": 1, "alpha": [1.0]}],
-              "samples": [[{"m": 32, "trig": [[1, 1.0, 0.0]]}]]}
 
 
 @pytest.mark.parametrize("command, key", [
@@ -295,18 +308,63 @@ def test_config_missing_key_exit_code(tmp_path, capsys, command, key):
     assert not out.exists()
 
 
+POLY2 = {"family": "poly", "n": 4, "q": 1, "alpha": [1.0, 1.0]}
+
+
+def kernel_case(id, **fields):
+    return pytest.param("kernels", [{**POLY2, **fields}], id=id)
+
+
+def base_case(id, **fields):
+    return pytest.param("kernels", [{**PROD, "bases1": [fields]}], id=id)
+
+
 @pytest.mark.parametrize("field, value", [
     ("runs", 0), ("n_samples", "abc"), ("n_samples", 0), ("n_test", 2.5), ("grid_m", 1),
     ("runs", True),
+    kernel_case("q-abc", q="abc"), kernel_case("q-2.7", q=2.7),
+    kernel_case("alpha-x", alpha=["x"]), kernel_case("alpha-d3", alpha=[1.0, 1.0, 1.0]),
+    pytest.param("kernels", [{**PROD, "beta": None}], id="beta-null"),
+    base_case("gamma-null", kind="gaussian", gamma=None),
+    base_case("gamma-quoted", kind="gaussian", gamma="1.0"),
+    base_case("degree-2.5", kind="polynomial", degree=2.5),
 ])
-def test_bad_config_value_rejected_before_any_cell(tmp_path, field, value):
-    config = {"n_samples": 4, "n_test": 2, "runs": 1,
-              "kernels": [{"family": "poly", "n": 4, "q": 1, "alpha": [1.0, 1.0]}],
-              field: value}
+def test_bad_config_value_rejected_before_any_cell(tmp_path, capsys, field, value):
+    config = {"n_samples": 4, "n_test": 2, "runs": 1, "kernels": [POLY2], field: value}
     cfg = tmp_path / "synth.json"
     cfg.write_text(json.dumps(config))
     assert main(["run-synth", "--config", str(cfg), "--out", str(tmp_path / "res")]) == EXIT_CONFIG
     assert not (tmp_path / "res" / "results.csv").exists()
+    assert_one_config_error_line(capsys)
+
+
+@pytest.mark.parametrize("command, config, written", [
+    ("complexity", {**COMPLEXITY, "B": "big"}, ""),
+    ("inpaint", {"height": 8, "width": 8, "mask_h": 4, "mask_w": 4, "n_train": 0,
+                 "n_test": 2, "n_list": [4]}, "errors.csv"),
+    ("converge", {**CONVERGE, "grid_m": 16}, ""),
+    ("converge", {**CONVERGE, "allow_aliasing": "no"}, ""),
+], ids=["complexity-B", "inpaint-n_train", "converge-grid_m", "converge-allow_aliasing"])
+def test_bad_document_value_exit_code(tmp_path, capsys, command, config, written):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out" / written).exists()
+    assert_one_config_error_line(capsys)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda ds: (ds / "x0001_c0.csv").unlink(),
+    lambda ds: (ds / "y0002.csv").write_text("z,re,im\nz,abc,0\n"),
+], ids=["deleted-component", "bad-csv-row"])
+def test_bad_data_file_exit_code(tiny_dataset, tmp_path, capsys, corrupt):
+    corrupt(tiny_dataset / "ds")
+    code = main(["fit", "--dataset", str(tiny_dataset / "ds"),
+                 "--kernel", str(tiny_dataset / "kernel.json"),
+                 "--lam", "0.1", "--out", str(tmp_path / "m")])
+    assert code == EXIT_CONFIG
+    assert not (tmp_path / "m").exists()
+    assert_one_config_error_line(capsys)
 
 
 # results.csv and summary.csv of the run-synth configs of test_synthetic_pipeline

@@ -124,13 +124,19 @@ class TestRunSynthetic:
         assert rows_a == rows_b
 
     def test_failed_cell_recorded(self):
-        # an undersized grid makes every aliased cell fail PD-free... use a
-        # kernel with an invalid d to force per-cell failures
-        bad = (PolyKernel(n=4, q=1, alpha=(1.0,)),)  # d mismatch: data has d=2
-        config = tiny_synth(kernels=bad, runs=1)
+        # zero weights give an all-zero Gram field, which lam = 0 cannot
+        # solve: a failure only the cell itself can see
+        bad = (PolyKernel(n=4, q=1, alpha=(0.0, 0.0)),)
+        config = tiny_synth(kernels=bad, runs=1, lam=0.0)
         rows, _ = run_synthetic(config)
         assert len(rows) == 1
         assert math.isnan(rows[0][3])
+
+    def test_kernel_checked_against_data_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr("spectrunc.experiments._synthetic_cell", None)
+        bad = (PolyKernel(n=4, q=1, alpha=(1.0,)),)  # d mismatch: data has d=2
+        with pytest.raises(ConfigError, match="alpha has 1 weights"):
+            run_synthetic(tiny_synth(kernels=bad, runs=1))
 
 
 class TestEigenStudy:

@@ -121,6 +121,55 @@ class TestKernelJson:
             else:
                 assert back == spec
 
+    def test_documents_pinned(self):
+        # the kernel JSON format, key for key, of every family and base kernel
+        poly, inf, prod, sep = (kernel_to_json(k) for k in self.kernels())
+        assert poly == {"family": "poly", "n": 8, "q": 2, "alpha": [0.5, 1.5]}
+        assert inf == {"family": "poly", "n": "inf", "q": 1, "alpha": [1.0]}
+        assert prod == {
+            "family": "prod", "n": 4, "q": 2,
+            "bases1": [{"kind": "gaussian", "gamma": 0.5}, {"kind": "linear"}],
+            "bases2": [{"kind": "polynomial", "degree": 2, "offset": 0.5},
+                       {"kind": "gaussian", "gamma": 2.0}],
+            "beta": 0.7, "beta_policy": "manual"}
+        assert sep["base"] == {"kind": "l2_gaussian", "scale": 0.3}
+        assert sorted(sep) == ["base", "family", "n", "q", "weights"]
+        assert sep["weights"][0]["m"] == 12 and len(sep["weights"][0]["values"]) == 12
+
+    def test_integral_floats_load_as_integers(self):
+        doc = kernel_to_json(self.kernels()[2])
+        doc.update(n=4.0, q=2.0)
+        doc["bases2"][0]["degree"] = 2.0
+        spec = kernel_from_json(doc)
+        assert spec == self.kernels()[2]
+        assert type(spec.n) is type(spec.q) is type(spec.bases2[0].degree) is int
+
+    @pytest.mark.parametrize("change, match", [
+        ({"q": 2.7}, "degree q"),
+        ({"betta": 5.0}, "'betta'"),
+        ({"beta": "0.7"}, "kernel spec"),
+        ({"family": ["prod"]}, "kernel spec"),
+        ({"bases1": [{"kind": "gaussian", "gamma": "1.0"}] * 2}, "base kernel"),
+        ({"bases1": [{"kind": "gaussian", "gamma": 1.0, "scale": 2.0}] * 2}, "'scale'"),
+        ({"bases1": [{"kind": "cosine"}] * 2}, "kind must be one of"),
+        ({"bases1": [{"gamma": 1.0}] * 2}, "'kind'"),
+        ({"bases2": [{"kind": "polynomial", "degree": 2.5}] * 2}, "polynomial degree"),
+    ])
+    def test_bad_value_is_config_error(self, change, match):
+        doc = {**kernel_to_json(self.kernels()[2]), **change}
+        with pytest.raises(ConfigError, match=match):
+            kernel_from_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"m": 12.5, "values": [[1.0, 0.0]] * 12},
+        {"m": 4, "values": [[1.0, "x"]] * 4},
+        {"m": 4, "trig": [[1, 1.0]]},
+        {"values": [[1.0, 0.0]] * 4},
+    ])
+    def test_bad_function_is_config_error(self, doc):
+        with pytest.raises(ConfigError):
+            function_from_json(doc)
+
     def test_inf_written_as_string(self):
         doc = kernel_to_json(PolyKernel(n=INF, q=1, alpha=(1.0,)))
         assert doc["n"] == "inf"
@@ -281,6 +330,15 @@ class TestRowsCsvAndPgm:
         back = read_pgm(path)
         assert back.shape == (6, 9)
         assert np.max(np.abs(back - img)) <= 0.5 / 255 + 1e-12
+
+    @pytest.mark.parametrize("raw", [b"P2\n3 2\n255\n0 1 x 3 4 5\n", b"P5\n3 x\n255\n", b"P9\n"])
+    def test_malformed_pgm_is_config_error(self, tmp_path, raw):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(ConfigError, match="bad.pgm"):
+            read_pgm(path)
+        with pytest.raises(ConfigError):
+            read_pgm(tmp_path / "missing.pgm")
 
     def test_p5_read(self, tmp_path):
         raw = b"P5\n3 2\n255\n" + bytes([0, 128, 255, 10, 20, 30])
