@@ -28,18 +28,13 @@ EXIT_NUMERICAL = 3
 
 @dataclasses.dataclass(frozen=True)
 class ConvergeConfig:
-    """The ``converge`` document; ``grid_m``, if given, is the grid size of x."""
+    """The ``converge`` document."""
 
     x: FunctionTuple
     y: FunctionTuple
     kernels: tuple
     n_list: tuple
     allow_aliasing: bool = False
-    grid_m: int | None = None
-
-    def __post_init__(self):
-        if self.grid_m not in (None, self.x.grid.m):
-            raise ConfigError(f"grid_m is {self.grid_m}, but x lives on m={self.x.grid.m}")
 
 
 @dataclasses.dataclass(frozen=True)

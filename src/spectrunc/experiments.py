@@ -40,7 +40,7 @@ from .kernels import (
     _integer,
 )
 from .regression import assemble_gram, fit, predict_batch, test_error
-from .serialize import config_from_json, config_to_json, n_label, read_pgm
+from .serialize import config_to_json, n_label, read_pgm
 from .torus import FunctionTuple, SampledFunction, TorusGrid, l2_distance, window_membership
 
 __all__ = [
@@ -77,7 +77,7 @@ def worker_count() -> int:
 
 
 def _check_fields(config, lows: dict[str, int]) -> None:
-    """Each count in ``lows`` an integer >= its low bound, and lambda >= 0."""
+    """Each integer field in ``lows`` at least its low bound, and lambda >= 0."""
     for name, low in lows.items():
         object.__setattr__(config, name, _integer(name, getattr(config, name), low))
     if config.lam < 0:
@@ -135,16 +135,12 @@ class SyntheticConfig:
     kernels: tuple[KernelSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        _check_fields(self, {"n_samples": 1, "n_test": 1, "runs": 1, "grid_m": 2})
+        _check_fields(self, {"n_samples": 1, "n_test": 1, "runs": 1, "grid_m": 2, "seed": 0})
 
     def resolved_kernels(self) -> list[KernelSpec]:
         if self.kernels:
             return list(self.kernels)
         return default_synthetic_kernels(delta=self.delta, grid_m=self.grid_m)
-
-    @classmethod
-    def from_json(cls, doc: dict, base_dir: Path | None = None) -> "SyntheticConfig":
-        return config_from_json(cls, doc, "synthetic config", base_dir)
 
     def to_json(self) -> dict:
         return config_to_json(replace(self, kernels=tuple(self.resolved_kernels())))
@@ -292,14 +288,10 @@ class InpaintConfig:
     recover_count: int = 4
 
     def __post_init__(self):
-        _check_fields(self, dict.fromkeys(("height", "width", "mask_h", "mask_w", "n_train",
-                                           "n_test", "recover_count"), 1))
+        _check_fields(self, {**dict.fromkeys(("height", "width", "mask_h", "mask_w", "n_train",
+                                              "n_test", "recover_count"), 1), "seed": 0})
         if self.beta < 0:
             raise ConfigError(f"beta must be >= 0, got {self.beta}")
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "InpaintConfig":
-        return config_from_json(cls, doc, "inpaint config")
 
     def mask(self) -> np.ndarray:
         if self.mask_h > self.height or self.mask_w > self.width:

@@ -157,6 +157,13 @@ def _integer(name: str, value, low: int) -> int:
     return int(value)
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float; a bool, a string or None is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _check_n_q(spec: KernelSpec) -> None:
     object.__setattr__(spec, "q", _integer("degree q", spec.q, 1))
     if spec.n != INF:
@@ -175,7 +182,8 @@ class PolyKernel:
 
     def __post_init__(self):
         _check_n_q(self)
-        alpha = tuple(float(a) for a in self.alpha)
+        weights = (self.alpha,) if isinstance(self.alpha, str) else self.alpha
+        alpha = tuple(_real("alpha weight", a) for a in weights)
         if not alpha or any(a < 0 for a in alpha):
             raise ConfigError("alpha must be a nonempty tuple of weights >= 0")
         object.__setattr__(self, "alpha", alpha)

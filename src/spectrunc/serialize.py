@@ -33,6 +33,7 @@ from .kernels import (
     ProdKernel,
     SepKernel,
     _integer,
+    _real,
 )
 from .regression import RidgeModel
 from .torus import FunctionTuple, SampledFunction, TorusGrid
@@ -53,7 +54,6 @@ __all__ = [
     "read_tuple",
     "write_toeplitz_csv",
     "function_from_json",
-    "kernel_to_json",
     "kernel_from_json",
     "write_kernel",
     "read_kernel",
@@ -75,14 +75,15 @@ def fmt(x: float) -> str:
 @contextlib.contextmanager
 def decoding(what):
     """Decode the document or data file ``what`` in this block: a missing key, or a
-    TypeError, ValueError or OSError, is a ConfigError named by the innermost block."""
+    TypeError, ValueError, IndexError or OSError, is a ConfigError named by the
+    innermost block."""
     try:
         yield
     except ConfigError:
         raise
     except KeyError as exc:
         raise ConfigError(f"{what} is missing required key {exc.args[0]!r}") from None
-    except (TypeError, ValueError, OSError) as exc:
+    except (TypeError, ValueError, IndexError, OSError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
@@ -132,9 +133,10 @@ def _decoders(base_dir: Path | None) -> dict:
 def config_from_json(cls, doc, what: str = "config", base_dir: Path | None = None):
     """Dataclass ``cls`` from the JSON object ``doc`` keyed by field name,
     decoded inside ``decoding(what)``.  A key that names no field is a
-    ConfigError, a field without a default is a required key, and a ``bool``
-    field takes only true or false.  A tuple of dataclasses for ``cls`` is a
-    tagged union: the ``family`` or ``kind`` key holds that class attribute."""
+    ConfigError, a field without a default is a required key, a ``bool``
+    field takes only true or false and a ``float`` field only a number.  A
+    tuple of dataclasses for ``cls`` is a tagged union: the ``family`` or
+    ``kind`` key holds that class attribute."""
     with decoding(what):
         if not isinstance(doc, dict):
             raise ConfigError(f"{what} must be a JSON object, got {type(doc).__name__}")
@@ -156,6 +158,8 @@ def config_from_json(cls, doc, what: str = "config", base_dir: Path | None = Non
                 raise KeyError(key)
             if f.type in ("bool", bool) and not isinstance(doc.get(key, False), bool):
                 raise ConfigError(f"{what} key {key!r} must be true or false, got {doc[key]!r}")
+            if f.type in ("float", float):
+                _real(f"{what} key {key!r}", doc.get(key, 0.0))
         decode = _decoders(base_dir)
         kwargs = {fields[key].name: raw for key, raw in doc.items()}
         return cls(**{name: decode[name](raw) if name in decode else raw
@@ -270,10 +274,6 @@ def function_from_json(doc: dict, base_dir: Path | None = None) -> SampledFuncti
         return SampledFunction(grid, vals)
 
 
-def kernel_to_json(spec: KernelSpec) -> dict:
-    return config_to_json(spec)
-
-
 def kernel_from_json(doc: dict, base_dir: Path | None = None) -> KernelSpec:
     """Kernel spec from its JSON document.  A finite-n prod kernel whose
     ``beta_policy`` is ``bound`` or ``estimate`` and that gives no ``beta``
@@ -286,7 +286,7 @@ def kernel_from_json(doc: dict, base_dir: Path | None = None) -> KernelSpec:
 
 
 def write_kernel(spec: KernelSpec, path) -> None:
-    Path(path).write_text(json.dumps(kernel_to_json(spec), indent=2) + "\n")
+    Path(path).write_text(json.dumps(config_to_json(spec), indent=2) + "\n")
 
 
 def read_kernel(path) -> KernelSpec:
@@ -344,7 +344,7 @@ def write_model(model: RidgeModel, directory) -> Path:
     directory = Path(directory)
     samples = write_dataset(directory, model.inputs, model.coefficient_functions())["samples"]
     manifest = {
-        "kernel": kernel_to_json(model.kernel),
+        "kernel": config_to_json(model.kernel),
         "lambda": model.lam,
         "N": len(model.inputs),
         "m": model.grid.m,

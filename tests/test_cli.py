@@ -78,7 +78,6 @@ def test_fejer_subcommands(tmp_path):
 
 def test_converge_subcommand(tmp_path):
     config = {
-        "grid_m": 32,
         "n_list": [4, 8],
         "x": [{"m": 32, "trig": [[1, 1.0, 0.0]]}],
         "y": [{"m": 32, "trig": [[1, 1.0, 0.0]]}],
@@ -321,9 +320,11 @@ def base_case(id, **fields):
 
 @pytest.mark.parametrize("field, value", [
     ("runs", 0), ("n_samples", "abc"), ("n_samples", 0), ("n_test", 2.5), ("grid_m", 1),
-    ("runs", True),
+    ("runs", True), ("input_noise", "0.1"), ("delta", "x"), ("seed", 1.5),
     kernel_case("q-abc", q="abc"), kernel_case("q-2.7", q=2.7),
-    kernel_case("alpha-x", alpha=["x"]), kernel_case("alpha-d3", alpha=[1.0, 1.0, 1.0]),
+    kernel_case("alpha-x", alpha=["x"]), kernel_case("alpha-quoted", alpha="12"),
+    kernel_case("alpha-quoted-entry", alpha=["1.0", "1.0"]),
+    kernel_case("alpha-d3", alpha=[1.0, 1.0, 1.0]),
     pytest.param("kernels", [{**PROD, "beta": None}], id="beta-null"),
     base_case("gamma-null", kind="gaussian", gamma=None),
     base_case("gamma-quoted", kind="gaussian", gamma="1.0"),
@@ -342,9 +343,10 @@ def test_bad_config_value_rejected_before_any_cell(tmp_path, capsys, field, valu
     ("complexity", {**COMPLEXITY, "B": "big"}, ""),
     ("inpaint", {"height": 8, "width": 8, "mask_h": 4, "mask_w": 4, "n_train": 0,
                  "n_test": 2, "n_list": [4]}, "errors.csv"),
-    ("converge", {**CONVERGE, "grid_m": 16}, ""),
+    ("inpaint", {"height": 8, "width": 8, "mask_h": 4, "mask_w": 4, "n_train": 2,
+                 "n_test": 2, "n_list": [4], "gamma": "1.0"}, "errors.csv"),
     ("converge", {**CONVERGE, "allow_aliasing": "no"}, ""),
-], ids=["complexity-B", "inpaint-n_train", "converge-grid_m", "converge-allow_aliasing"])
+], ids=["complexity-B", "inpaint-n_train", "inpaint-gamma-quoted", "converge-allow_aliasing"])
 def test_bad_document_value_exit_code(tmp_path, capsys, command, config, written):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

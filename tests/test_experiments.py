@@ -33,6 +33,7 @@ from spectrunc.experiments import (
     worker_count,
 )
 from spectrunc.regression import predict_batch
+from spectrunc.serialize import config_from_json
 
 
 @pytest.fixture
@@ -311,14 +312,14 @@ class TestConfigJson:
     def test_synthetic_round_trip(self):
         config = tiny_synth()
         doc = config.to_json()
-        back = SyntheticConfig.from_json(doc)
+        back = config_from_json(SyntheticConfig, doc)
         assert back.n_samples == config.n_samples
         assert back.lam == config.lam
         assert len(back.kernels) == len(config.kernels)
 
     def test_inpaint_from_json(self):
         doc = {"height": 8, "width": 8, "n_list": [4, "inf"], "lambda": 0.5}
-        config = InpaintConfig.from_json(doc)
+        config = config_from_json(InpaintConfig, doc)
         assert config.n_list == (4, INF)
         assert config.lam == 0.5
 
@@ -328,20 +329,20 @@ class TestConfigJson:
         doc = config.to_json()
         assert list(doc) == [("lambda" if f.name == "lam" else f.name)
                              for f in dataclasses.fields(SyntheticConfig)]
-        assert SyntheticConfig.from_json(doc).to_json() == doc
-        assert InpaintConfig.from_json({"lambda": 0.5, "source": "blobs"}).lam == 0.5
+        assert config_from_json(SyntheticConfig, doc).to_json() == doc
+        assert config_from_json(InpaintConfig, {"lambda": 0.5, "source": "blobs"}).lam == 0.5
 
     @pytest.mark.parametrize("key", ["lamda", "lam", "n_samples "])
     def test_unknown_key_rejected(self, key):
         with pytest.raises(ConfigError, match="unknown config keys"):
-            SyntheticConfig.from_json({key: 5.0})
+            config_from_json(SyntheticConfig, {key: 5.0})
         with pytest.raises(ConfigError, match="unknown config keys"):
-            InpaintConfig.from_json({key: 5.0})
+            config_from_json(InpaintConfig, {key: 5.0})
 
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError):
-            SyntheticConfig.from_json([{"lambda": 0.5}])
+            config_from_json(SyntheticConfig, [{"lambda": 0.5}])
 
     def test_bad_n_list_entry_rejected(self):
         with pytest.raises(ConfigError):
-            InpaintConfig.from_json({"n_list": [4, "infinity"]})
+            config_from_json(InpaintConfig, {"n_list": [4, "infinity"]})

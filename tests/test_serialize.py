@@ -23,9 +23,9 @@ from spectrunc import (
 )
 from spectrunc import serialize
 from spectrunc.serialize import (
+    config_to_json,
     function_from_json,
     kernel_from_json,
-    kernel_to_json,
     n_from_json,
     n_label,
     n_to_json,
@@ -111,7 +111,7 @@ class TestKernelJson:
 
     def test_round_trips(self):
         for spec in self.kernels():
-            back = kernel_from_json(kernel_to_json(spec))
+            back = kernel_from_json(config_to_json(spec))
             assert back.family == spec.family
             assert back.n == spec.n
             assert back.q == spec.q
@@ -123,7 +123,7 @@ class TestKernelJson:
 
     def test_documents_pinned(self):
         # the kernel JSON format, key for key, of every family and base kernel
-        poly, inf, prod, sep = (kernel_to_json(k) for k in self.kernels())
+        poly, inf, prod, sep = (config_to_json(k) for k in self.kernels())
         assert poly == {"family": "poly", "n": 8, "q": 2, "alpha": [0.5, 1.5]}
         assert inf == {"family": "poly", "n": "inf", "q": 1, "alpha": [1.0]}
         assert prod == {
@@ -137,7 +137,7 @@ class TestKernelJson:
         assert sep["weights"][0]["m"] == 12 and len(sep["weights"][0]["values"]) == 12
 
     def test_integral_floats_load_as_integers(self):
-        doc = kernel_to_json(self.kernels()[2])
+        doc = config_to_json(self.kernels()[2])
         doc.update(n=4.0, q=2.0)
         doc["bases2"][0]["degree"] = 2.0
         spec = kernel_from_json(doc)
@@ -156,7 +156,7 @@ class TestKernelJson:
         ({"bases2": [{"kind": "polynomial", "degree": 2.5}] * 2}, "polynomial degree"),
     ])
     def test_bad_value_is_config_error(self, change, match):
-        doc = {**kernel_to_json(self.kernels()[2]), **change}
+        doc = {**config_to_json(self.kernels()[2]), **change}
         with pytest.raises(ConfigError, match=match):
             kernel_from_json(doc)
 
@@ -171,11 +171,11 @@ class TestKernelJson:
             function_from_json(doc)
 
     def test_inf_written_as_string(self):
-        doc = kernel_to_json(PolyKernel(n=INF, q=1, alpha=(1.0,)))
+        doc = config_to_json(PolyKernel(n=INF, q=1, alpha=(1.0,)))
         assert doc["n"] == "inf"
 
     def test_unknown_beta_policy(self):
-        doc = kernel_to_json(ProdKernel(n=4, q=1, bases1=(GaussianKernel(gamma=1.0),),
+        doc = config_to_json(ProdKernel(n=4, q=1, bases1=(GaussianKernel(gamma=1.0),),
                                         bases2=(LinearKernel(),), beta=0.1))
         doc["beta_policy"] = "surprise"
         with pytest.raises(ConfigError):
@@ -184,7 +184,7 @@ class TestKernelJson:
     def prod_doc(self, n=4, **extra):
         spec = ProdKernel(n=n, q=1, bases1=(GaussianKernel(gamma=1.0),),
                           bases2=(GaussianKernel(gamma=1.0),))
-        doc = kernel_to_json(spec)
+        doc = config_to_json(spec)
         del doc["beta"]
         doc.update(extra)
         return doc
@@ -206,7 +206,7 @@ class TestKernelJson:
 
     def test_resolved_beta_written(self, monkeypatch):
         spec = kernel_from_json(self.prod_doc(beta_policy="estimate"))
-        doc = kernel_to_json(spec)
+        doc = config_to_json(spec)
         assert doc["beta"] == spec.beta
         assert doc["beta_policy"] == "estimate"
         # a round trip reads the written beta back instead of estimating again
@@ -218,7 +218,7 @@ class TestKernelJson:
         ("prod", "bases1"), ("prod", "bases2"), ("sep", "weights"), ("sep", "base"),
     ])
     def test_missing_key_is_config_error(self, family, key):
-        doc = next(kernel_to_json(k) for k in self.kernels() if k.family == family)
+        doc = next(config_to_json(k) for k in self.kernels() if k.family == family)
         del doc[key]
         with pytest.raises(ConfigError, match=repr(key)):
             kernel_from_json(doc)
@@ -275,6 +275,15 @@ class TestDatasetAndModel:
         assert [c.values.tobytes() for c in coeffs] == [c.tobytes() for c in model.coefficients]
         assert np.array_equal(inputs[2].value_matrix(), xs[2].value_matrix())
 
+    def test_model_without_training_inputs_is_config_error(self, tmp_path, rng):
+        g = TorusGrid(16)
+        xs = [random_trig_tuple(g, rng, d=1) for _ in range(2)]
+        ys = [SampledFunction(g, rng.normal(size=16) + 0j) for _ in range(2)]
+        path = write_model(fit(PolyKernel(n=4, q=1, alpha=(1.0,)), xs, ys, lam=0.1), tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "N": 0, "training_inputs": []}))
+        with pytest.raises(ConfigError, match="model.json"):
+            read_model(tmp_path)
+
     def test_previous_model_layout_loads(self, tmp_path, rng):
         # coefNNNN.csv and trainNNNN.json, as models were written before they
         # went through write_dataset
@@ -288,7 +297,7 @@ class TestDatasetAndModel:
             write_function_csv(c, old / f"coef{j:04d}.csv")
             write_tuple(model.inputs[j], old, f"train{j:04d}")
         (old / "model.json").write_text(json.dumps({
-            "kernel": kernel_to_json(model.kernel), "lambda": model.lam, "N": 3, "m": 16,
+            "kernel": config_to_json(model.kernel), "lambda": model.lam, "N": 3, "m": 16,
             "allow_aliasing": False,
             "coefficients": [f"coef{j:04d}.csv" for j in range(3)],
             "training_inputs": [f"train{j:04d}.json" for j in range(3)]}))
@@ -331,7 +340,8 @@ class TestRowsCsvAndPgm:
         assert back.shape == (6, 9)
         assert np.max(np.abs(back - img)) <= 0.5 / 255 + 1e-12
 
-    @pytest.mark.parametrize("raw", [b"P2\n3 2\n255\n0 1 x 3 4 5\n", b"P5\n3 x\n255\n", b"P9\n"])
+    @pytest.mark.parametrize("raw", [b"P2\n3 2\n255\n0 1 x 3 4 5\n", b"P5\n3 x\n255\n", b"P9\n",
+                                     b"P2\n3\n"])
     def test_malformed_pgm_is_config_error(self, tmp_path, raw):
         path = tmp_path / "bad.pgm"
         path.write_bytes(raw)
