@@ -1,9 +1,10 @@
 """Command-line surface.
 
-All configs are JSON, all outputs CSV/PGM/JSON.  Exit codes: 0 on success,
-2 on configuration errors, 3 on numerical failures.  The environment
-variable SPECTRUNC_WORKERS caps the sweep thread budget (absent: all
-available cores).
+All configs are JSON.  Datasets and models are one ``dataset.npz`` with a
+JSON manifest; predictions and result tables are CSV, recovered images PGM.
+Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
+failures.  The environment variable SPECTRUNC_WORKERS caps the sweep thread
+budget (absent: all available cores).
 """
 
 from __future__ import annotations

@@ -148,12 +148,15 @@ class L2GaussianTupleKernel:
 # ---------------------------------------------------------------------------
 
 
-def _integer(name: str, value, low: int) -> int:
-    """``value`` as an int >= low; 2.0 counts, 2.5, True or "2" is a ConfigError."""
+def _integer(name: str, value, low: int | None) -> int:
+    """``value`` as an int >= low (any int if low is None); 2.0 counts, 2.5,
+    True or "2" is a ConfigError."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (low is not None and value < low)):
+        bound = "" if low is None else f" >= {low}"
+        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
 
 

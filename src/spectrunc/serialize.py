@@ -1,13 +1,18 @@
-"""File formats: CSV for functions and tables, JSON for manifests and specs.
+"""File formats: CSV for functions and tables, JSON for manifests and specs,
+one ``.npz`` per dataset or model.
 
 SampledFunction CSV carries a ``z,re,im`` header with one row per grid
 point at 17 significant digits, which round-trips doubles exactly.  A
-FunctionTuple is one CSV per component plus a JSON manifest listing the
-component file names, d, and m.  Kernel specs, base kernels and configs are
-JSON objects keyed by field name (``"inf"`` is n = INF), read by one field
-codec: an unknown key is a ConfigError, a field without a default is a
-required key, and ``family`` or ``kind`` names the class.  Each document and
-data file is decoded inside ``decoding``: a bad value is a ConfigError.
+dataset directory holds ``dataset.npz`` (the inputs as an (N, m, d) array,
+the optional outputs as (N, m), both complex128) and its manifest
+``dataset.json``; a model directory is the dataset of its training inputs
+and coefficients plus ``model.json``.  Directories in the earlier CSV
+layout (one CSV per tuple component and output, listed in the manifests)
+still load.  Kernel specs, base kernels and configs are JSON objects keyed
+by field name (``"inf"`` is n = INF), read by one field codec: an unknown
+key is a ConfigError, a field without a default is a required key, and
+``family`` or ``kind`` names the class.  Each document and data file is
+decoded inside ``decoding``: a bad value is a ConfigError.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +56,6 @@ __all__ = [
     "read_config",
     "write_function_csv",
     "read_function_csv",
-    "write_tuple",
     "read_tuple",
     "write_toeplitz_csv",
     "function_from_json",
@@ -75,15 +80,15 @@ def fmt(x: float) -> str:
 @contextlib.contextmanager
 def decoding(what):
     """Decode the document or data file ``what`` in this block: a missing key, or a
-    TypeError, ValueError, IndexError or OSError, is a ConfigError named by the
-    innermost block."""
+    TypeError, ValueError, IndexError, OSError, EOFError or BadZipFile, is a
+    ConfigError named by the innermost block."""
     try:
         yield
     except ConfigError:
         raise
     except KeyError as exc:
         raise ConfigError(f"{what} is missing required key {exc.args[0]!r}") from None
-    except (TypeError, ValueError, IndexError, OSError) as exc:
+    except (TypeError, ValueError, IndexError, OSError, EOFError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
@@ -124,6 +129,7 @@ def _decoders(base_dir: Path | None) -> dict:
     tuples = lambda docs: FunctionTuple(functions(docs))
     bases = lambda docs: tuple(config_from_json(_BASES, b, "base kernel") for b in docs)
     return {"n": n_from_json, "n_list": lambda ns: tuple(map(n_from_json, ns)),
+            "kernel": lambda doc: kernel_from_json(doc, base_dir),
             "kernels": lambda docs: tuple(kernel_from_json(k, base_dir) for k in docs),
             "bases1": bases, "bases2": bases, "weights": functions,
             "base": lambda b: config_from_json((L2GaussianTupleKernel,), b, "tuple kernel"),
@@ -181,8 +187,9 @@ _ENCODERS = {"n": n_to_json, "alpha": list, "base": config_to_json,
              "bases1": lambda bases: list(map(config_to_json, bases)),
              "bases2": lambda bases: list(map(config_to_json, bases)),
              "kernels": lambda specs: list(map(config_to_json, specs)),
-             "weights": lambda ws: [{"m": a.grid.m, "values": [[fmt(v.real), fmt(v.imag)]
-                                                               for v in a.values]} for a in ws]}
+             # [re, im] rows of JSON numbers, whose repr round-trips exactly
+             "weights": lambda ws: [{"m": a.grid.m, "values": a.values.view(float).reshape(-1, 2)
+                                     .tolist()} for a in ws]}
 
 
 # ---------------------------------------------------------------------------
@@ -217,22 +224,9 @@ def read_function_csv(path) -> SampledFunction:
     return SampledFunction(grid, values)
 
 
-def write_tuple(t: FunctionTuple, directory, stem: str) -> Path:
-    """Write component CSVs plus a manifest <stem>.json; returns the manifest path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    names = []
-    for c, comp in enumerate(t.components):
-        name = f"{stem}_c{c}.csv"
-        write_function_csv(comp, directory / name)
-        names.append(name)
-    manifest = {"components": names, "d": t.d, "m": t.grid.m}
-    path = directory / f"{stem}.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return path
-
-
 def read_tuple(manifest_path) -> FunctionTuple:
+    """A FunctionTuple in the CSV layout: a manifest listing the component
+    CSVs, ``d`` and ``m``."""
     manifest_path = Path(manifest_path)
     with decoding(manifest_path):
         spec = load_json(manifest_path)
@@ -255,7 +249,8 @@ def write_toeplitz_csv(rep, path) -> None:
 
 def function_from_json(doc: dict, base_dir: Path | None = None) -> SampledFunction:
     """Sampled function from a JSON fragment: a ``file`` reference, inline
-    ``values`` rows, or inline ``trig`` Fourier-coefficient triplets."""
+    ``values`` rows, or inline ``trig`` Fourier-coefficient triplets with an
+    integer frequency; every number is a JSON number."""
     with decoding("function"):
         if "file" in doc:
             if base_dir is None:
@@ -265,13 +260,18 @@ def function_from_json(doc: dict, base_dir: Path | None = None) -> SampledFuncti
             raise ConfigError("a function needs one of: file, values, trig")
         grid = TorusGrid(_integer("function m", doc["m"], 2))
         if "values" in doc:
-            vals = [complex(float(re), float(im)) for re, im in doc["values"]]
+            vals = [_complex(re, im) for re, im in doc["values"]]
             return SampledFunction(grid, np.array(vals))
         # inline Fourier coefficient triplets [k, re, im]
         vals = np.zeros(grid.m, dtype=complex)
         for k, re, im in doc["trig"]:
-            vals += complex(float(re), float(im)) * np.exp(1j * int(k) * grid.points)
+            k = _integer("trig frequency k", k, None)
+            vals += _complex(re, im) * np.exp(1j * k * grid.points)
         return SampledFunction(grid, vals)
+
+
+def _complex(re, im) -> complex:
+    return complex(_real("function value", re), _real("function value", im))
 
 
 def kernel_from_json(doc: dict, base_dir: Path | None = None) -> KernelSpec:
@@ -304,72 +304,110 @@ def read_config(cls, path):
 
 
 def write_dataset(directory, inputs, outputs=None) -> dict:
-    """Write sample tuples (and optional outputs) plus a dataset manifest
+    """Write the sample tuples as one (N, m, d) array, and the optional
+    outputs as one (N, m) array, to ``dataset.npz`` plus the manifest
     ``dataset.json``; returns the manifest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    inputs = list(inputs)
-    samples = []
-    for i, t in enumerate(inputs):
-        entry = {"input": write_tuple(t, directory, f"x{i:04d}").name}
-        if outputs is not None:
-            yname = f"y{i:04d}.csv"
-            write_function_csv(outputs[i], directory / yname)
-            entry["output"] = yname
-        samples.append(entry)
-    manifest = {
-        "m": inputs[0].grid.m,
-        "d": inputs[0].d,
-        "n_samples": len(inputs),
-        "samples": samples,
-    }
+    arrays = {"inputs": np.array([t.value_matrix() for t in inputs])}
+    if outputs is not None:
+        arrays["outputs"] = np.array([f.values for f in outputs])
+    np.savez(directory / "dataset.npz", **arrays)
+    n, m, d = arrays["inputs"].shape
+    manifest = {"m": m, "d": d, "n_samples": n, "arrays": "dataset.npz"}
     (directory / "dataset.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return manifest
 
 
 def read_dataset(directory):
-    """Returns (inputs, outputs); outputs is None when the dataset has none."""
+    """Returns (inputs, outputs); outputs is None when the dataset has none.
+    A manifest with a ``samples`` list is the CSV layout: one tuple manifest
+    per input and one CSV per output."""
     path = Path(directory) / "dataset.json"
     with decoding(path):
-        samples = load_json(path)["samples"]
-        inputs = [read_tuple(path.parent / s["input"]) for s in samples]
-        if not all("output" in s for s in samples):
-            return inputs, None
-        return inputs, [read_function_csv(path.parent / s["output"]) for s in samples]
+        manifest = load_json(path)
+        if "samples" in manifest:
+            samples = manifest["samples"]
+            inputs = [read_tuple(path.parent / s["input"]) for s in samples]
+            if not all("output" in s for s in samples):
+                return inputs, None
+            return inputs, [read_function_csv(path.parent / s["output"]) for s in samples]
+        n, m, d = manifest["n_samples"], manifest["m"], manifest["d"]
+        arrays = path.parent / manifest["arrays"]
+    with decoding(arrays), np.load(arrays, allow_pickle=False) as npz:
+        if "inputs" not in npz.files:
+            raise ConfigError(f"{arrays}: no inputs array")
+        packed = {name: npz[name] for name in ("inputs", "outputs") if name in npz.files}
+    for name, shape in (("inputs", (n, m, d)), ("outputs", (n, m))):
+        a = packed.get(name)
+        if a is not None and (a.shape, a.dtype) != (shape, np.complex128):
+            raise ConfigError(f"{arrays}: {name} array is {a.dtype} {a.shape}, "
+                              f"the manifest {path} says complex128 {shape}")
+    # component-major, so each component's values are one contiguous row
+    inputs = np.ascontiguousarray(packed["inputs"].transpose(0, 2, 1))
+    grid = TorusGrid(inputs.shape[2])
+    xs = [FunctionTuple(tuple(SampledFunction(grid, c) for c in x)) for x in inputs]
+    if "outputs" not in packed:
+        return xs, None
+    return xs, [SampledFunction(grid, y) for y in packed["outputs"]]
 
 
 def write_model(model: RidgeModel, directory) -> Path:
     """Write the training inputs with their coefficient functions as a
-    dataset, plus ``model.json`` naming those files."""
+    dataset, plus ``model.json``: kernel, lambda, N, m and allow_aliasing."""
     directory = Path(directory)
-    samples = write_dataset(directory, model.inputs, model.coefficient_functions())["samples"]
+    write_dataset(directory, model.inputs, model.coefficient_functions())
     manifest = {
         "kernel": config_to_json(model.kernel),
         "lambda": model.lam,
         "N": len(model.inputs),
         "m": model.grid.m,
         "allow_aliasing": model.allow_aliasing,
-        "coefficients": [s["output"] for s in samples],
-        "training_inputs": [s["input"] for s in samples],
     }
     path = directory / "model.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n")
     return path
 
 
+@dataclasses.dataclass(frozen=True)
+class _ModelManifest:
+    """The ``model.json`` document.  Models written in a CSV layout list
+    their files in ``training_inputs`` and ``coefficients``."""
+
+    kernel: KernelSpec
+    lam: float
+    N: int
+    m: int
+    allow_aliasing: bool = False
+    training_inputs: tuple | None = None
+    coefficients: tuple | None = None
+
+    def __post_init__(self):
+        for key, low in (("N", 1), ("m", 2)):
+            value = _integer(f"model.json key {key!r}", getattr(self, key), low)
+            object.__setattr__(self, key, value)
+        if self.lam < 0:
+            raise ConfigError(f"model.json key 'lambda' must be >= 0, got {self.lam}")
+
+
 def read_model(directory) -> RidgeModel:
+    """Model from ``model.json`` and the dataset beside it, or from the CSV
+    files its ``training_inputs`` and ``coefficients`` lists name."""
     directory = Path(directory)
-    with decoding(directory / "model.json"):
-        manifest = load_json(directory / "model.json")
-        kernel = kernel_from_json(manifest["kernel"], base_dir=directory)
-        inputs = tuple(read_tuple(directory / f) for f in manifest["training_inputs"])
-        coeffs = np.stack([read_function_csv(directory / f).values
-                           for f in manifest["coefficients"]])
-        if len(inputs) != manifest["N"] or inputs[0].grid.m != manifest["m"]:
-            raise ConfigError(f"{directory}: model manifest does not match files")
-        return RidgeModel(kernel=kernel, lam=float(manifest["lambda"]), inputs=inputs,
-                          coefficients=coeffs,
-                          allow_aliasing=bool(manifest.get("allow_aliasing", False)))
+    path = directory / "model.json"
+    with decoding(path):
+        doc = config_from_json(_ModelManifest, load_json(path), str(path), directory)
+        if doc.training_inputs is None and doc.coefficients is None:
+            inputs, coeffs = read_dataset(directory)
+        else:
+            inputs = [read_tuple(directory / f) for f in doc.training_inputs or ()]
+            coeffs = [read_function_csv(directory / f) for f in doc.coefficients or ()]
+        coefficients = np.array([c.values for c in coeffs or ()])
+        if (len(inputs) != doc.N or coefficients.shape != (doc.N, doc.m)
+                or inputs[0].grid.m != doc.m):
+            raise ConfigError(f"{path} does not match the files it describes")
+        return RidgeModel(kernel=doc.kernel, lam=doc.lam, inputs=tuple(inputs),
+                          coefficients=coefficients, allow_aliasing=doc.allow_aliasing)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from helpers import random_trig_tuple
+from helpers import random_trig_tuple, write_csv_dataset, write_csv_model
 from spectrunc import SampledFunction, TorusGrid
 from spectrunc.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from spectrunc.errors import NumericalError
-from spectrunc.serialize import read_function_csv, write_dataset, write_kernel
+from spectrunc.serialize import (read_dataset, read_function_csv, read_model, write_dataset,
+                                 write_kernel)
 from spectrunc.kernels import L2GaussianTupleKernel, SepKernel
 
 
@@ -355,18 +357,78 @@ def test_bad_document_value_exit_code(tmp_path, capsys, command, config, written
     assert_one_config_error_line(capsys)
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda ds: (ds / "x0001_c0.csv").unlink(),
-    lambda ds: (ds / "y0002.csv").write_text("z,re,im\nz,abc,0\n"),
-], ids=["deleted-component", "bad-csv-row"])
-def test_bad_data_file_exit_code(tiny_dataset, tmp_path, capsys, corrupt):
-    corrupt(tiny_dataset / "ds")
+def truncate(path):
+    path.write_bytes(path.read_bytes()[:200])
+
+
+def repack(ds, **arrays):
+    # replace (or, given None, drop) arrays of tiny_dataset: N = 4, m = 16, d = 1
+    with np.load(ds / "dataset.npz") as npz:
+        packed = {**npz, **arrays}
+    np.savez(ds / "dataset.npz", **{k: a for k, a in packed.items() if a is not None})
+
+
+@pytest.mark.parametrize("csv, corrupt", [
+    (True, lambda ds: (ds / "x0001_c0.csv").unlink()),
+    (True, lambda ds: (ds / "y0002.csv").write_text("z,re,im\nz,abc,0\n")),
+    (False, lambda ds: truncate(ds / "dataset.npz")),
+    (False, lambda ds: (ds / "dataset.npz").write_text("z,re,im\n0,1,0\n")),
+    (False, lambda ds: repack(ds, inputs=None)),
+    (False, lambda ds: repack(ds, inputs=np.zeros((4, 15, 1), complex))),
+    (False, lambda ds: repack(ds, inputs=np.zeros((4, 16, 2), complex))),
+    (False, lambda ds: repack(ds, inputs=np.zeros((4, 16, 1)))),
+    (False, lambda ds: repack(ds, outputs=np.zeros((3, 16), complex))),
+    (False, lambda ds: repack(ds, inputs=np.full((4, 16, 1), None, dtype=object))),
+], ids=["deleted-component", "bad-csv-row", "truncated-npz", "not-a-zip", "no-inputs-array",
+        "inputs-m-15", "inputs-d-2", "real-inputs", "outputs-n-3", "object-array"])
+def test_bad_data_file_exit_code(tiny_dataset, tmp_path, capsys, csv, corrupt):
+    ds = tiny_dataset / "ds"
+    if csv:
+        # the same samples in the CSV layout, one file per component and output
+        inputs, outputs = read_dataset(ds)
+        shutil.rmtree(ds)
+        write_csv_dataset(ds, inputs, outputs)
+    corrupt(ds)
     code = main(["fit", "--dataset", str(tiny_dataset / "ds"),
                  "--kernel", str(tiny_dataset / "kernel.json"),
                  "--lam", "0.1", "--out", str(tmp_path / "m")])
     assert code == EXIT_CONFIG
     assert not (tmp_path / "m").exists()
     assert_one_config_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+@pytest.mark.parametrize("change", [
+    {"allow_aliasing": "no"}, {"lambda": "0.1"}, {"lambda": -1.0}, {"N": "4"}, {"m": 16.5},
+], ids=["allow_aliasing-no", "lambda-quoted", "lambda-negative", "N-quoted", "m-16.5"])
+def test_bad_model_manifest_exit_code(tiny_dataset, tmp_path, capsys, command, change):
+    ds, model = str(tiny_dataset / "ds"), tiny_dataset / "model"
+    assert main(["fit", "--dataset", ds, "--kernel", str(tiny_dataset / "kernel.json"),
+                 "--lam", "0.05", "--out", str(model)]) == EXIT_OK
+    capsys.readouterr()
+    doc = json.loads((model / "model.json").read_text())
+    (model / "model.json").write_text(json.dumps({**doc, **change}))
+    code = main([command, "--model", str(model), "--dataset", ds, "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+    assert_one_config_error_line(capsys)
+
+
+def test_predict_csvs_identical_across_model_layouts(tiny_dataset):
+    # the model fit writes, and the same model in the CSV layout
+    ds = str(tiny_dataset / "ds")
+    assert main(["fit", "--dataset", ds, "--kernel", str(tiny_dataset / "kernel.json"),
+                 "--lam", "0.05", "--out", str(tiny_dataset / "packed")]) == EXIT_OK
+    write_csv_model(read_model(tiny_dataset / "packed"), tiny_dataset / "csv")
+    assert (tiny_dataset / "csv" / "x0000_c0.csv").exists()
+    outputs = {}
+    for layout in ("packed", "csv"):
+        out = tiny_dataset / f"preds-{layout}"
+        assert main(["predict", "--model", str(tiny_dataset / layout), "--dataset", ds,
+                     "--out", str(out)]) == EXIT_OK
+        outputs[layout] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert len(outputs["packed"]) == 5
+    assert outputs["packed"] == outputs["csv"]
 
 
 # results.csv and summary.csv of the run-synth configs of test_synthetic_pipeline

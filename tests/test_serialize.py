@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import random_trig_tuple
+from helpers import random_trig_tuple, write_csv_dataset, write_csv_model, write_tuple
 from spectrunc import (
     INF,
     ConfigError,
@@ -40,7 +40,6 @@ from spectrunc.serialize import (
     write_pgm,
     write_rows_csv,
     write_toeplitz_csv,
-    write_tuple,
 )
 
 
@@ -117,7 +116,7 @@ class TestKernelJson:
             assert back.q == spec.q
             if isinstance(spec, SepKernel):
                 for wa, wb in zip(back.weights, spec.weights):
-                    assert np.max(np.abs(wa.values - wb.values)) < 1e-15
+                    assert wa.values.tobytes() == wb.values.tobytes()
             else:
                 assert back == spec
 
@@ -135,6 +134,8 @@ class TestKernelJson:
         assert sep["base"] == {"kind": "l2_gaussian", "scale": 0.3}
         assert sorted(sep) == ["base", "family", "n", "q", "weights"]
         assert sep["weights"][0]["m"] == 12 and len(sep["weights"][0]["values"]) == 12
+        # JSON numbers, which function_from_json reads back exactly
+        assert all(type(x) is float for row in sep["weights"][0]["values"] for x in row)
 
     def test_integral_floats_load_as_integers(self):
         doc = config_to_json(self.kernels()[2])
@@ -165,10 +166,22 @@ class TestKernelJson:
         {"m": 4, "values": [[1.0, "x"]] * 4},
         {"m": 4, "trig": [[1, 1.0]]},
         {"values": [[1.0, 0.0]] * 4},
+        {"m": 8, "trig": [[1.5, 1.0, 0.0]]},
+        {"m": 8, "trig": [["1", 1.0, 0.0]]},
+        {"m": 8, "trig": [[True, 1.0, 0.0]]},
+        {"m": 8, "trig": [[1, "1.0", 0.0]]},
+        {"m": 4, "values": [["1.0", "0"]] * 4},
+        {"m": 4, "values": [[1.0, None]] * 4},
     ])
     def test_bad_function_is_config_error(self, doc):
         with pytest.raises(ConfigError):
             function_from_json(doc)
+
+    def test_trig_frequencies_are_integers_of_either_sign(self):
+        g = TorusGrid(8)
+        f = function_from_json({"m": 8, "trig": [[-2, 1.0, 0.0], [3.0, 0.0, 1.0]]})
+        assert np.allclose(f.values, np.exp(-2j * g.points) + 1j * np.exp(3j * g.points),
+                           atol=1e-15)
 
     def test_inf_written_as_string(self):
         doc = config_to_json(PolyKernel(n=INF, q=1, alpha=(1.0,)))
@@ -233,6 +246,13 @@ class TestKernelJson:
         assert np.allclose(f.values, np.sin(g.points), atol=1e-15)
 
 
+def fitted_model(rng, n_samples=3, d=2):
+    g = TorusGrid(16)
+    xs = [random_trig_tuple(g, rng, d=d) for _ in range(n_samples)]
+    ys = [SampledFunction(g, rng.normal(size=16) + 0j) for _ in range(n_samples)]
+    return fit(PolyKernel(n=4, q=1, alpha=(1.0, 0.5)[:d]), xs, ys, lam=0.1)
+
+
 class TestDatasetAndModel:
     def test_dataset_round_trip(self, tmp_path, rng):
         g = TorusGrid(12)
@@ -243,6 +263,38 @@ class TestDatasetAndModel:
         assert len(bx) == 3 and by is not None
         assert np.array_equal(bx[1].components[0].values, xs[1].components[0].values)
         assert np.array_equal(by[2].values, ys[2].values)
+
+    def test_round_trip_bit_identical(self, tmp_path, rng):
+        g = TorusGrid(12)
+        xs = [random_trig_tuple(g, rng, d=3) for _ in range(5)]
+        ys = [SampledFunction(g, rng.normal(size=12) + 1j * rng.normal(size=12))
+              for _ in range(5)]
+        write_dataset(tmp_path / "packed", xs, ys)
+        write_csv_dataset(tmp_path / "csv", xs, ys)
+        for layout in ("packed", "csv"):
+            bx, by = read_dataset(tmp_path / layout)
+            assert [x.d for x in bx] == [3] * 5 and all(x.grid == g for x in bx)
+            assert ([c.values.tobytes() for x in bx for c in x.components]
+                    == [c.values.tobytes() for x in xs for c in x.components])
+            assert [y.values.tobytes() for y in by] == [y.values.tobytes() for y in ys]
+
+    def test_packed_layout_files(self, tmp_path, rng):
+        model = fitted_model(rng)
+        manifest = write_dataset(tmp_path / "ds", model.inputs)
+        assert manifest == {"m": 16, "d": 2, "n_samples": 3, "arrays": "dataset.npz"}
+        assert json.loads((tmp_path / "ds" / "dataset.json").read_text()) == manifest
+        assert sorted(f.name for f in (tmp_path / "ds").iterdir()) == ["dataset.json",
+                                                                      "dataset.npz"]
+        with np.load(tmp_path / "ds" / "dataset.npz") as npz:
+            assert npz.files == ["inputs"]
+            assert npz["inputs"].shape == (3, 16, 2) and npz["inputs"].dtype == np.complex128
+        write_model(model, tmp_path / "model")
+        assert sorted(f.name for f in (tmp_path / "model").iterdir()) == [
+            "dataset.json", "dataset.npz", "model.json"]
+        doc = json.loads((tmp_path / "model" / "model.json").read_text())
+        assert sorted(doc) == ["N", "allow_aliasing", "kernel", "lambda", "m"]
+        with np.load(tmp_path / "model" / "dataset.npz") as npz:
+            assert npz["outputs"].tobytes() == model.coefficients.tobytes()
 
     def test_inputs_only_dataset(self, tmp_path, rng):
         g = TorusGrid(12)
@@ -266,31 +318,42 @@ class TestDatasetAndModel:
 
     def test_model_directory_is_a_dataset(self, tmp_path, rng):
         # training inputs with their coefficient functions as outputs
-        g = TorusGrid(16)
-        xs = [random_trig_tuple(g, rng, d=2) for _ in range(3)]
-        ys = [SampledFunction(g, rng.normal(size=16) + 0j) for _ in range(3)]
-        model = fit(PolyKernel(n=4, q=1, alpha=(1.0, 0.5)), xs, ys, lam=0.1)
+        model = fitted_model(rng)
         write_model(model, tmp_path / "model")
         inputs, coeffs = read_dataset(tmp_path / "model")
         assert [c.values.tobytes() for c in coeffs] == [c.tobytes() for c in model.coefficients]
-        assert np.array_equal(inputs[2].value_matrix(), xs[2].value_matrix())
+        assert np.array_equal(inputs[2].value_matrix(), model.inputs[2].value_matrix())
 
     def test_model_without_training_inputs_is_config_error(self, tmp_path, rng):
-        g = TorusGrid(16)
-        xs = [random_trig_tuple(g, rng, d=1) for _ in range(2)]
-        ys = [SampledFunction(g, rng.normal(size=16) + 0j) for _ in range(2)]
-        path = write_model(fit(PolyKernel(n=4, q=1, alpha=(1.0,)), xs, ys, lam=0.1), tmp_path)
+        path = write_model(fitted_model(rng, n_samples=2, d=1), tmp_path)
         path.write_text(json.dumps({**json.loads(path.read_text()), "N": 0, "training_inputs": []}))
         with pytest.raises(ConfigError, match="model.json"):
             read_model(tmp_path)
 
+    @pytest.mark.parametrize("change", [
+        {"allow_aliasing": "no"}, {"allow_aliasing": 0}, {"lambda": "0.1"}, {"lambda": -0.1},
+        {"lambda": None}, {"N": "3"}, {"N": 2.5}, {"m": "16"}, {"m": True}, {"N": 2}, {"m": 8},
+        {"coefficients": []}, {"lamda": 0.1},
+    ])
+    def test_bad_model_manifest_is_config_error(self, tmp_path, rng, change):
+        path = write_model(fitted_model(rng), tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+        with pytest.raises(ConfigError, match="model.json"):
+            read_model(tmp_path)
+
+    def test_manifest_integers_may_be_integral_floats(self, tmp_path, rng):
+        model = fitted_model(rng)
+        path = write_model(model, tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "N": 3.0, "lambda": 0}))
+        back = read_model(tmp_path)
+        assert back.lam == 0.0 and np.array_equal(back.coefficients, model.coefficients)
+
     def test_previous_model_layout_loads(self, tmp_path, rng):
-        # coefNNNN.csv and trainNNNN.json, as models were written before they
-        # went through write_dataset
-        g = TorusGrid(16)
-        xs = [random_trig_tuple(g, rng, d=2) for _ in range(3)]
-        ys = [SampledFunction(g, rng.normal(size=16) + 0j) for _ in range(3)]
-        model = fit(PolyKernel(n=4, q=1, alpha=(1.0, 0.5)), xs, ys, lam=0.1)
+        # the CSV layout (xNNNN.json and yNNNN.csv listed in dataset.json and
+        # model.json) and the one before it (coefNNNN.csv and trainNNNN.json,
+        # listed in model.json only) both load the model the packed layout holds
+        model = fitted_model(rng)
+        write_csv_model(model, tmp_path / "csv")
         old = tmp_path / "old"
         old.mkdir()
         for j, c in enumerate(model.coefficient_functions()):
@@ -302,11 +365,19 @@ class TestDatasetAndModel:
             "coefficients": [f"coef{j:04d}.csv" for j in range(3)],
             "training_inputs": [f"train{j:04d}.json" for j in range(3)]}))
         write_model(model, tmp_path / "new")
-        probe = random_trig_tuple(g, rng, d=2)
-        back_old, back_new = read_model(old), read_model(tmp_path / "new")
-        assert np.array_equal(back_old.coefficients, model.coefficients)
-        assert np.array_equal(predict(back_old, probe).values, predict(back_new, probe).values)
-        assert np.array_equal(predict(back_old, probe).values, predict(model, probe).values)
+        probe = random_trig_tuple(model.grid, rng, d=2)
+        want = predict(model, probe).values.tobytes()
+        back_new = read_model(tmp_path / "new")
+        assert back_new.coefficients.tobytes() == model.coefficients.tobytes()
+        assert predict(back_new, probe).values.tobytes() == want
+        for layout in ("csv", "old"):
+            back = read_model(tmp_path / layout)
+            assert back.coefficients.tobytes() == model.coefficients.tobytes()
+            assert ([x.value_matrix().tobytes() for x in back.inputs]
+                    == [x.value_matrix().tobytes() for x in model.inputs])
+            assert (back.kernel, back.lam, back.allow_aliasing) == (
+                back_new.kernel, back_new.lam, back_new.allow_aliasing)
+            assert predict(back, probe).values.tobytes() == want
 
 
 class TestNCodec:
