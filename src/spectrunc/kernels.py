@@ -29,6 +29,16 @@ and the folded regime alike.  The separable family smooths its inputs with
 core with the same samples on both sides, so the pair routes evaluate only
 the upper triangle, and fills the lower one in place by the Hermitian law
 k(x, y) = k(y, x)^*.
+
+Some specs are real-valued whatever the data, because both sides of their
+chain are one operator B and S_n(B^* B)(z) = (1/n) |B u(z)|^2: prod with
+``bases1`` reversed equal to ``bases2`` (with or without beta, whose offset
+is then |prod_j int g_{2,j}|^2) and sep with a palindromic weight tuple, at
+finite n and at n = INF.  ``_real_valued`` reads this off the spec, and
+their blocks are float64: a q = 1 pair sums only the half of the weight
+table with offset delta <= m/2 and returns through ``irfft``, a q > 1 pair
+builds its chain once and keeps the real part, and the sep and limit blocks
+are real from the start.  Poly and every other spec stay complex128.
 """
 
 from __future__ import annotations
@@ -138,9 +148,6 @@ class L2GaussianTupleKernel:
     def distance_sq(self, xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
         """Summed squared L2 distances for stacks of value matrices (..., m, d)."""
         return np.mean(np.abs(xv - yv) ** 2, axis=-2).sum(axis=-1)
-
-    def from_distance_sq(self, d2: np.ndarray) -> np.ndarray:
-        return np.exp(-self.scale * d2).astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +270,17 @@ class SepKernel:
 
 
 KernelSpec = PolyKernel | ProdKernel | SepKernel
+
+
+def _real_valued(spec: KernelSpec) -> bool:
+    """Whether ``spec`` is real-valued for all data (see the module docstring):
+    prod with bases1 reversed equal to bases2, sep with palindromic weights."""
+    if isinstance(spec, ProdKernel):
+        return tuple(reversed(spec.bases1)) == spec.bases2
+    if isinstance(spec, SepKernel):
+        return all(np.array_equal(a.values, b.values)
+                   for a, b in zip(spec.weights, reversed(spec.weights)))
+    return False
 
 
 def _check_pair(spec: KernelSpec, x: FunctionTuple, y: FunctionTuple) -> TorusGrid:
@@ -478,6 +496,12 @@ def _inf_values_block(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndar
     if isinstance(spec, PolyKernel):
         alpha = np.asarray(spec.alpha)
         return np.einsum("bmd,d->bm", (np.conj(a) * b) ** spec.q, alpha)
+    if isinstance(spec, ProdKernel) and _real_valued(spec):
+        # both sides hold the same factors: the value is |prod_j g_{2,j}|^2
+        prod = np.ones(a.shape[:2], dtype=complex)
+        for base in spec.bases2:
+            prod *= base.pairwise(a, b)
+        return prod.real ** 2 + prod.imag ** 2
     if isinstance(spec, ProdKernel):
         out = np.ones(a.shape[:2], dtype=complex)
         for b1, b2 in zip(spec.bases1, spec.bases2):
@@ -512,16 +536,21 @@ def _folded_reduce_matrix(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=64)
-def _band_table(n: int, m: int) -> tuple[np.ndarray, ...]:
+def _band_table(n: int, m: int, half: bool = False) -> tuple[np.ndarray, ...]:
     """The q = 1 weight table: the nonzero entries (u, v, w) of
     ``_folded_reduce_matrix(n, m)`` sorted by delta = (v - u) mod m, with
     the start of each delta run and that run's delta.  It holds at most
-    min(2n-1, m)^2 entries (3n^2 - 3n + 1 while 2n-1 <= m)."""
+    min(2n-1, m)^2 entries (3n^2 - 3n + 1 while 2n-1 <= m).  The ``half``
+    table keeps only the runs with delta <= m/2, about half the entries:
+    for a real-valued pair, K symmetric makes c_{-delta} = conj(c_delta), so
+    those runs determine the rest."""
     cols, K = _folded_reduce_matrix(n, m)
     iu, iv = np.nonzero(K)
     u, v = cols[iu], cols[iv]
     delta = np.mod(v - u, m)
     order = np.argsort(delta, kind="stable")
+    if half:
+        order = order[: np.searchsorted(delta[order], m // 2, side="right")]
     u, v, delta, w = u[order], v[order], delta[order], K[iu[order], iv[order]]
     starts = np.flatnonzero(np.diff(delta, prepend=-1))
     table = (u, v, w, starts, delta[starts])
@@ -530,37 +559,42 @@ def _band_table(n: int, m: int) -> tuple[np.ndarray, ...]:
     return table
 
 
-def _band_pair_sn(bins1: np.ndarray, bins2: np.ndarray, n: int) -> np.ndarray:
+def _band_pair_sn(bins1: np.ndarray, bins2: np.ndarray, n: int, real: bool) -> np.ndarray:
     """(B, m) values of S_n(R(g1)^* R(g2)) from raw DFT bin rows (B, m).
 
     S_n(z_p) = (1/n) sum_{u,v} K[u, v] conj(bins1_u) bins2_v e^{2 pi i (v-u) p/m}
     is a weighted correlation of the bin rows: summing the table by delta
     gives its DFT-domain coefficients c_delta, and one inverse FFT returns
     the grid values.  O(nnz + m log m) per item, exact in both regimes.
+    A ``real`` pair (g1 = g2) sums only the half table and returns float64
+    values through ``irfft``, which is exact since c_{-delta} = conj(c_delta).
     """
     m = bins1.shape[-1]
-    u, v, w, starts, deltas = _band_table(n, m)
+    u, v, w, starts, deltas = _band_table(n, m, real)
     terms = np.take(np.conj(bins1), u, axis=1)
     terms *= w
     terms *= np.take(bins2, v, axis=1)
-    c = np.zeros((len(bins1), m), dtype=complex)
+    c = np.zeros((len(bins1), m // 2 + 1 if real else m), dtype=complex)
     c[:, deltas] = np.add.reduceat(terms, starts, axis=1)
+    if real:
+        return np.fft.irfft(c, m, axis=1) * (m / n)
     return np.fft.ifft(c, axis=1) * (m / n)
 
 
-def _folded_pair_sn(bins1: np.ndarray, bins2: np.ndarray, n: int) -> np.ndarray:
+def _folded_pair_sn(bins1: np.ndarray, bins2: np.ndarray, n: int, real: bool) -> np.ndarray:
     """The folded-regime (m < n) entry to ``_band_pair_sn``, where every
     residue pair (u, v) carries weight; strict pairs call ``_band_pair_sn``
     themselves."""
-    return _band_pair_sn(bins1, bins2, n)
+    return _band_pair_sn(bins1, bins2, n, real)
 
 
 def _prod_pair_values(spec: ProdKernel, a: np.ndarray, b: np.ndarray, grid: TorusGrid,
                       allow_aliasing: bool) -> np.ndarray:
     """(B, m) finite-n product-kernel values for paired sample values a, b
-    of shape (B, m, d)."""
+    of shape (B, m, d); float64 for a real-valued spec."""
     n = int(spec.n)
     m = grid.m
+    real = _real_valued(spec)
     check_alias_free(n - 1, m, allow_aliasing)
     # (B, m) DFT bins of z -> base(a(z), b(z)), once per distinct base kernel
     bins = {base: np.fft.fft(base.pairwise(a, b), axis=-1) / m
@@ -568,28 +602,30 @@ def _prod_pair_values(spec: ProdKernel, a: np.ndarray, b: np.ndarray, grid: Toru
     bins1 = [bins[base] for base in spec.bases1]
     bins2 = [bins[base] for base in spec.bases2]
     if spec.q == 1 and m < n:
-        vals = _folded_pair_sn(bins1[0], bins2[0], n)
+        vals = _folded_pair_sn(bins1[0], bins2[0], n, real)
     elif spec.q == 1:
-        vals = _band_pair_sn(bins1[0], bins2[0], n)
+        vals = _band_pair_sn(bins1[0], bins2[0], n, real)
     else:
         ks = np.mod(np.arange(-(n - 1), n), m)
-        c1 = [bn[..., ks] for bn in bins1]
-        c2 = [bn[..., ks] for bn in bins2]
-        # (prod_j T1_j^*)^* u = T1_q ... T1_1 u ; right chain is T2_1 ... T2_q u
-        left = _chain_columns(list(reversed(c1)), grid, n)
-        right = _chain_columns(c2, grid, n)
+        # (prod_j T1_j^*)^* u = T1_q ... T1_1 u ; right chain is T2_1 ... T2_q u,
+        # the same chain when the spec is real-valued
+        right = _chain_columns([bn[..., ks] for bn in bins2], grid, n)
+        left = right if real else _chain_columns([bn[..., ks] for bn in reversed(bins1)],
+                                                 grid, n)
         vals = np.einsum("brp,brp->bp", np.conj(left), right) / n
+        if real:
+            vals = vals.real
     if spec.beta:
         # normalized means are the k = 0 bins
         off = np.ones(len(a), dtype=complex)
         for ca, cb in zip(bins1, bins2):
             off *= np.conj(ca[:, 0]) * cb[:, 0]
-        vals = vals + spec.beta * off[:, None]
+        vals = vals + spec.beta * (off.real if real else off)[:, None]
     return vals
 
 
 def _sep_blocks(spec: SepKernel, xs, ys, allow_aliasing: bool) -> np.ndarray:
-    """(m, Nx, Ny) separable-kernel block."""
+    """(m, Nx, Ny) separable-kernel block; float64 for palindromic weights."""
     grid = xs[0].grid
     if spec.is_infinite:
         wvals = np.ones(grid.m, dtype=complex)
@@ -599,6 +635,8 @@ def _sep_blocks(spec: SepKernel, xs, ys, allow_aliasing: bool) -> np.ndarray:
     else:
         wvals = sn_map(sep_weight_matrix(spec, allow_aliasing), grid).values
         prepare = lambda t: _smooth_tuple(t, int(spec.n), allow_aliasing).value_matrix()
+    if _real_valued(spec):
+        wvals = wvals.real
     xv = np.stack([prepare(t) for t in xs])
     yv = xv if ys is xs else np.stack([prepare(t) for t in ys])
     # (Nx, Ny) distances in row chunks: each builds (rows, Ny, m, d) temporaries
@@ -606,8 +644,7 @@ def _sep_blocks(spec: SepKernel, xs, ys, allow_aliasing: bool) -> np.ndarray:
     rows = max(1, _PAIR_CHUNK_BUDGET // yv[0].size // len(yv))
     for lo in range(0, len(xv), rows):
         d2[lo : lo + rows] = spec.base.distance_sq(xv[lo : lo + rows, None], yv[None, :])
-    scal = spec.base.from_distance_sq(d2)
-    return wvals[:, None, None] * scal[None, :, :]
+    return wvals[:, None, None] * np.exp(-spec.base.scale * d2)[None, :, :]
 
 
 def _block(spec: KernelSpec, xs: list, ys: list, allow_aliasing: bool) -> np.ndarray:
@@ -616,7 +653,8 @@ def _block(spec: KernelSpec, xs: list, ys: list, allow_aliasing: bool) -> np.nda
     Poly and sep use their factorized whole-block routes; finite prod and the
     n = INF limits evaluate index pairs in chunks bounded by
     ``_PAIR_CHUNK_BUDGET``.  When ``ys is xs`` those pair routes evaluate only
-    the pairs j >= i and leave the strict lower triangle unset.
+    the pairs j >= i and leave the strict lower triangle unset.  A
+    real-valued spec (``_real_valued``) gets a float64 block.
     """
     grid = _check_pair(spec, xs[0], ys[0])
     same = ys is xs
@@ -637,14 +675,15 @@ def _block(spec: KernelSpec, xs: list, ys: list, allow_aliasing: bool) -> np.nda
         pairs_i, pairs_j = np.triu_indices(len(xs))
     else:
         pairs_i, pairs_j = np.divmod(np.arange(len(xs) * len(ys)), len(ys))
+    real = _real_valued(spec)
     if spec.is_infinite:
         width = grid.m * xv.shape[-1]
     elif spec.q == 1:
-        width = len(_band_table(int(spec.n), grid.m)[0]) + grid.m
+        width = len(_band_table(int(spec.n), grid.m, real)[0]) + grid.m
     else:
         width = (2 * int(spec.n) - 1) * grid.m
     chunk = max(1, _PAIR_CHUNK_BUDGET // width)
-    out = np.empty((grid.m, len(xs), len(ys)), dtype=complex)
+    out = np.empty((grid.m, len(xs), len(ys)), dtype=float if real else complex)
     for lo in range(0, len(pairs_i), chunk):
         ci, cj = pairs_i[lo : lo + chunk], pairs_j[lo : lo + chunk]
         if spec.is_infinite:
@@ -666,12 +705,13 @@ def gram_values(spec: KernelSpec, xs, allow_aliasing: bool = False) -> tuple[np.
     The block core evaluates the upper triangle (N(N+1)/2 pair evaluations
     on the pair routes); the strict lower triangle is then overwritten in
     place, one grid point at a time, with the conjugate of the upper one.
+    The field is float64 for a real-valued spec, complex128 otherwise.
     Returns (field, N(N+1)/2).
     """
     xs = list(xs)
     N = len(xs)
     field = _block(spec, xs, xs, allow_aliasing)
-    iu, ju = np.triu_indices(N, 1)
+    lower = np.tri(N, k=-1, dtype=bool)
     for mat in field:
-        mat[ju, iu] = np.conj(mat[iu, ju])
+        np.copyto(mat, mat.T.conj(), where=lower)
     return field, N * (N + 1) // 2

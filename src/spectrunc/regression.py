@@ -5,7 +5,11 @@ grid point.  Fitting solves the m independent Hermitian systems
 
     y(z_p) = (G(z_p) + lambda I) c(z_p)
 
-and prediction evaluates f(x)(z_p) = sum_j k(x, x_j)(z_p) c_j(z_p).
+and prediction evaluates f(x)(z_p) = sum_j k(x, x_j)(z_p) c_j(z_p).  A
+real-valued kernel yields a float64 Gram field and float64 cross blocks:
+each system is then factored in real arithmetic, with the real and
+imaginary parts of y as two real right-hand sides.  Coefficients and
+predictions are complex either way.
 """
 
 from __future__ import annotations
@@ -41,14 +45,17 @@ def _min_eig(A: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class GramField:
-    """Per-grid-point N x N kernel matrices G(z_p), stacked as (m, N, N)."""
+    """Per-grid-point N x N kernel matrices G(z_p), stacked as (m, N, N):
+    a float64 field stays float64 (real symmetric), any other is complex."""
 
     grid: TorusGrid
     matrices: np.ndarray = field(repr=False)
     eval_count: int = 0
 
     def __post_init__(self):
-        mats = np.asarray(self.matrices, dtype=complex)
+        mats = np.asarray(self.matrices)
+        if mats.dtype != np.float64:
+            mats = mats.astype(complex, copy=False)
         if mats.ndim != 3 or mats.shape[0] != self.grid.m or mats.shape[1] != mats.shape[2]:
             raise ValueError(f"expected (m, N, N) matrices, got {mats.shape}")
         mats.setflags(write=False)
@@ -123,7 +130,9 @@ def fit(kernel: KernelSpec, inputs, outputs, lam: float,
 
     Uses a Hermitian (Cholesky) factorization per point and falls back to a
     pivoted general solve with a ``SolverFallbackWarning`` when the shifted
-    Gram matrix is not positive definite.  Never regularizes silently.
+    Gram matrix is not positive definite.  Never regularizes silently.  A
+    float64 field is factored in real arithmetic and solved for the real
+    and imaginary parts of y as two real columns.
 
     Raises
     ------
@@ -154,10 +163,11 @@ def fit(kernel: KernelSpec, inputs, outputs, lam: float,
             )
     y = np.stack([o.values for o in outputs])                 # (N, m)
     coeff = np.empty_like(y)
+    real = gram.matrices.dtype == np.float64
     fell_back = []
     for p in range(grid.m):
         A = gram.matrices[p] + lam * np.eye(N)
-        b = y[:, p]
+        b = np.stack([y[:, p].real, y[:, p].imag], axis=1) if real else y[:, p]
         try:
             c = linalg.cho_solve(linalg.cho_factor(A, lower=True), b)
         except linalg.LinAlgError:
@@ -175,13 +185,14 @@ def fit(kernel: KernelSpec, inputs, outputs, lam: float,
                 f"singular system at grid point {p} "
                 f"(min eigenvalue {_min_eig(A):.3e})"
             )
-        coeff[:, p] = c
+        # for two real columns, the Frobenius norms are the complex 2-norms
         resid = float(np.linalg.norm(A @ c - b))
         if not resid <= RESIDUAL_TOL * (1.0 + float(np.linalg.norm(b))):
             raise NumericalError(
                 f"solve residual {resid:.3e} at grid point {p} "
                 f"(min eigenvalue {_min_eig(A):.3e})"
             )
+        coeff[:, p] = c[:, 0] + 1j * c[:, 1] if real else c
     if fell_back:
         warnings.warn(
             f"Hermitian factorization failed at {len(fell_back)} grid point(s) "
@@ -201,7 +212,11 @@ def predict_batch(model: RidgeModel, xs) -> list[SampledFunction]:
         raise ConfigError("prediction inputs live on a different grid than the model")
     K = cross_values(model.kernel, xs, list(model.inputs),
                      allow_aliasing=model.allow_aliasing)     # (m, Nx, Ntr)
-    vals = np.einsum("pij,jp->ip", K, model.coefficients)
+    c = model.coefficients
+    if K.dtype == np.float64:
+        vals = np.einsum("pij,jp->ip", K, c.real) + 1j * np.einsum("pij,jp->ip", K, c.imag)
+    else:
+        vals = np.einsum("pij,jp->ip", K, c)
     return [SampledFunction(grid, row) for row in vals]
 
 

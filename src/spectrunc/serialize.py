@@ -12,7 +12,9 @@ still load.  Kernel specs, base kernels and configs are JSON objects keyed
 by field name (``"inf"`` is n = INF), read by one field codec: an unknown
 key is a ConfigError, a field without a default is a required key, and
 ``family`` or ``kind`` names the class.  Each document and data file is
-decoded inside ``decoding``: a bad value is a ConfigError.
+decoded inside ``decoding``: a bad value is a ConfigError that names the
+document, and a nested one (a kernel inside ``model.json``, say) the file
+that holds it.
 """
 
 from __future__ import annotations
@@ -121,18 +123,21 @@ _KERNELS = (PolyKernel, ProdKernel, SepKernel)
 _BASES = (GaussianKernel, LinearKernel, PolynomialKernel)
 
 
-def _decoders(base_dir: Path | None) -> dict:
+def _decoders(base_dir: Path | None, what: str) -> dict:
     """Field name -> decoder of its JSON value, for the fields that are not
     plain JSON.  A field name means the same in every document; function
-    files are found under ``base_dir``."""
+    files are found under ``base_dir``, and nested documents are named as
+    parts of ``what``."""
     functions = lambda docs: tuple(function_from_json(d, base_dir) for d in docs)
     tuples = lambda docs: FunctionTuple(functions(docs))
-    bases = lambda docs: tuple(config_from_json(_BASES, b, "base kernel") for b in docs)
+    bases = lambda docs: tuple(config_from_json(_BASES, b, f"base kernel in {what}")
+                               for b in docs)
+    kernel = lambda doc: kernel_from_json(doc, base_dir, f"kernel spec in {what}")
     return {"n": n_from_json, "n_list": lambda ns: tuple(map(n_from_json, ns)),
-            "kernel": lambda doc: kernel_from_json(doc, base_dir),
-            "kernels": lambda docs: tuple(kernel_from_json(k, base_dir) for k in docs),
+            "kernel": kernel, "kernels": lambda docs: tuple(map(kernel, docs)),
             "bases1": bases, "bases2": bases, "weights": functions,
-            "base": lambda b: config_from_json((L2GaussianTupleKernel,), b, "tuple kernel"),
+            "base": lambda b: config_from_json((L2GaussianTupleKernel,), b,
+                                               f"tuple kernel in {what}"),
             "x": tuples, "y": tuples, "samples": lambda docs: tuple(map(tuples, docs))}
 
 
@@ -142,7 +147,8 @@ def config_from_json(cls, doc, what: str = "config", base_dir: Path | None = Non
     ConfigError, a field without a default is a required key, a ``bool``
     field takes only true or false and a ``float`` field only a number.  A
     tuple of dataclasses for ``cls`` is a tagged union: the ``family`` or
-    ``kind`` key holds that class attribute."""
+    ``kind`` key holds that class attribute.  A value ``cls`` rejects is a
+    ConfigError led by ``what``."""
     with decoding(what):
         if not isinstance(doc, dict):
             raise ConfigError(f"{what} must be a JSON object, got {type(doc).__name__}")
@@ -166,10 +172,15 @@ def config_from_json(cls, doc, what: str = "config", base_dir: Path | None = Non
                 raise ConfigError(f"{what} key {key!r} must be true or false, got {doc[key]!r}")
             if f.type in ("float", float):
                 _real(f"{what} key {key!r}", doc.get(key, 0.0))
-        decode = _decoders(base_dir)
+        decode = _decoders(base_dir, what)
         kwargs = {fields[key].name: raw for key, raw in doc.items()}
-        return cls(**{name: decode[name](raw) if name in decode else raw
-                      for name, raw in kwargs.items()})
+        try:
+            return cls(**{name: decode[name](raw) if name in decode else raw
+                          for name, raw in kwargs.items()})
+        except ConfigError as exc:
+            if what in str(exc):        # a nested document, named as part of ``what``
+                raise
+            raise type(exc)(f"{what}: {exc}") from None
 
 
 def config_to_json(config) -> dict:
@@ -274,11 +285,13 @@ def _complex(re, im) -> complex:
     return complex(_real("function value", re), _real("function value", im))
 
 
-def kernel_from_json(doc: dict, base_dir: Path | None = None) -> KernelSpec:
-    """Kernel spec from its JSON document.  A finite-n prod kernel whose
-    ``beta_policy`` is ``bound`` or ``estimate`` and that gives no ``beta``
-    gets the policy's offset from ``fejer.beta_from_policy``."""
-    spec = config_from_json(_KERNELS, doc, "kernel spec", base_dir)
+def kernel_from_json(doc: dict, base_dir: Path | None = None,
+                     what: str = "kernel spec") -> KernelSpec:
+    """Kernel spec from its JSON document, named ``what`` in errors.  A
+    finite-n prod kernel whose ``beta_policy`` is ``bound`` or ``estimate``
+    and that gives no ``beta`` gets the policy's offset from
+    ``fejer.beta_from_policy``."""
+    spec = config_from_json(_KERNELS, doc, what, base_dir)
     if (spec.family == "prod" and "beta" not in doc and spec.beta_policy != "manual"
             and not spec.is_infinite):
         spec = dataclasses.replace(spec, beta=beta_from_policy(spec.beta_policy, spec.n, spec.q))
@@ -290,7 +303,7 @@ def write_kernel(spec: KernelSpec, path) -> None:
 
 
 def read_kernel(path) -> KernelSpec:
-    return kernel_from_json(load_json(path), base_dir=Path(path).parent)
+    return kernel_from_json(load_json(path), Path(path).parent, f"kernel spec {path}")
 
 
 def read_config(cls, path):
@@ -384,10 +397,10 @@ class _ModelManifest:
 
     def __post_init__(self):
         for key, low in (("N", 1), ("m", 2)):
-            value = _integer(f"model.json key {key!r}", getattr(self, key), low)
+            value = _integer(f"key {key!r}", getattr(self, key), low)
             object.__setattr__(self, key, value)
         if self.lam < 0:
-            raise ConfigError(f"model.json key 'lambda' must be >= 0, got {self.lam}")
+            raise ConfigError(f"key 'lambda' must be >= 0, got {self.lam}")
 
 
 def read_model(directory) -> RidgeModel:

@@ -190,6 +190,31 @@ def test_bad_kernel_config_exit_code(tmp_path, tiny_dataset):
     assert code == EXIT_CONFIG
 
 
+def test_kernel_file_error_names_the_file(tmp_path, tiny_dataset, capsys):
+    bad = tmp_path / "bad_kernel.json"
+    bad.write_text(json.dumps({"family": "poly", "n": 4, "alpha": [1.0]}))
+    code = main(["fit", "--dataset", str(tiny_dataset / "ds"), "--kernel", str(bad),
+                 "--lam", "0.1", "--out", str(tmp_path / "m")])
+    assert code == EXIT_CONFIG
+    err = assert_one_config_error_line(capsys)
+    assert str(bad) in err and "'q'" in err
+
+
+def test_model_kernel_error_names_the_model_file(tmp_path, tiny_dataset, capsys):
+    ds, model = str(tiny_dataset / "ds"), tiny_dataset / "model"
+    assert main(["fit", "--dataset", ds, "--kernel", str(tiny_dataset / "kernel.json"),
+                 "--lam", "0.05", "--out", str(model)]) == EXIT_OK
+    capsys.readouterr()
+    doc = json.loads((model / "model.json").read_text())
+    del doc["kernel"]["q"]
+    (model / "model.json").write_text(json.dumps(doc))
+    code = main(["predict", "--model", str(model), "--dataset", ds,
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = assert_one_config_error_line(capsys)
+    assert str(model / "model.json") in err and "'q'" in err
+
+
 def test_numerical_error_exit_code(monkeypatch, tiny_dataset, tmp_path):
     import spectrunc.cli as cli_mod
 
@@ -258,6 +283,7 @@ COMPLEXITY = {"n_list": [4], "kernels": [{"family": "poly", "n": 4, "q": 1, "alp
 def assert_one_config_error_line(capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: "), err
+    return err[0]
 
 
 GAUSS = {"kind": "gaussian", "gamma": 1.0}

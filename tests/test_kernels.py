@@ -30,7 +30,7 @@ from spectrunc import (
 )
 from spectrunc import kernels as kernels_mod
 from spectrunc.errors import ConfigError
-from spectrunc.kernels import cross_values, gram_values, prod_offset
+from spectrunc.kernels import PolynomialKernel, cross_values, gram_values, prod_offset
 
 
 GRID = TorusGrid(32)
@@ -317,6 +317,30 @@ def block_spec(family, n, q):
     return SepKernel(n=n, q=q, weights=(a,) * q, base=L2GaussianTupleKernel(scale=0.8))
 
 
+G06, LIN, POLY2 = GaussianKernel(gamma=0.6), LinearKernel(), PolynomialKernel(degree=2)
+
+
+def palindromic_weights(grid):
+    a = SampledFunction.from_callable(grid, lambda z: np.exp(0.5j * np.sin(z)) + 1.2)
+    b = SampledFunction.from_callable(grid, lambda z: np.cos(2 * z) + 0.3j * np.sin(z))
+    return (a, b, a)
+
+
+# specs whose values are real by construction, as (n, grid, beta) -> spec
+REAL_SPECS = {
+    "prod-gaussian": lambda n, grid, beta: ProdKernel(n=n, q=1, bases1=(G06,), bases2=(G06,),
+                                                      beta=beta),
+    "prod-linear": lambda n, grid, beta: ProdKernel(n=n, q=1, bases1=(LIN,), bases2=(LIN,),
+                                                    beta=beta),
+    "prod-polynomial": lambda n, grid, beta: ProdKernel(n=n, q=1, bases1=(POLY2,),
+                                                        bases2=(POLY2,), beta=beta),
+    "prod-q2-reversed": lambda n, grid, beta: ProdKernel(n=n, q=2, bases1=(G06, LIN),
+                                                         bases2=(LIN, G06), beta=beta),
+    "sep-palindrome": lambda n, grid, beta: SepKernel(n=n, q=3, weights=palindromic_weights(grid),
+                                                      base=L2GaussianTupleKernel(scale=0.2)),
+}
+
+
 class TestBatchedBlocks:
     """gram_values / cross_values pinned to the dense `evaluate` oracle."""
 
@@ -379,6 +403,55 @@ class TestBatchedBlocks:
                 cross_values(spec, xs[:2], xs)
         else:
             assert np.array_equal(cross_values(spec, xs[:2], xs), cross)
+
+    # the real route (float64 blocks, half q = 1 table, one shared q > 1
+    # chain) on m in [5, 40], odd and even, with n alias-free, aliased
+    # n <= m, n = m, n = m + 1, folded n > m, or INF
+    @settings(max_examples=40, deadline=None)
+    @given(hst.integers(5, 40).flatmap(lambda m: hst.tuples(hst.just(m), hst.integers(1, 3 * m))),
+           hst.sampled_from(sorted(REAL_SPECS)), hst.sampled_from([0.0, 0.4]), hst.booleans(),
+           hst.integers(0, 2**16))
+    @example((12, 5), "prod-gaussian", 0.4, False, 0)
+    @example((13, 9), "prod-linear", 0.0, False, 1)
+    @example((16, 16), "prod-polynomial", 0.4, False, 2)
+    @example((15, 16), "prod-q2-reversed", 0.4, False, 3)
+    @example((6, 15), "sep-palindrome", 0.0, False, 4)
+    @example((7, 20), "prod-q2-reversed", 0.0, False, 5)
+    @example((10, 1), "prod-q2-reversed", 0.0, True, 6)
+    @example((9, 1), "sep-palindrome", 0.0, True, 7)
+    def test_real_valued_blocks_match_dense_oracle(self, mn, name, beta, limit, seed):
+        m, n = mn
+        grid = TorusGrid(m)
+        rng = np.random.default_rng(seed)
+        xs = [FunctionTuple(tuple(SampledFunction(grid, rng.standard_normal(m)
+                                                  + 1j * rng.standard_normal(m))
+                                  for _ in range(2))) for _ in range(3)]
+        spec = REAL_SPECS[name](INF if limit else n, grid, beta)
+        field, _ = gram_values(spec, xs, allow_aliasing=True)
+        cross = cross_values(spec, xs[:2], xs, allow_aliasing=True)
+        assert field.dtype == cross.dtype == np.float64
+        for block, rows in ((field, xs), (cross, xs[:2])):
+            want = np.stack([[evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
+                             for x in rows]).transpose(2, 0, 1)
+            assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [5, INF], ids=["finite", "inf"])
+    @pytest.mark.parametrize("spec, real", [
+        (lambda n: REAL_SPECS["prod-gaussian"](n, PIN_GRID, 0.4), True),
+        (lambda n: REAL_SPECS["prod-q2-reversed"](n, PIN_GRID, 0.4), True),
+        (lambda n: REAL_SPECS["sep-palindrome"](n, PIN_GRID, 0.0), True),
+        (lambda n: block_spec("poly", n, 1), False),
+        (lambda n: ProdKernel(n=n, q=1, bases1=(G06,), bases2=(LIN,)), False),
+        (lambda n: ProdKernel(n=n, q=2, bases1=(G06, LIN), bases2=(G06, LIN)), False),
+        (lambda n: SepKernel(n=n, q=2, weights=palindromic_weights(PIN_GRID)[:2],
+                             base=L2GaussianTupleKernel(scale=0.2)), False),
+    ], ids=["prod-q1", "prod-q2-reversed", "sep-palindrome", "poly", "prod-mixed",
+            "prod-q2-same-order", "sep-not-palindrome"])
+    def test_block_dtype_follows_realness(self, rng, spec, real, n):
+        xs = [random_trig_tuple(PIN_GRID, rng, d=2, deg=3) for _ in range(3)]
+        want = np.float64 if real else np.complex128
+        assert gram_values(spec(n), xs, allow_aliasing=True)[0].dtype == want
+        assert cross_values(spec(n), xs[:2], xs, allow_aliasing=True).dtype == want
 
     @pytest.mark.parametrize("q, windowed", [(1, False), (2, True)])
     def test_prod_q1_never_builds_prefix_sum_windows(self, monkeypatch, q, windowed):

@@ -44,6 +44,16 @@ def random_outputs(grid, rng, count):
     ]
 
 
+def complex_outputs(grid, rng, count):
+    return [SampledFunction(grid, rng.normal(size=grid.m) + 1j * rng.normal(size=grid.m))
+            for _ in range(count)]
+
+
+def real_prod_spec(n=6):
+    g = GaussianKernel(gamma=0.7)
+    return ProdKernel(n=n, q=1, bases1=(g,), bases2=(g,), beta=0.2)
+
+
 class TestAssembleGram:
     def test_single_constant_input(self):
         spec = PolyKernel(n=5, q=1, alpha=(1.0,))
@@ -195,6 +205,32 @@ class TestFit:
         want = np.linalg.solve(A, np.stack([y.values for y in ys]))
         assert np.allclose(model.coefficients, want, atol=1e-10)
 
+    def test_real_field_solve_matches_complex_solve(self, rng):
+        # a float64 field is factored in real arithmetic, with Re y and Im y
+        # as two real right-hand sides
+        xs = [random_trig_tuple(GRID, rng, d=2, deg=3) for _ in range(6)]
+        ys = complex_outputs(GRID, rng, 6)
+        spec = real_prod_spec()
+        gram = assemble_gram(spec, xs)
+        assert gram.matrices.dtype == np.float64
+        real = fit(spec, xs, ys, lam=0.05, gram=gram).coefficients
+        cgram = GramField(GRID, gram.matrices.astype(complex))
+        want = fit(spec, xs, ys, lam=0.05, gram=cgram).coefficients
+        assert real.dtype == np.complex128
+        assert np.max(np.abs(real.imag)) > 0.1 * np.max(np.abs(real))
+        assert np.max(np.abs(real - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_real_field_fallback_on_indefinite(self, rng):
+        xs = [random_trig_tuple(GRID, rng, d=1, deg=2) for _ in range(2)]
+        ys = complex_outputs(GRID, rng, 2)
+        gram = GramField(GRID, np.tile(np.diag([1.0, -1.0]), (GRID.m, 1, 1)))
+        assert gram.matrices.dtype == np.float64
+        with pytest.warns(SolverFallbackWarning):
+            model = fit(sep_spec(GRID), xs, ys, lam=0.1, gram=gram)
+        A = np.diag([1.1, -0.9])
+        want = np.linalg.solve(A, np.stack([y.values for y in ys]))
+        assert np.allclose(model.coefficients, want, atol=1e-10)
+
     def test_singular_system_raises(self, rng):
         xs = [random_trig_tuple(GRID, rng, d=1, deg=2) for _ in range(2)]
         ys = random_outputs(GRID, rng, 2)
@@ -257,6 +293,18 @@ class TestPredict:
         batch = predict_batch(model, probes)
         for p, got in zip(probes, batch):
             assert np.allclose(got.values, predict(model, p).values, atol=1e-12)
+
+    def test_real_cross_block_matches_complex_product(self, rng):
+        xs = [random_trig_tuple(GRID, rng, d=2, deg=3) for _ in range(5)]
+        spec = real_prod_spec()
+        model = fit(spec, xs, complex_outputs(GRID, rng, 5), lam=0.1)
+        probes = [random_trig_tuple(GRID, rng, d=2, deg=3) for _ in range(3)]
+        K = regression.cross_values(spec, probes, xs)
+        assert K.dtype == np.float64
+        want = np.einsum("pij,jp->ip", K.astype(complex), model.coefficients)
+        got = np.stack([p.values for p in predict_batch(model, probes)])
+        assert np.max(np.abs(got.imag)) > 0
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_grid_mismatch(self, rng):
         xs = [random_trig_tuple(GRID, rng, d=1, deg=2)]
