@@ -63,9 +63,11 @@ _SPLIT_BLOBS = 2
 
 def worker_count() -> int:
     """Thread budget for sweep cells; the environment variable wins,
-    absence means all available cores."""
+    absence means the CPUs this process may run on (its affinity mask)."""
     raw = os.environ.get(WORKERS_ENV)
     if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         count = int(raw)

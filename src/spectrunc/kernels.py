@@ -71,6 +71,7 @@ __all__ = [
     "kernel_limit_gap",
     "gram_values",
     "cross_values",
+    "poly_factors",
 ]
 
 INF = float("inf")
@@ -295,6 +296,17 @@ def _check_pair(spec: KernelSpec, x: FunctionTuple, y: FunctionTuple) -> TorusGr
     return x.grid
 
 
+def _check_samples(spec: KernelSpec, samples) -> TorusGrid:
+    """The one grid of a block's samples, all of one d that ``spec`` accepts."""
+    grid = _check_pair(spec, samples[0], samples[0])
+    for i, t in enumerate(samples):
+        if t.grid != grid:
+            raise GridMismatchError(f"block sample {i} is on an m={t.grid.m} grid, not m={grid.m}")
+        if t.d != samples[0].d:
+            raise ConfigError(f"block sample {i} has d={t.d}, not d={samples[0].d}")
+    return grid
+
+
 def _base_values(base: BaseScalarKernel, x: FunctionTuple, y: FunctionTuple) -> np.ndarray:
     """Grid samples of z -> base(x(z), y(z))."""
     return base.pairwise(x.value_matrix(), y.value_matrix())
@@ -477,17 +489,16 @@ def _poly_columns(spec: PolyKernel, samples, allow_aliasing: bool) -> np.ndarray
     return cols.reshape(len(samples), samples[0].d, n, grid.m)
 
 
-def _poly_cross_block(spec: PolyKernel, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
-    """(m, Nx, Ny) polynomial-kernel block via one batched product per
-    grid point over the flattened (component, row) axis."""
-    Nx, d, n, m = wx.shape
-    Ny = wy.shape[0]
-    alpha = np.asarray(spec.alpha)
-    a = np.conj(wx).transpose(3, 0, 1, 2).reshape(m, Nx, d * n)
-    b = (wy * alpha[None, :, None, None]).transpose(3, 1, 2, 0).reshape(m, d * n, Ny)
-    out = np.matmul(a, b)
-    out /= n
-    return out
+def poly_factors(spec: PolyKernel, samples, allow_aliasing: bool = False) -> np.ndarray:
+    """Per-point factors F[p] of a finite-n poly kernel, shape (m, d*n, N):
+    row (c, r) of F[p] holds sqrt(alpha_c / n) (R_n(x_c)^q u(z_p))_r for each
+    sample, so k(x_i, x_j)(z_p) = (F[p]^* F[p])[i, j].  The Gram matrix at
+    every grid point thus has rank at most d*n."""
+    _check_samples(spec, samples)
+    w = _poly_columns(spec, samples, allow_aliasing)          # (N, d, n, m)
+    N, d, n, m = w.shape
+    w *= np.sqrt(np.asarray(spec.alpha) / n)[None, :, None, None]
+    return w.transpose(3, 1, 2, 0).reshape(m, d * n, N)
 
 
 def _inf_values_block(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -656,19 +667,14 @@ def _block(spec: KernelSpec, xs: list, ys: list, allow_aliasing: bool) -> np.nda
     the pairs j >= i and leave the strict lower triangle unset.  A
     real-valued spec (``_real_valued``) gets a float64 block.
     """
-    grid = _check_pair(spec, xs[0], ys[0])
     same = ys is xs
-    for i, t in enumerate(xs if same else xs + ys):
-        if t.grid != grid:
-            raise GridMismatchError(f"block sample {i} is on an m={t.grid.m} grid, not m={grid.m}")
-        if t.d != xs[0].d:
-            raise ConfigError(f"block sample {i} has d={t.d}, not d={xs[0].d}")
+    grid = _check_samples(spec, xs if same else xs + ys)
     if isinstance(spec, SepKernel):
         return _sep_blocks(spec, xs, ys, allow_aliasing)
     if isinstance(spec, PolyKernel) and not spec.is_infinite:
-        wx = _poly_columns(spec, xs, allow_aliasing)
-        wy = wx if same else _poly_columns(spec, ys, allow_aliasing)
-        return _poly_cross_block(spec, wx, wy)
+        fx = poly_factors(spec, xs, allow_aliasing)
+        fy = fx if same else poly_factors(spec, ys, allow_aliasing)
+        return np.conj(fx).transpose(0, 2, 1) @ fy
     xv = np.stack([t.value_matrix() for t in xs])            # (Nx, m, d)
     yv = xv if same else np.stack([t.value_matrix() for t in ys])
     if same:

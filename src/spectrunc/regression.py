@@ -10,6 +10,15 @@ real-valued kernel yields a float64 Gram field and float64 cross blocks:
 each system is then factored in real arithmetic, with the real and
 imaginary parts of y as two real right-hand sides.  Coefficients and
 predictions are complex either way.
+
+The truncated polynomial kernel has low rank: G(z_p) = F_p^* F_p with F_p
+the d*n x N factor of ``kernels.poly_factors``, so n bounds the rank of the
+representation.  When d*n < N (and no field is passed in), ``fit`` never
+builds the field: it solves all m systems at once in the d*n-dimensional
+factor space by the Woodbury identity, and ``predict_batch`` evaluates
+F_{x,p}^* (F_p c_p) instead of a cross block.  The n = INF poly limit has
+rank d but keeps the dense route, whose test errors are pinned
+byte-for-byte; the factored solve moves them in the last digits.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import numpy as np
 from scipy import linalg
 
 from .errors import ConfigError, NumericalError, SolverFallbackWarning
-from .kernels import KernelSpec, cross_values, gram_values
+from .kernels import KernelSpec, PolyKernel, cross_values, gram_values, poly_factors
 from .torus import FunctionTuple, SampledFunction, TorusGrid, l2_distance
 
 __all__ = [
@@ -124,48 +133,45 @@ def check_pd(gram: GramField) -> PDReport:
     return PDReport(min_per_point=mins, global_min=float(mins[arg]), argmin_point=arg)
 
 
-def fit(kernel: KernelSpec, inputs, outputs, lam: float,
-        allow_aliasing: bool = False, gram: GramField | None = None) -> RidgeModel:
-    """Solve y(z_p) = (G(z_p) + lambda I) c(z_p) at every grid point.
+def _factored(kernel: KernelSpec, n_train: int) -> bool:
+    """Whether ``fit`` and ``predict_batch`` work on the rank-d*n factors of
+    ``kernels.poly_factors`` instead of the N x N field: a finite-n poly
+    kernel whose rank bound d*n is below the training size N."""
+    return (isinstance(kernel, PolyKernel) and not kernel.is_infinite
+            and len(kernel.alpha) * kernel.n < n_train)
 
-    Uses a Hermitian (Cholesky) factorization per point and falls back to a
-    pivoted general solve with a ``SolverFallbackWarning`` when the shifted
-    Gram matrix is not positive definite.  Never regularizes silently.  A
-    float64 field is factored in real arithmetic and solved for the real
-    and imaginary parts of y as two real columns.
 
-    Raises
-    ------
-    ConfigError
-        Mismatched inputs/outputs, or lam = 0 on a Gram field that is not
-        verifiably positive definite.
-    NumericalError
-        Singular system at some grid point, or a residual-check violation.
-    """
-    inputs = tuple(inputs)
-    outputs = tuple(outputs)
-    if len(inputs) != len(outputs):
-        raise ConfigError(f"{len(inputs)} inputs vs {len(outputs)} outputs")
-    if lam < 0:
-        raise ConfigError(f"regularization must be >= 0, got {lam}")
-    grid = inputs[0].grid
-    if any(o.grid != grid for o in outputs):
-        raise ConfigError("outputs live on a different grid than inputs")
-    if gram is None:
-        gram = assemble_gram(kernel, inputs, allow_aliasing=allow_aliasing)
+def _solve_factored(F: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """Solve (F[p]^* F[p] + lam I) c = y[p] for every grid point at once in
+    the r-dimensional factor space (Woodbury): t = (F F^* + lam I)^{-1} F y,
+    c = (y - F^* t) / lam.  F is (m, r, N), y is (m, N); returns c, (m, N)."""
+    r = F.shape[1]
+    Fh = np.conj(F).transpose(0, 2, 1)
+    M = F @ Fh
+    M[:, np.arange(r), np.arange(r)] += lam
+    with np.errstate(all="ignore"):
+        t = np.linalg.solve(M, F @ y[..., None])
+        c = (y - (Fh @ t)[..., 0]) / lam
+    bad = np.flatnonzero(~np.all(np.isfinite(c), axis=1))
+    if bad.size:
+        raise NumericalError(f"non-finite solution at grid point {bad[0]}")
+    resid = np.linalg.norm((Fh @ (F @ c[..., None]))[..., 0] + lam * c - y, axis=1)
+    bad = np.flatnonzero(~(resid <= RESIDUAL_TOL * (1.0 + np.linalg.norm(y, axis=1))))
+    if bad.size:
+        p = bad[0]
+        raise NumericalError(f"solve residual {resid[p]:.3e} at grid point {p} "
+                             f"(min eigenvalue {lam:.3e})")
+    return c
+
+
+def _solve_dense(gram: GramField, y: np.ndarray, lam: float) -> np.ndarray:
+    """One Hermitian factorization per grid point of G(z_p) + lam I, with the
+    pivoted fallback; y is (N, m), returns c, (N, m)."""
     N = gram.n_samples
-    if lam == 0.0:
-        report = check_pd(gram)
-        if report.global_min <= 0.0:
-            raise ConfigError(
-                "lam = 0 requires a strictly positive definite Gram field; "
-                f"minimum eigenvalue {report.global_min:.3e} at point {report.argmin_point}"
-            )
-    y = np.stack([o.values for o in outputs])                 # (N, m)
     coeff = np.empty_like(y)
     real = gram.matrices.dtype == np.float64
     fell_back = []
-    for p in range(grid.m):
+    for p in range(gram.grid.m):
         A = gram.matrices[p] + lam * np.eye(N)
         b = np.stack([y[:, p].real, y[:, p].imag], axis=1) if real else y[:, p]
         try:
@@ -198,25 +204,93 @@ def fit(kernel: KernelSpec, inputs, outputs, lam: float,
             f"Hermitian factorization failed at {len(fell_back)} grid point(s) "
             f"(first: {fell_back[0]}); used pivoted general solves",
             SolverFallbackWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
+    return coeff
+
+
+def fit(kernel: KernelSpec, inputs, outputs, lam: float,
+        allow_aliasing: bool = False, gram: GramField | None = None) -> RidgeModel:
+    """Solve y(z_p) = (G(z_p) + lambda I) c(z_p) at every grid point.
+
+    Without a ``gram``, a finite-n poly kernel with d*n < N is solved in its
+    factor space (see the module docstring) and the field is never built;
+    the residual is still checked per point.  Otherwise the field is
+    assembled (or taken from ``gram``) and factored by a Hermitian
+    (Cholesky) factorization per point, falling back to a pivoted general
+    solve with a ``SolverFallbackWarning`` when the shifted Gram matrix is
+    not positive definite.  Never regularizes silently.  A float64 field is
+    factored in real arithmetic and solved for the real and imaginary parts
+    of y as two real columns.
+
+    Raises
+    ------
+    ConfigError
+        No inputs, mismatched inputs/outputs, or lam = 0 on a Gram field
+        that is not verifiably positive definite (on the factored route it
+        is singular by rank).
+    NumericalError
+        Singular system or non-finite solution at some grid point, or a
+        residual-check violation.
+    """
+    inputs = tuple(inputs)
+    outputs = tuple(outputs)
+    if not inputs:
+        raise ConfigError("need at least one training input")
+    if len(inputs) != len(outputs):
+        raise ConfigError(f"{len(inputs)} inputs vs {len(outputs)} outputs")
+    if lam < 0:
+        raise ConfigError(f"regularization must be >= 0, got {lam}")
+    grid = inputs[0].grid
+    if any(o.grid != grid for o in outputs):
+        raise ConfigError("outputs live on a different grid than inputs")
+    factored = gram is None and _factored(kernel, len(inputs))
+    if factored:
+        if lam == 0.0:
+            raise ConfigError(
+                "lam = 0 requires a strictly positive definite Gram field; "
+                f"this one has rank <= d*n = {len(kernel.alpha) * kernel.n} < N = {len(inputs)}"
+            )
+        F = poly_factors(kernel, inputs, allow_aliasing)
+    else:
+        if gram is None:
+            gram = assemble_gram(kernel, inputs, allow_aliasing=allow_aliasing)
+        if lam == 0.0:
+            report = check_pd(gram)
+            if report.global_min <= 0.0:
+                raise ConfigError(
+                    "lam = 0 requires a strictly positive definite Gram field; "
+                    f"minimum eigenvalue {report.global_min:.3e} at point {report.argmin_point}"
+                )
+    y = np.stack([o.values for o in outputs])                 # (N, m)
+    coeff = _solve_factored(F, y.T, lam).T.copy() if factored else _solve_dense(gram, y, lam)
     return RidgeModel(kernel=kernel, lam=float(lam), inputs=inputs,
                       coefficients=coeff, allow_aliasing=allow_aliasing)
 
 
 def predict_batch(model: RidgeModel, xs) -> list[SampledFunction]:
-    """Predictions for a batch of input tuples (one cross-kernel block)."""
+    """Predictions f(x)(z_p) = sum_j k(x, x_j)(z_p) c_j(z_p) for a batch of
+    input tuples.  On ``fit``'s factored route (finite-n poly, d*n < N) this
+    is F_{x,p}^* (F_p c_p) from the factors of both sides; otherwise one
+    (m, Nx, N) cross-kernel block."""
     xs = list(xs)
+    if not xs:
+        raise ConfigError("need at least one input to predict")
     grid = model.grid
     if any(x.grid != grid for x in xs):
         raise ConfigError("prediction inputs live on a different grid than the model")
-    K = cross_values(model.kernel, xs, list(model.inputs),
-                     allow_aliasing=model.allow_aliasing)     # (m, Nx, Ntr)
     c = model.coefficients
-    if K.dtype == np.float64:
-        vals = np.einsum("pij,jp->ip", K, c.real) + 1j * np.einsum("pij,jp->ip", K, c.imag)
+    if _factored(model.kernel, len(model.inputs)):
+        F = poly_factors(model.kernel, model.inputs, model.allow_aliasing)
+        Fx = poly_factors(model.kernel, xs, model.allow_aliasing)
+        vals = (np.conj(Fx).transpose(0, 2, 1) @ (F @ c.T[..., None]))[..., 0].T
     else:
-        vals = np.einsum("pij,jp->ip", K, c)
+        K = cross_values(model.kernel, xs, list(model.inputs),
+                         allow_aliasing=model.allow_aliasing)     # (m, Nx, Ntr)
+        if K.dtype == np.float64:
+            vals = np.einsum("pij,jp->ip", K, c.real) + 1j * np.einsum("pij,jp->ip", K, c.imag)
+        else:
+            vals = np.einsum("pij,jp->ip", K, c)
     return [SampledFunction(grid, row) for row in vals]
 
 

@@ -335,12 +335,15 @@ def write_dataset(directory, inputs, outputs=None) -> dict:
 def read_dataset(directory):
     """Returns (inputs, outputs); outputs is None when the dataset has none.
     A manifest with a ``samples`` list is the CSV layout: one tuple manifest
-    per input and one CSV per output."""
+    per input and one CSV per output.  A dataset without samples is a
+    ConfigError."""
     path = Path(directory) / "dataset.json"
     with decoding(path):
         manifest = load_json(path)
         if "samples" in manifest:
             samples = manifest["samples"]
+            if not samples:
+                raise ConfigError(f"{path}: dataset has no samples")
             inputs = [read_tuple(path.parent / s["input"]) for s in samples]
             if not all("output" in s for s in samples):
                 return inputs, None
@@ -356,6 +359,8 @@ def read_dataset(directory):
         if a is not None and (a.shape, a.dtype) != (shape, np.complex128):
             raise ConfigError(f"{arrays}: {name} array is {a.dtype} {a.shape}, "
                               f"the manifest {path} says complex128 {shape}")
+    if not len(packed["inputs"]):
+        raise ConfigError(f"{path}: dataset has no samples")
     # component-major, so each component's values are one contiguous row
     inputs = np.ascontiguousarray(packed["inputs"].transpose(0, 2, 1))
     grid = TorusGrid(inputs.shape[2])

@@ -423,6 +423,33 @@ def test_bad_data_file_exit_code(tiny_dataset, tmp_path, capsys, csv, corrupt):
     assert_one_config_error_line(capsys)
 
 
+@pytest.mark.parametrize("csv", [False, True], ids=["packed", "csv"])
+@pytest.mark.parametrize("command", ["fit", "predict", "eval"])
+def test_empty_dataset_exit_code(tiny_dataset, tmp_path, capsys, command, csv):
+    ds, model = tiny_dataset / "ds", tiny_dataset / "model"
+    assert main(["fit", "--dataset", str(ds), "--kernel", str(tiny_dataset / "kernel.json"),
+                 "--lam", "0.05", "--out", str(model)]) == EXIT_OK
+    capsys.readouterr()
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    manifest = {"m": 16, "d": 1, "n_samples": 0}
+    if csv:
+        manifest["samples"] = []
+    else:
+        manifest["arrays"] = "dataset.npz"
+        np.savez(empty / "dataset.npz", inputs=np.zeros((0, 16, 1), complex),
+                 outputs=np.zeros((0, 16), complex))
+    (empty / "dataset.json").write_text(json.dumps(manifest))
+    if command == "fit":
+        argv = ["fit", "--dataset", str(empty), "--kernel", str(tiny_dataset / "kernel.json"),
+                "--lam", "0.05"]
+    else:
+        argv = [command, "--model", str(model), "--dataset", str(empty)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+    assert "dataset has no samples" in assert_one_config_error_line(capsys)
+
+
 @pytest.mark.parametrize("command", ["predict", "eval"])
 @pytest.mark.parametrize("change", [
     {"allow_aliasing": "no"}, {"lambda": "0.1"}, {"lambda": -1.0}, {"N": "4"}, {"m": 16.5},

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -298,6 +299,15 @@ class TestWorkerCount:
             worker_count()
         monkeypatch.delenv("SPECTRUNC_WORKERS")
         assert worker_count() >= 1
+
+    def test_default_is_the_affinity_mask(self, monkeypatch):
+        # a process pinned to fewer CPUs than the machine has runs that many
+        monkeypatch.delenv("SPECTRUNC_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5}, raising=False)
+        assert worker_count() == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert worker_count() == 8
 
     def test_parallelism_does_not_change_results(self, monkeypatch):
         config = tiny_synth()

@@ -435,6 +435,37 @@ class TestBatchedBlocks:
                              for x in rows]).transpose(2, 0, 1)
             assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want))
 
+    # poly blocks, built from the rank-d*n factors at finite n: q in {1, 2},
+    # d in {1, 2}, n alias-free, aliased n <= m, folded n > m, or INF, with
+    # or without a zero alpha weight
+    @settings(max_examples=40, deadline=None)
+    @given(hst.integers(5, 40).flatmap(lambda m: hst.tuples(hst.just(m), hst.integers(1, 3 * m))),
+           hst.sampled_from([1, 2]), hst.sampled_from([1, 2]), hst.booleans(), hst.booleans(),
+           hst.integers(0, 2**16))
+    @example((12, 5), 1, 2, False, False, 0)
+    @example((12, 9), 2, 2, True, False, 1)
+    @example((30, 30), 1, 1, False, False, 2)
+    @example((7, 20), 2, 2, False, False, 3)
+    @example((10, 1), 2, 2, True, True, 4)
+    @example((9, 1), 1, 1, False, True, 5)
+    def test_poly_blocks_match_dense_oracle(self, mn, q, d, zero, limit, seed):
+        m, n = mn
+        grid = TorusGrid(m)
+        rng = np.random.default_rng(seed)
+        xs = [FunctionTuple(tuple(SampledFunction(grid, rng.standard_normal(m)
+                                                  + 1j * rng.standard_normal(m))
+                                  for _ in range(d))) for _ in range(3)]
+        # the zero weight sits on the first of two components
+        spec = PolyKernel(n=INF if limit else n, q=q, alpha=(0.0 if zero else 0.7, 1.3)[2 - d:])
+        field, _ = gram_values(spec, xs, allow_aliasing=True)
+        cross = cross_values(spec, xs[:2], xs, allow_aliasing=True)
+        for block, rows in ((field, xs), (cross, xs[:2])):
+            want = np.stack([[evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
+                             for x in rows]).transpose(2, 0, 1)
+            assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want))
+        if not limit:
+            assert kernels_mod.poly_factors(spec, xs, allow_aliasing=True).shape == (m, d * n, 3)
+
     @pytest.mark.parametrize("n", [5, INF], ids=["finite", "inf"])
     @pytest.mark.parametrize("spec, real", [
         (lambda n: REAL_SPECS["prod-gaussian"](n, PIN_GRID, 0.4), True),

@@ -3,6 +3,7 @@ import pytest
 
 from helpers import random_trig_tuple
 from spectrunc import (
+    INF,
     ConfigError,
     FunctionTuple,
     GaussianKernel,
@@ -326,3 +327,88 @@ class TestTestError:
         model = fit(sep_spec(GRID), xs, [SampledFunction.constant(GRID, 0.0)] * 3, lam=0.5)
         ones = [SampledFunction.constant(GRID, 1.0)] * 3
         assert model_test_error(model, xs, ones) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestFactoredRoute:
+    """Finite-n poly with d*n < N: fit and predict_batch solve in the rank-d*n
+    factor space and never build an N x N field or an Nx x N cross block."""
+
+    @staticmethod
+    def dense_fit_predict(spec, xs, ys, lam, probes):
+        model = fit(spec, xs, ys, lam, gram=assemble_gram(spec, xs))
+        K = regression.cross_values(spec, probes, xs)
+        return model.coefficients, np.einsum("pij,jp->ip", K, model.coefficients)
+
+    @pytest.mark.parametrize("q, alpha, n, N", [
+        (1, (1.0, 1.0), 4, 12),
+        (1, (0.0, 1.3), 3, 8),
+        (2, (0.7, 1.3), 3, 10),
+        (2, (0.5,), 5, 9),
+    ], ids=["q1", "q1-zero-weight", "q2", "q2-d1"])
+    def test_factored_matches_dense_route(self, rng, q, alpha, n, N):
+        d = len(alpha)
+        spec = PolyKernel(n=n, q=q, alpha=alpha)
+        xs = [random_trig_tuple(GRID, rng, d=d, deg=3) for _ in range(N)]
+        ys = complex_outputs(GRID, rng, N)
+        probes = [random_trig_tuple(GRID, rng, d=d, deg=3) for _ in range(3)]
+        assert regression._factored(spec, N)
+        model = fit(spec, xs, ys, lam=0.05)
+        got = np.stack([p.values for p in predict_batch(model, probes)])
+        coeff, want = self.dense_fit_predict(spec, xs, ys, 0.05, probes)
+        assert np.max(np.abs(model.coefficients - coeff)) <= 1e-10 * np.max(np.abs(coeff))
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_residual_invariant_against_dense_field(self, rng):
+        xs = [random_trig_tuple(GRID, rng, d=2, deg=3) for _ in range(12)]
+        ys = complex_outputs(GRID, rng, 12)
+        spec = PolyKernel(n=5, q=1, alpha=(1.0, 1.0))          # d*n = 10 < N = 12
+        model = fit(spec, xs, ys, lam=0.01)
+        gram = assemble_gram(spec, xs)
+        for p in range(GRID.m):
+            A = gram.matrices[p] + 0.01 * np.eye(12)
+            b = np.array([y.values[p] for y in ys])
+            r = np.linalg.norm(A @ model.coefficients[:, p] - b)
+            assert r <= 1e-8 * (1 + np.linalg.norm(b))
+
+    def test_residual_check_names_the_grid_point(self, rng, monkeypatch):
+        xs = [random_trig_tuple(GRID, rng, d=1, deg=3) for _ in range(6)]
+        monkeypatch.setattr(regression, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(NumericalError, match="residual .* at grid point 0 "):
+            fit(PolyKernel(n=4, q=1, alpha=(1.0,)), xs, complex_outputs(GRID, rng, 6), lam=0.1)
+
+    def test_non_finite_solution_raises(self, rng):
+        xs = [random_trig_tuple(GRID, rng, d=1, deg=3) for _ in range(6)]
+        xs[2] = FunctionTuple((SampledFunction(GRID, np.full(GRID.m, np.nan + 0j)),))
+        with pytest.raises(NumericalError, match="non-finite solution at grid point 0"):
+            fit(PolyKernel(n=4, q=1, alpha=(1.0,)), xs, complex_outputs(GRID, rng, 6), lam=0.1)
+
+    def test_lambda_zero_rejected(self, rng):
+        xs = [random_trig_tuple(GRID, rng, d=1, deg=3) for _ in range(6)]
+        with pytest.raises(ConfigError, match="rank <= d\\*n = 4 < N = 6"):
+            fit(PolyKernel(n=4, q=1, alpha=(1.0,)), xs, complex_outputs(GRID, rng, 6), lam=0.0)
+
+    @pytest.mark.parametrize("n, dense", [(3, False), (4, True), (INF, True)],
+                             ids=["below-N", "equal-N", "inf"])
+    def test_dense_blocks_only_when_rank_reaches_N(self, rng, monkeypatch, n, dense):
+        # d*n = 6 < N = 8 takes the factored route; d*n = N and the rank-d
+        # n = INF limit keep the field and the cross block
+        called = set()
+        for name in ("gram_values", "cross_values", "assemble_gram"):
+            def spy(*args, _real=getattr(regression, name), _name=name, **kwargs):
+                called.add(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(regression, name, spy)
+        xs = [random_trig_tuple(GRID, rng, d=2, deg=3) for _ in range(8)]
+        model = fit(PolyKernel(n=n, q=1, alpha=(1.0, 1.0)), xs, complex_outputs(GRID, rng, 8),
+                    lam=0.1)
+        predict_batch(model, xs[:2])
+        assert called == ({"gram_values", "cross_values", "assemble_gram"} if dense else set())
+
+    def test_empty_inputs_rejected(self, rng):
+        spec = PolyKernel(n=4, q=1, alpha=(1.0,))
+        with pytest.raises(ConfigError, match="at least one training input"):
+            fit(spec, [], [], lam=0.1)
+        xs = [random_trig_tuple(GRID, rng, d=1, deg=3) for _ in range(6)]
+        model = fit(spec, xs, complex_outputs(GRID, rng, 6), lam=0.1)
+        with pytest.raises(ConfigError, match="at least one input to predict"):
+            predict_batch(model, [])
