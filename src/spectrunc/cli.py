@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -100,10 +99,8 @@ def _cmd_inpaint(args) -> int:
 
 
 def _cmd_fejer(args) -> int:
-    axis = 2.0 * np.pi * np.arange(args.density) / args.density
-    dim = 2 * args.q
-    header = [f"t{i + 1}" for i in range(dim)] + ["value"]
-    points = np.array(list(itertools.product(axis, repeat=dim)))
+    points = fejer.grid_points(args.density, args.q)
+    header = [f"t{i + 1}" for i in range(2 * args.q)] + ["value"]
     values = fejer.fejer_multi(args.n, args.q, points)
     rows = [list(map(float, p)) + [float(v)] for p, v in zip(points, values)]
     serialize.write_rows_csv(Path(args.out), header, rows)

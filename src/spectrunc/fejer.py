@@ -19,7 +19,12 @@ that is O(q m_axis^2) Dirichlet values plus 2q broadcast products over the
 m_axis^{2q} nodes.
 
 The kernel is real, even, bounded by n^{2q}, and integrates to 1 under the
-normalized measure on T^{2q}.
+normalized measure on T^{2q}.  It dips below zero for q >= 1, and the
+truncated product kernels stay positive definite for beta >= -min F_n:
+``fejer_min_estimate`` estimates that minimum by a grid scan refined with a
+batched numpy Nelder-Mead that takes scipy's steps for every start, so the
+module imports no part of scipy.  Tabulations and scans are budgeted by
+CONVOLVE_MAX_EVALS points before anything is allocated.
 """
 
 from __future__ import annotations
@@ -27,15 +32,15 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy import optimize
 
-from .errors import BudgetError
+from .errors import BudgetError, ConfigError
 
 __all__ = [
     "dirichlet",
     "fejer_1d",
     "fejer_multi",
     "fejer_multi_oracle",
+    "grid_points",
     "polyhedron_contains",
     "lattice_points_mP",
     "q_set_union",
@@ -58,7 +63,7 @@ BETA_POLICIES = ("manual", "bound", "estimate")
 def dirichlet(n: int, s) -> np.ndarray | complex:
     """Geometric sum D_n(s) = sum_{r=0}^{n-1} e^{irs}; equals n at s = 0 mod 2*pi."""
     if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
+        raise ConfigError(f"need n >= 1, got n={n}")
     s_arr = np.asarray(s, dtype=float)
     flat = s_arr.ravel()
     w = np.exp(1j * flat)
@@ -111,13 +116,36 @@ def fejer_multi(n: int, q: int, t) -> np.ndarray | float:
     Real values of shape t.shape[:-1] (float for a single point).
     """
     if q < 1:
-        raise ValueError(f"degree must be positive, got q={q}")
+        raise ConfigError(f"degree must be positive, got q={q}")
     t_arr = np.atleast_2d(np.asarray(t, dtype=float))
     if t_arr.shape[-1] != 2 * q:
-        raise ValueError(f"expected points in T^{2 * q}, got last axis {t_arr.shape[-1]}")
+        raise ConfigError(f"expected points in T^{2 * q}, got last axis {t_arr.shape[-1]}")
     val = _chain(n, [t_arr[..., k] for k in range(2 * q)])
     out = val.real.reshape(np.shape(t)[:-1])
     return out if out.ndim else float(out)
+
+
+def _check_budget(axis: int, dim: int, extra: int, what: str) -> None:
+    """BudgetError unless axis^dim + extra <= CONVOLVE_MAX_EVALS.  With
+    axis >= 2, a dim past the budget's bit length is over it, which keeps a
+    huge dim from forming axis^dim."""
+    if dim >= CONVOLVE_MAX_EVALS.bit_length() or axis**dim + extra > CONVOLVE_MAX_EVALS:
+        more = f" + {extra}" if extra else ""
+        raise BudgetError(f"{axis}^{dim}{more} {what} exceed budget {CONVOLVE_MAX_EVALS}")
+
+
+def grid_points(density: int, q: int) -> np.ndarray:
+    """The density^{2q} nodes 2*pi*j/density of the tensor grid on T^{2q},
+    shape (density^{2q}, 2q), last coordinate fastest.
+
+    ConfigError for density < 2 or q < 1; BudgetError, before anything is
+    allocated, for more than CONVOLVE_MAX_EVALS nodes."""
+    if density < 2 or q < 1:
+        raise ConfigError(f"need density >= 2 and q >= 1, got density={density}, q={q}")
+    _check_budget(density, 2 * q, 0, "grid points")
+    axis = 2.0 * np.pi * np.arange(density) / density
+    nodes = np.meshgrid(*([axis] * (2 * q)), indexing="ij")
+    return np.stack(nodes, axis=-1).reshape(-1, 2 * q)
 
 
 def _window_maxabs(r) -> float:
@@ -195,6 +223,63 @@ def q_set_union(m: int, q: int) -> set[tuple[int, ...]]:
     return out
 
 
+def _by_value(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each simplex's vertices in argsort order of their values."""
+    order = np.argsort(fsim, axis=1)
+    return np.take_along_axis(sim, order[..., None], 1), np.take_along_axis(fsim, order, 1)
+
+
+def _nelder_mead(f, starts: np.ndarray, xatol: float = 1e-10, fatol: float = 1e-12,
+                 maxiter: int = 2000) -> np.ndarray:
+    """Nelder-Mead from every row of ``starts`` at once; min(fsim) per start.
+
+    Step for step the algorithm of ``scipy.optimize.minimize(method=
+    "Nelder-Mead")`` without bounds: the same initial simplex, coefficients,
+    argsort ordering and per-start stop, so each start's iterates are
+    scipy's.  ``f`` maps points (k, dim) to values (k,); one iteration calls
+    it at most three times (the reflections, the expansion or contraction
+    point of each start that needs one, and the shrink vertices)."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    S, dim = starts.shape
+    sim = np.repeat(starts[:, None, :], dim + 1, axis=1)
+    k = np.arange(dim)
+    sim[:, k + 1, k] = np.where(starts != 0, (1 + 0.05) * starts, 0.00025)
+    # scipy sorts the initial simplex twice, and argsort need not keep ties
+    sim, fsim = _by_value(*_by_value(sim, f(sim.reshape(-1, dim)).reshape(S, dim + 1)))
+    active = np.ones(S, dtype=bool)
+    for _ in range(1, maxiter):  # scipy counts the initial simplex as iteration 1
+        active &= ~((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
+                    & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol))
+        a = np.flatnonzero(active)
+        if not a.size:
+            break
+        s, fs = sim[a], fsim[a]
+        xbar, worst = np.add.reduce(s[:, :-1], 1) / dim, s[:, -1]
+        xr = (1 + rho) * xbar - rho * worst
+        fxr = f(xr)
+        expand = fxr < fs[:, 0]
+        keep_r = ~expand & (fxr < fs[:, -2])
+        outside = ~expand & ~keep_r & (fxr < fs[:, -1])
+        x2 = np.where(expand[:, None], (1 + rho * chi) * xbar - rho * chi * worst,
+                      np.where(outside[:, None], (1 + psi * rho) * xbar - psi * rho * worst,
+                               (1 - psi) * xbar + psi * worst))
+        f2 = np.zeros_like(fxr)
+        if not keep_r.all():
+            f2[~keep_r] = f(x2[~keep_r])
+        take2 = ~keep_r & np.where(expand, f2 < fxr,
+                                   np.where(outside, f2 <= fxr, f2 < fs[:, -1]))
+        take_r = keep_r | (expand & ~take2)
+        shrink = ~keep_r & ~expand & ~take2
+        s[take_r, -1], fs[take_r, -1] = xr[take_r], fxr[take_r]
+        s[take2, -1], fs[take2, -1] = x2[take2], f2[take2]
+        if shrink.any():
+            best = s[shrink, :1]
+            s[shrink, 1:] = best + sigma * (s[shrink, 1:] - best)
+            fs[shrink, 1:] = f(s[shrink, 1:].reshape(-1, dim)).reshape(-1, dim)
+        sim[a], fsim[a] = _by_value(s, fs)
+    return fsim.min(axis=1)
+
+
 def fejer_min_estimate(
     n: int,
     q: int,
@@ -204,43 +289,39 @@ def fejer_min_estimate(
 ) -> float:
     """Estimated minimum of the Fejer kernel over T^{2q}.
 
-    q = 1 scans a full 2-D grid (grid_density points per axis) and refines
-    the best point locally; q >= 2 combines a coarse tensor scan with a
-    seeded random multistart and local descent.  An estimate, not a
-    certificate; always >= -n^{2q} (the provable bound).
+    q = 1 scans the full 2-D grid (grid_density points per axis) and refines
+    the best point locally; q >= 2 scans the coarse 8^{2q} tensor grid plus
+    n_random_starts seeded random points and refines the best 8.  The local
+    descent runs scipy's Nelder-Mead steps (xatol 1e-10, fatol 1e-12, at
+    most 2000 iterations) for all starts at once, in numpy; scipy is not
+    imported.  An estimate, not a certificate; always >= -n^{2q} (the
+    provable bound).
+
+    Raises
+    ------
+    ConfigError
+        n < 1, q < 1, grid_density < 2 or seed < 0.
+    BudgetError
+        The scan would exceed CONVOLVE_MAX_EVALS points (checked before
+        anything is allocated; q >= 4 always does).
     """
-    if grid_density < 2:
-        raise ValueError("grid_density must be >= 2")
-    dim = 2 * q
-
-    def f(t: np.ndarray) -> float:
-        return float(_chain(n, np.remainder(t, 2.0 * np.pi)[:, None]).real[0])
-
-    axis = 2.0 * np.pi * np.arange(grid_density) / grid_density
+    if q < 1 or grid_density < 2 or seed < 0:
+        raise ConfigError("need q >= 1, grid_density >= 2 and seed >= 0, got "
+                          f"q={q}, grid_density={grid_density}, seed={seed}")
     if q == 1:
-        t1, t2 = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.stack([t1.ravel(), t2.ravel()], axis=-1)
-        vals = fejer_multi(n, q, pts)
-        starts = [pts[int(np.argmin(vals))]]
-        best = float(np.min(vals))
+        pts = grid_points(grid_density, q)
     else:
-        coarse = 2.0 * np.pi * np.arange(8) / 8
-        pts = np.array(list(itertools.product(coarse, repeat=dim)))
+        _check_budget(8, 2 * q, n_random_starts, "scan points")
+        pts = grid_points(8, q)
         rng = np.random.default_rng(seed)
-        pts = np.concatenate(
-            [pts, rng.uniform(0.0, 2.0 * np.pi, size=(n_random_starts, dim))]
-        )
-        vals = fejer_multi(n, q, pts)
-        order = np.argsort(vals)
-        starts = [pts[i] for i in order[:8]]
-        best = float(vals[order[0]])
-    for start in starts:
-        res = optimize.minimize(
-            f, np.asarray(start, dtype=float), method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-        )
-        if res.fun < best:
-            best = float(res.fun)
+        pts = np.concatenate([pts, rng.uniform(0.0, 2.0 * np.pi, size=(n_random_starts, 2 * q))])
+    vals = fejer_multi(n, q, pts)
+    starts = pts[np.argsort(vals)[:8]] if q > 1 else pts[[int(np.argmin(vals))]]
+
+    def f(t: np.ndarray) -> np.ndarray:
+        return _chain(n, list(np.remainder(t, 2.0 * np.pi).T)).real
+
+    best = min(float(np.min(vals)), float(_nelder_mead(f, starts).min()))
     return max(best, -float(n) ** (2 * q))
 
 
@@ -262,9 +343,7 @@ def fejer_convolve(g, n: int, q: int, z: float, m_axis: int = 32) -> complex:
     """
     if q > ORACLE_MAX_Q:
         raise BudgetError(f"convolution guarded to q<={ORACLE_MAX_Q}")
-    total = m_axis ** (2 * q)
-    if total > CONVOLVE_MAX_EVALS:
-        raise BudgetError(f"{total} quadrature nodes exceed budget {CONVOLVE_MAX_EVALS}")
+    _check_budget(m_axis, 2 * q, 0, "quadrature nodes")
     axis = 2.0 * np.pi * np.arange(m_axis) / m_axis
     coords = np.meshgrid(*([axis] * (2 * q)), indexing="ij", sparse=True)
     gvals = np.asarray(g(np.stack(np.broadcast_arrays(*coords))), dtype=complex)

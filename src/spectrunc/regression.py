@@ -95,6 +95,12 @@ class RidgeModel:
     inputs: tuple[FunctionTuple, ...]
     coefficients: np.ndarray = field(repr=False)  # (N, m)
     allow_aliasing: bool = False
+    # F_p c_p, (m, d*n, 1): all that prediction on the factored route needs
+    # of the training side.  Set by ``fit``; outside init, so a model read
+    # from disk or made by ``dataclasses.replace`` starts without it and
+    # ``predict_batch`` rebuilds it from the factors.  Never serialized.
+    factor_coefficients: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def grid(self) -> TorusGrid:
@@ -264,15 +270,20 @@ def fit(kernel: KernelSpec, inputs, outputs, lam: float,
                 )
     y = np.stack([o.values for o in outputs])                 # (N, m)
     coeff = _solve_factored(F, y.T, lam).T.copy() if factored else _solve_dense(gram, y, lam)
-    return RidgeModel(kernel=kernel, lam=float(lam), inputs=inputs,
-                      coefficients=coeff, allow_aliasing=allow_aliasing)
+    model = RidgeModel(kernel=kernel, lam=float(lam), inputs=inputs,
+                       coefficients=coeff, allow_aliasing=allow_aliasing)
+    if factored:
+        object.__setattr__(model, "factor_coefficients", F @ coeff.T[..., None])
+    return model
 
 
 def predict_batch(model: RidgeModel, xs) -> list[SampledFunction]:
     """Predictions f(x)(z_p) = sum_j k(x, x_j)(z_p) c_j(z_p) for a batch of
     input tuples.  On ``fit``'s factored route (finite-n poly, d*n < N) this
-    is F_{x,p}^* (F_p c_p) from the factors of both sides; otherwise one
-    (m, Nx, N) cross-kernel block."""
+    is F_{x,p}^* (F_p c_p): the factors of the batch times the model's
+    ``factor_coefficients``, rebuilt from the training factors only when the
+    model lacks them (read from disk); otherwise one (m, Nx, N) cross-kernel
+    block."""
     xs = list(xs)
     if not xs:
         raise ConfigError("need at least one input to predict")
@@ -281,9 +292,11 @@ def predict_batch(model: RidgeModel, xs) -> list[SampledFunction]:
         raise ConfigError("prediction inputs live on a different grid than the model")
     c = model.coefficients
     if _factored(model.kernel, len(model.inputs)):
-        F = poly_factors(model.kernel, model.inputs, model.allow_aliasing)
+        Fc = model.factor_coefficients
+        if Fc is None:
+            Fc = poly_factors(model.kernel, model.inputs, model.allow_aliasing) @ c.T[..., None]
         Fx = poly_factors(model.kernel, xs, model.allow_aliasing)
-        vals = (np.conj(Fx).transpose(0, 2, 1) @ (F @ c.T[..., None]))[..., 0].T
+        vals = (np.conj(Fx).transpose(0, 2, 1) @ Fc)[..., 0].T
     else:
         K = cross_values(model.kernel, xs, list(model.inputs),
                          allow_aliasing=model.allow_aliasing)     # (m, Nx, Ntr)

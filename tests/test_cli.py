@@ -78,6 +78,27 @@ def test_fejer_subcommands(tmp_path):
     assert float(estimate) >= -9.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["fejer", "--n", "0"],
+    ["fejer", "--n", "3", "--q", "0"],
+    ["fejer", "--n", "3", "--density", "0"],
+    ["fejer", "--n", "3", "--density", "1"],
+    ["fejer", "--n", "3", "--q", "5", "--density", "16"],
+    ["fejer-min", "--n", "0"],
+    ["fejer-min", "--n", "3", "--q", "0"],
+    ["fejer-min", "--n", "3", "--density", "1"],
+    ["fejer-min", "--n", "3", "--seed", "-1"],
+    ["fejer-min", "--n", "3", "--q", "4"],
+], ids=["fejer-n0", "fejer-q0", "fejer-density0", "fejer-density1", "fejer-over-budget",
+        "min-n0", "min-q0", "min-density1", "min-seed-1", "min-over-budget"])
+def test_fejer_bad_input_exit_code(tmp_path, capsys, argv):
+    # the over-budget sizes are rejected before any grid is allocated
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert_one_config_error_line(capsys)
+    assert not out.exists()
+
+
 def test_converge_subcommand(tmp_path):
     config = {
         "n_list": [4, 8],

@@ -1,5 +1,7 @@
 import itertools
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from spectrunc import (
     lattice_points_mP,
     q_set_union,
 )
-from spectrunc.errors import BudgetError
+from spectrunc.errors import BudgetError, ConfigError
 
 
 def window_maxabs(r):
@@ -181,6 +183,102 @@ class TestMinEstimate:
         for n, q in [(4, 1), (4, 2), (8, 1), (8, 2)]:
             want = ref[f"fejer_min/n{n}/q{q}"]
             assert fejer_min_estimate(n, q, seed=0) == pytest.approx(want, rel=1e-12)
+
+
+    @pytest.mark.parametrize("call", [
+        lambda: fejer_min_estimate(0, 1),
+        lambda: fejer_min_estimate(2, 0),
+        lambda: fejer_min_estimate(2, 1, grid_density=1),
+        lambda: fejer_min_estimate(2, 2, seed=-1),
+        lambda: dirichlet(0, 0.5),
+        lambda: fejer_multi(2, 0, np.zeros((1, 0))),
+        lambda: fejer.grid_points(1, 1),
+    ], ids=["n0", "q0", "density1", "seed-1", "dirichlet-n0", "multi-q0", "grid-density1"])
+    def test_bad_arguments_are_config_errors(self, call):
+        with pytest.raises(ConfigError):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: fejer_min_estimate(2, 4),
+        lambda: fejer_min_estimate(2, 3, n_random_starts=fejer.CONVOLVE_MAX_EVALS),
+        lambda: fejer_min_estimate(2, 1, grid_density=2049),
+        lambda: fejer.grid_points(16, 5),
+        lambda: fejer.grid_points(2, 10**9),
+    ], ids=["q4-scan", "q3-starts", "q1-density", "table", "huge-q"])
+    def test_scan_budget_checked_before_allocating(self, call):
+        # every size here is rejected by the guard before any array exists
+        with pytest.raises(BudgetError):
+            call()
+
+
+def _estimate_starts(n, q, seed, density=64):
+    """The starts ``fejer_min_estimate`` refines, from its own scan."""
+    if q == 1:
+        pts = fejer.grid_points(density, 1)
+        return pts[[int(np.argmin(fejer_multi(n, q, pts)))]]
+    rng = np.random.default_rng(seed)
+    pts = np.concatenate([fejer.grid_points(8, q), rng.uniform(0, 2 * np.pi, (32, 2 * q))])
+    return pts[np.argsort(fejer_multi(n, q, pts))[:8]]
+
+
+class TestBatchedNelderMead:
+    """The batched descent is pinned to ``scipy.optimize.minimize``, which
+    only this test imports: every start's result is equal, not close."""
+
+    @staticmethod
+    def scipy_runs(n, starts, maxiter=2000):
+        optimize = pytest.importorskip("scipy.optimize")
+
+        def f(t):
+            return float(fejer._chain(n, np.remainder(t, 2.0 * np.pi)[:, None]).real[0])
+
+        return [optimize.minimize(f, s, method="Nelder-Mead",
+                                  options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": maxiter})
+                for s in starts]
+
+    @staticmethod
+    def batched(n, starts, **kwargs):
+        return fejer._nelder_mead(
+            lambda t: fejer._chain(n, list(np.remainder(t, 2.0 * np.pi).T)).real,
+            starts, **kwargs).tolist()
+
+    @pytest.mark.parametrize("n, q, seed", [
+        (1, 1, 0), (3, 1, 0), (8, 1, 7), (5, 1, 20240527),
+        (2, 2, 0), (4, 2, 1), (6, 2, 7), (8, 2, 20240527),
+    ])
+    def test_each_start_matches_scipy(self, n, q, seed):
+        # the estimate's own starts, plus random ones with zero coordinates
+        # (scipy's 0.00025 simplex step) that shrink at q = 1
+        rng = np.random.default_rng(seed)
+        extra = rng.uniform(0, 2 * np.pi, (3, 2 * q))
+        extra[0], extra[1, ::2] = 0.0, 0.0
+        starts = np.concatenate([_estimate_starts(n, q, seed), extra])
+        runs = self.scipy_runs(n, starts)
+        assert self.batched(n, starts) == [r.fun for r in runs]
+        if q == 1:
+            # a run without shrinks makes at most 2 evaluations per iteration
+            assert any(r.nfev > 2 * q + 1 + 2 * r.nit for r in runs)
+
+    def test_iteration_cap_matches_scipy(self):
+        starts = _estimate_starts(4, 2, 0)
+        runs = self.scipy_runs(4, starts, maxiter=25)
+        assert all(r.nit == 25 for r in runs)
+        assert self.batched(4, starts, maxiter=25) == [r.fun for r in runs]
+
+    def test_three_evaluation_calls_per_iteration_at_most(self, monkeypatch):
+        calls = []
+        real = fejer._chain
+        monkeypatch.setattr(fejer, "_chain", lambda n, ts: calls.append(1) or real(n, ts))
+        self.batched(4, _estimate_starts(4, 2, 0), maxiter=50)
+        assert 1 + 49 <= len(calls) <= 1 + 3 * 49
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    src = Path(fejer.__file__).resolve().parents[1]
+    code = "import sys, spectrunc.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 class TestBetaPolicy:

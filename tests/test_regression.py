@@ -404,6 +404,33 @@ class TestFactoredRoute:
         predict_batch(model, xs[:2])
         assert called == ({"gram_values", "cross_values", "assemble_gram"} if dense else set())
 
+    def test_fitted_model_factors_only_the_batch(self, rng, monkeypatch, tmp_path):
+        # fit keeps F_p c_p; a model read from disk lacks it and rebuilds it
+        # from the training factors, and both predict the same bits
+        from spectrunc.serialize import read_model, write_model
+
+        spec = PolyKernel(n=3, q=2, alpha=(0.7, 1.3))
+        xs = [random_trig_tuple(GRID, rng, d=2, deg=3) for _ in range(10)]
+        probes = [random_trig_tuple(GRID, rng, d=2, deg=3) for _ in range(3)]
+        model = fit(spec, xs, complex_outputs(GRID, rng, 10), lam=0.05)
+        write_model(model, tmp_path / "model")
+        read = read_model(tmp_path / "model")
+        assert read.factor_coefficients is None
+        assert "factor_coefficients" not in repr(model)
+        sizes = []
+
+        def spy(kernel, inputs, *args, _real=regression.poly_factors):
+            sizes.append(len(inputs))
+            return _real(kernel, inputs, *args)
+
+        monkeypatch.setattr(regression, "poly_factors", spy)
+        fresh = np.stack([p.values for p in predict_batch(model, probes)])
+        assert sizes == [3]
+        sizes.clear()
+        rebuilt = np.stack([p.values for p in predict_batch(read, probes)])
+        assert sorted(sizes) == [3, 10]
+        assert np.array_equal(fresh, rebuilt)
+
     def test_empty_inputs_rejected(self, rng):
         spec = PolyKernel(n=4, q=1, alpha=(1.0,))
         with pytest.raises(ConfigError, match="at least one training input"):
