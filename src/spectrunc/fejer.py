@@ -49,10 +49,6 @@ __all__ = [
     "beta_from_policy",
 ]
 
-# below this wrapped distance from a multiple of 2*pi the geometric closed
-# form loses digits to cancellation; fall back to the direct sum
-_NEAR_POLE = 1e-4
-
 ORACLE_MAX_N = 8
 ORACLE_MAX_Q = 2
 LATTICE_MAX_M = 4
@@ -61,21 +57,19 @@ BETA_POLICIES = ("manual", "bound", "estimate")
 
 
 def dirichlet(n: int, s) -> np.ndarray | complex:
-    """Geometric sum D_n(s) = sum_{r=0}^{n-1} e^{irs}; equals n at s = 0 mod 2*pi."""
+    """Geometric sum D_n(s) = sum_{r=0}^{n-1} e^{irs}; equals n at s = 0 mod 2*pi.
+
+    Closed form e^{i(n-1)h} sin(nh)/sin(h) with h = s/2 for s wrapped into
+    [-pi, pi): both sines keep full relative precision as h -> 0, so the
+    quotient stays exact next to the pole, and it is n at h = 0."""
     if n < 1:
         raise ConfigError(f"need n >= 1, got n={n}")
     s_arr = np.asarray(s, dtype=float)
-    flat = s_arr.ravel()
-    w = np.exp(1j * flat)
-    wrapped = np.abs(np.remainder(flat + np.pi, 2.0 * np.pi) - np.pi)
-    near = wrapped < _NEAR_POLE
-    den = np.where(near, 1.0, w - 1.0)
-    out = (w**n - 1.0) / den
-    if near.any():
-        # near s = 0 mod 2*pi the quotient cancels catastrophically; the
-        # direct sum is exact and the masked subset is small
-        out[near] = np.exp(1j * np.outer(flat[near], np.arange(n))).sum(axis=1)
-    out = out.reshape(s_arr.shape)
+    h = 0.5 * (np.remainder(s_arr + np.pi, 2.0 * np.pi) - np.pi)
+    sin_h = np.sin(h)
+    pole = sin_h == 0.0
+    ratio = np.where(pole, float(n), np.sin(n * h) / np.where(pole, 1.0, sin_h))
+    out = np.exp(1j * (n - 1) * h) * ratio
     return out if s_arr.ndim else complex(out)
 
 

@@ -317,6 +317,18 @@ def _base_values(base: BaseScalarKernel, x: FunctionTuple, y: FunctionTuple) -> 
 # ---------------------------------------------------------------------------
 
 
+def _dense_chain(fs1, fs2, n: int, allow_aliasing: bool) -> np.ndarray:
+    """prod_j R_n(fs1[j])^* prod_j R_n(fs2[j]), multiplied left to right: the
+    n x n matrix whose S_n map is a finite-n truncated kernel value."""
+    left = np.eye(n, dtype=complex)
+    for f in fs1:
+        left = left @ truncate(f, n, allow_aliasing).dense().conj().T
+    right = np.eye(n, dtype=complex)
+    for f in fs2:
+        right = right @ truncate(f, n, allow_aliasing).dense()
+    return left @ right
+
+
 def k_poly(spec: PolyKernel, x: FunctionTuple, y: FunctionTuple,
            allow_aliasing: bool = False) -> SampledFunction:
     grid = _check_pair(spec, x, y)
@@ -328,9 +340,7 @@ def k_poly(spec: PolyKernel, x: FunctionTuple, y: FunctionTuple,
     n = int(spec.n)
     acc = np.zeros((n, n), dtype=complex)
     for a, xc, yc in zip(spec.alpha, x.components, y.components):
-        left = np.linalg.matrix_power(truncate(xc, n, allow_aliasing).dense().conj().T, spec.q)
-        right = np.linalg.matrix_power(truncate(yc, n, allow_aliasing).dense(), spec.q)
-        acc += a * (left @ right)
+        acc += a * _dense_chain([xc] * spec.q, [yc] * spec.q, n, allow_aliasing)
     return sn_map(acc, grid)
 
 
@@ -356,14 +366,7 @@ def k_prod(spec: ProdKernel, x: FunctionTuple, y: FunctionTuple,
         for f1, f2 in zip(g1, g2):
             vals *= np.conj(f1.values) * f2.values
         return SampledFunction(grid, vals)
-    n = int(spec.n)
-    left = np.eye(n, dtype=complex)
-    for f in g1:
-        left = left @ truncate(f, n, allow_aliasing).dense().conj().T
-    right = np.eye(n, dtype=complex)
-    for f in g2:
-        right = right @ truncate(f, n, allow_aliasing).dense()
-    vals = sn_map(left @ right, grid).values
+    vals = sn_map(_dense_chain(g1, g2, int(spec.n), allow_aliasing), grid).values
     if spec.beta:
         vals = vals + spec.beta * prod_offset(spec, x, y)
     return SampledFunction(grid, vals)
@@ -371,14 +374,7 @@ def k_prod(spec: ProdKernel, x: FunctionTuple, y: FunctionTuple,
 
 def sep_weight_matrix(spec: SepKernel, allow_aliasing: bool = False) -> np.ndarray:
     """prod_j R_n(a_j)^* prod_j R_n(a_j) for finite n."""
-    n = int(spec.n)
-    left = np.eye(n, dtype=complex)
-    for a in spec.weights:
-        left = left @ truncate(a, n, allow_aliasing).dense().conj().T
-    right = np.eye(n, dtype=complex)
-    for a in spec.weights:
-        right = right @ truncate(a, n, allow_aliasing).dense()
-    return left @ right
+    return _dense_chain(spec.weights, spec.weights, int(spec.n), allow_aliasing)
 
 
 def _smooth_tuple(t: FunctionTuple, n: int, allow_aliasing: bool) -> FunctionTuple:

@@ -49,7 +49,8 @@ RESIDUAL_TOL = 1e-8
 
 
 def _min_eig(A: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(A)[0].real)
+    """Minimum eigenvalue of a Hermitian matrix; nan if A is not finite."""
+    return float(np.linalg.eigvalsh(A)[0].real) if np.all(np.isfinite(A)) else float("nan")
 
 
 @dataclass(frozen=True)
@@ -147,6 +148,19 @@ def _factored(kernel: KernelSpec, n_train: int) -> bool:
             and len(kernel.alpha) * kernel.n < n_train)
 
 
+def _checked(c: np.ndarray, resid: np.ndarray, y: np.ndarray, min_eig) -> np.ndarray:
+    """Return c if every grid point's solution is finite with residual norm
+    resid[p] <= RESIDUAL_TOL * (1 + |y_p|); else raise, naming the first
+    point that is not.  ``min_eig(p)`` is called only for that message."""
+    bad = np.flatnonzero(~(resid <= RESIDUAL_TOL * (1.0 + np.linalg.norm(y, axis=1))))
+    if bad.size:
+        p = bad[0]
+        what = (f"solve residual {resid[p]:.3e}" if np.all(np.isfinite(c[p]))
+                else "non-finite solution")
+        raise NumericalError(f"{what} at grid point {p} (min eigenvalue {min_eig(p):.3e})")
+    return c
+
+
 def _solve_factored(F: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """Solve (F[p]^* F[p] + lam I) c = y[p] for every grid point at once in
     the r-dimensional factor space (Woodbury): t = (F F^* + lam I)^{-1} F y,
@@ -158,53 +172,39 @@ def _solve_factored(F: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     with np.errstate(all="ignore"):
         t = np.linalg.solve(M, F @ y[..., None])
         c = (y - (Fh @ t)[..., 0]) / lam
-    bad = np.flatnonzero(~np.all(np.isfinite(c), axis=1))
-    if bad.size:
-        raise NumericalError(f"non-finite solution at grid point {bad[0]}")
-    resid = np.linalg.norm((Fh @ (F @ c[..., None]))[..., 0] + lam * c - y, axis=1)
-    bad = np.flatnonzero(~(resid <= RESIDUAL_TOL * (1.0 + np.linalg.norm(y, axis=1))))
-    if bad.size:
-        p = bad[0]
-        raise NumericalError(f"solve residual {resid[p]:.3e} at grid point {p} "
-                             f"(min eigenvalue {lam:.3e})")
-    return c
+        resid = np.linalg.norm((Fh @ (F @ c[..., None]))[..., 0] + lam * c - y, axis=1)
+    return _checked(c, resid, y, lambda p: lam)
 
 
 def _solve_dense(gram: GramField, y: np.ndarray, lam: float) -> np.ndarray:
     """One Hermitian factorization per grid point of G(z_p) + lam I, with the
-    pivoted fallback; y is (N, m), returns c, (N, m)."""
+    pivoted fallback, then every residual in one batched pass; y is (m, N),
+    returns c, (m, N).  A float64 field is solved for Re y and Im y as two
+    real columns."""
+    G = gram.matrices
     N = gram.n_samples
-    coeff = np.empty_like(y)
-    real = gram.matrices.dtype == np.float64
+    real = G.dtype == np.float64
+    b = np.stack([y.real, y.imag], axis=-1) if real else y[..., None]     # (m, N, k)
+    c = np.empty(b.shape, b.dtype)
     fell_back = []
     for p in range(gram.grid.m):
-        A = gram.matrices[p] + lam * np.eye(N)
-        b = np.stack([y[:, p].real, y[:, p].imag], axis=1) if real else y[:, p]
+        A = G[p] + lam * np.eye(N)
         try:
-            c = linalg.cho_solve(linalg.cho_factor(A, lower=True), b)
+            c[p] = linalg.cho_solve(linalg.cho_factor(A, lower=True, check_finite=False),
+                                    b[p], check_finite=False)
         except linalg.LinAlgError:
             fell_back.append(p)
             try:
                 with np.errstate(all="ignore"):
-                    c = linalg.solve(A, b)
-            except linalg.LinAlgError as exc:
-                raise NumericalError(
-                    f"singular system at grid point {p} "
-                    f"(min eigenvalue {_min_eig(A):.3e})"
-                ) from exc
-        if not np.all(np.isfinite(c)):
-            raise NumericalError(
-                f"singular system at grid point {p} "
-                f"(min eigenvalue {_min_eig(A):.3e})"
-            )
+                    c[p] = linalg.solve(A, b[p], check_finite=False)
+            except linalg.LinAlgError:
+                c[p] = np.nan
+    with np.errstate(all="ignore"):
+        r = G @ c
+        r += lam * c - b
         # for two real columns, the Frobenius norms are the complex 2-norms
-        resid = float(np.linalg.norm(A @ c - b))
-        if not resid <= RESIDUAL_TOL * (1.0 + float(np.linalg.norm(b))):
-            raise NumericalError(
-                f"solve residual {resid:.3e} at grid point {p} "
-                f"(min eigenvalue {_min_eig(A):.3e})"
-            )
-        coeff[:, p] = c[:, 0] + 1j * c[:, 1] if real else c
+        resid = np.linalg.norm(r, axis=(1, 2))
+    _checked(c, resid, y, lambda p: _min_eig(G[p] + lam * np.eye(N)))
     if fell_back:
         warnings.warn(
             f"Hermitian factorization failed at {len(fell_back)} grid point(s) "
@@ -212,7 +212,7 @@ def _solve_dense(gram: GramField, y: np.ndarray, lam: float) -> np.ndarray:
             SolverFallbackWarning,
             stacklevel=3,
         )
-    return coeff
+    return c[..., 0] + 1j * c[..., 1] if real else c[..., 0]
 
 
 def fit(kernel: KernelSpec, inputs, outputs, lam: float,
@@ -220,14 +220,14 @@ def fit(kernel: KernelSpec, inputs, outputs, lam: float,
     """Solve y(z_p) = (G(z_p) + lambda I) c(z_p) at every grid point.
 
     Without a ``gram``, a finite-n poly kernel with d*n < N is solved in its
-    factor space (see the module docstring) and the field is never built;
-    the residual is still checked per point.  Otherwise the field is
-    assembled (or taken from ``gram``) and factored by a Hermitian
-    (Cholesky) factorization per point, falling back to a pivoted general
-    solve with a ``SolverFallbackWarning`` when the shifted Gram matrix is
-    not positive definite.  Never regularizes silently.  A float64 field is
-    factored in real arithmetic and solved for the real and imaginary parts
-    of y as two real columns.
+    factor space (see the module docstring) and the field is never built.
+    Otherwise the field is assembled (or taken from ``gram``) and factored
+    by a Hermitian (Cholesky) factorization per point, falling back to a
+    pivoted general solve with a ``SolverFallbackWarning`` when the shifted
+    Gram matrix is not positive definite.  Never regularizes silently.  A
+    float64 field is factored in real arithmetic and solved for the real and
+    imaginary parts of y as two real columns.  Either route ends in one
+    batched check of every point's solution and residual.
 
     Raises
     ------
@@ -268,8 +268,8 @@ def fit(kernel: KernelSpec, inputs, outputs, lam: float,
                     "lam = 0 requires a strictly positive definite Gram field; "
                     f"minimum eigenvalue {report.global_min:.3e} at point {report.argmin_point}"
                 )
-    y = np.stack([o.values for o in outputs])                 # (N, m)
-    coeff = _solve_factored(F, y.T, lam).T.copy() if factored else _solve_dense(gram, y, lam)
+    y = np.stack([o.values for o in outputs]).T               # (m, N)
+    coeff = (_solve_factored(F, y, lam) if factored else _solve_dense(gram, y, lam)).T.copy()
     model = RidgeModel(kernel=kernel, lam=float(lam), inputs=inputs,
                        coefficients=coeff, allow_aliasing=allow_aliasing)
     if factored:

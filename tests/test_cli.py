@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import random_trig_tuple, write_csv_dataset, write_csv_model
-from spectrunc import SampledFunction, TorusGrid
+from spectrunc import FunctionTuple, SampledFunction, TorusGrid
 from spectrunc.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from spectrunc.errors import NumericalError
 from spectrunc.serialize import (read_dataset, read_function_csv, read_model, write_dataset,
@@ -309,6 +309,24 @@ def assert_one_config_error_line(capsys):
 
 GAUSS = {"kind": "gaussian", "gamma": 1.0}
 PROD = {"family": "prod", "n": 4, "q": 1, "bases1": [GAUSS], "bases2": [GAUSS]}
+
+
+@pytest.mark.parametrize("kernel", [PROD, {"family": "poly", "n": 4, "q": 1, "alpha": [1.0]}],
+                         ids=["prod", "poly-dense"])
+def test_nan_sample_exit_code(tmp_path, rng, capsys, kernel):
+    # both kernels keep the dense N x N route (poly: d*n = N = 4)
+    g = TorusGrid(16)
+    xs = [random_trig_tuple(g, rng, d=1, real=True) for _ in range(4)]
+    xs[1] = FunctionTuple((SampledFunction(g, np.full(16, np.nan + 0j)),))
+    ys = [SampledFunction(g, rng.normal(size=16) + 0j) for _ in range(4)]
+    write_dataset(tmp_path / "ds", xs, ys)
+    (tmp_path / "kernel.json").write_text(json.dumps(kernel))
+    code = main(["fit", "--dataset", str(tmp_path / "ds"),
+                 "--kernel", str(tmp_path / "kernel.json"),
+                 "--lam", "0.1", "--out", str(tmp_path / "m")])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: non-finite solution"), err
 
 
 @pytest.mark.parametrize("command, config, written", [

@@ -2,6 +2,7 @@ import itertools
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +49,23 @@ class TestDirichlet:
     def test_closed_form_matches_direct_sum(self):
         rng = np.random.default_rng(0)
         s = np.concatenate([rng.uniform(0, 2 * np.pi, 50), [1e-9, 1e-5, 2 * np.pi - 1e-7]])
-        for n in (2, 5, 9):
+        # next to the poles s = 2*pi*k, exact poles included
+        near = [2 * np.pi * k + sign * 10.0**-j
+                for k in (-1, 0, 1, 3) for sign in (1, -1) for j in (1, 3, 5, 8, 12, 15)]
+        s = np.concatenate([s, near, [0.0, 2 * np.pi, -2 * np.pi, 4 * np.pi]])
+        for n in (2, 5, 9, 100, 1000, 10**4):
             direct = np.exp(1j * np.outer(s, np.arange(n))).sum(axis=1)
-            assert np.max(np.abs(dirichlet(n, s) - direct)) < 1e-10
+            # the direct sum's own phase rounding grows like n^2 eps
+            assert np.max(np.abs(dirichlet(n, s) - direct)) < 1e-10 * max(1.0, n**2 / 1e4)
+
+    def test_memory_does_not_grow_with_n(self):
+        tracemalloc.start()
+        try:
+            assert np.all(dirichlet(10**5, np.zeros(64)) == 10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestFejer1D:

@@ -240,6 +240,41 @@ class TestFit:
         with pytest.raises(NumericalError):
             fit(sep_spec(GRID), xs, ys, lam=0.1, gram=gram)
 
+    # one spec per solve route on six d = 1 inputs: the factored poly route
+    # (d*n = 4 < N), a float64 dense field (prod, same bases) and a complex
+    # dense one (poly, d*n = N)
+    ROUTES = pytest.mark.parametrize("spec", [
+        PolyKernel(n=4, q=1, alpha=(1.0,)), real_prod_spec(n=4), PolyKernel(n=6, q=1, alpha=(1.0,)),
+    ], ids=["factored", "dense-real", "dense-complex"])
+
+    @ROUTES
+    def test_residual_check_names_the_grid_point(self, rng, monkeypatch, spec):
+        xs = [random_trig_tuple(GRID, rng, d=1, deg=3) for _ in range(6)]
+        monkeypatch.setattr(regression, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(NumericalError, match="residual .* at grid point 0 "):
+            fit(spec, xs, complex_outputs(GRID, rng, 6), lam=0.1)
+
+    @ROUTES
+    def test_non_finite_solution_raises(self, rng, spec):
+        xs = [random_trig_tuple(GRID, rng, d=1, deg=3) for _ in range(6)]
+        xs[2] = FunctionTuple((SampledFunction(GRID, np.full(GRID.m, np.nan + 0j)),))
+        # a dense field holding NaN has no eigenvalues to report
+        eig = "1.000e-01" if regression._factored(spec, 6) else "nan"
+        with pytest.raises(NumericalError, match=rf"non-finite solution at grid point 0 "
+                                                 rf"\(min eigenvalue {eig}\)"):
+            fit(spec, xs, complex_outputs(GRID, rng, 6), lam=0.1)
+
+    @pytest.mark.parametrize("spec", [real_prod_spec(n=4), PolyKernel(n=6, q=1, alpha=(1.0,))],
+                             ids=["dense-real", "dense-complex"])
+    def test_dense_fit_computes_no_eigenvalues(self, rng, monkeypatch, spec):
+        # the minimum eigenvalue only goes into a failure message
+        def spy(A):
+            raise AssertionError("_min_eig called on a successful fit")
+
+        monkeypatch.setattr(regression, "_min_eig", spy)
+        xs = [random_trig_tuple(GRID, rng, d=1, deg=3) for _ in range(6)]
+        fit(spec, xs, complex_outputs(GRID, rng, 6), lam=0.1)
+
     def test_residual_invariant_enforced(self, rng):
         xs = [random_trig_tuple(GRID, rng, d=2, deg=3) for _ in range(5)]
         ys = random_outputs(GRID, rng, 5)
@@ -369,18 +404,6 @@ class TestFactoredRoute:
             b = np.array([y.values[p] for y in ys])
             r = np.linalg.norm(A @ model.coefficients[:, p] - b)
             assert r <= 1e-8 * (1 + np.linalg.norm(b))
-
-    def test_residual_check_names_the_grid_point(self, rng, monkeypatch):
-        xs = [random_trig_tuple(GRID, rng, d=1, deg=3) for _ in range(6)]
-        monkeypatch.setattr(regression, "RESIDUAL_TOL", 0.0)
-        with pytest.raises(NumericalError, match="residual .* at grid point 0 "):
-            fit(PolyKernel(n=4, q=1, alpha=(1.0,)), xs, complex_outputs(GRID, rng, 6), lam=0.1)
-
-    def test_non_finite_solution_raises(self, rng):
-        xs = [random_trig_tuple(GRID, rng, d=1, deg=3) for _ in range(6)]
-        xs[2] = FunctionTuple((SampledFunction(GRID, np.full(GRID.m, np.nan + 0j)),))
-        with pytest.raises(NumericalError, match="non-finite solution at grid point 0"):
-            fit(PolyKernel(n=4, q=1, alpha=(1.0,)), xs, complex_outputs(GRID, rng, 6), lam=0.1)
 
     def test_lambda_zero_rejected(self, rng):
         xs = [random_trig_tuple(GRID, rng, d=1, deg=3) for _ in range(6)]
