@@ -190,7 +190,10 @@ def _synthetic_split(config: SyntheticConfig, run_index: int, split: int, count:
 
 def gen_synthetic(config: SyntheticConfig, run_index: int):
     """Deterministic (train, test) datasets for one run; each is a pair
-    (inputs, outputs)."""
+    (inputs, outputs).  The run index takes the top 56 bits of a Philox key
+    word, so it lies in [0, 2**56)."""
+    if not 0 <= run_index < 2 ** 56:
+        raise ConfigError(f"run index must be in [0, 2**56), got {run_index}")
     train = _synthetic_split(config, run_index, _SPLIT_TRAIN, config.n_samples)
     test = _synthetic_split(config, run_index, _SPLIT_TEST, config.n_test)
     return train, test
@@ -243,6 +246,8 @@ def run_eigen_study(config: SyntheticConfig, point_index: int = 0):
     Returns rows (family, n, eigenvalue index, mean, std) with eigenvalues
     sorted in descending order within each run.
     """
+    if not 0 <= point_index < config.grid_m:
+        raise ConfigError(f"grid point index must be in [0, {config.grid_m}), got {point_index}")
     trains = [_synthetic_split(config, run, _SPLIT_TRAIN, config.n_samples)[0]
               for run in range(config.runs)]
     rows = []

@@ -134,7 +134,12 @@ def assemble_gram(kernel: KernelSpec, inputs, allow_aliasing: bool = False) -> G
 
 def check_pd(gram: GramField) -> PDReport:
     """Hermitian eigen-solve per grid point; reports the minimum eigenvalue
-    per point, the global minimum, and where it occurs."""
+    per point, the global minimum, and where it occurs.  A non-finite entry
+    is a NumericalError naming the first one, (i, j) at grid point p."""
+    finite = np.isfinite(gram.matrices)
+    if not finite.all():
+        p, i, j = np.unravel_index(np.argmin(finite), finite.shape)
+        raise NumericalError(f"non-finite Gram entry ({i}, {j}) at grid point {p}")
     mins = np.linalg.eigvalsh(gram.matrices)[:, 0].real
     arg = int(np.argmin(mins))
     return PDReport(min_per_point=mins, global_min=float(mins[arg]), argmin_point=arg)

@@ -6,15 +6,13 @@ point at 17 significant digits, which round-trips doubles exactly.  A
 dataset directory holds ``dataset.npz`` (the inputs as an (N, m, d) array,
 the optional outputs as (N, m), both complex128) and its manifest
 ``dataset.json``; a model directory is the dataset of its training inputs
-and coefficients plus ``model.json``.  Directories in the earlier CSV
-layout (one CSV per tuple component and output, listed in the manifests)
-still load.  Kernel specs, base kernels and configs are JSON objects keyed
-by field name (``"inf"`` is n = INF), read by one field codec: an unknown
-key is a ConfigError, a field without a default is a required key, and
-``family`` or ``kind`` names the class.  Each document and data file is
-decoded inside ``decoding``: a bad value is a ConfigError that names the
-document, and a nested one (a kernel inside ``model.json``, say) the file
-that holds it.
+and coefficients plus ``model.json``.  Kernel specs, base kernels and
+configs are JSON objects keyed by field name (``"inf"`` is n = INF), read
+by one field codec: an unknown key is a ConfigError, a field without a
+default is a required key, and ``family`` or ``kind`` names the class.
+Each document and data file is decoded inside ``decoding``: a bad value is
+a ConfigError that names the document, and a nested one (a kernel inside
+``model.json``, say) the file that holds it.
 """
 
 from __future__ import annotations
@@ -58,8 +56,6 @@ __all__ = [
     "read_config",
     "write_function_csv",
     "read_function_csv",
-    "read_tuple",
-    "write_toeplitz_csv",
     "function_from_json",
     "kernel_from_json",
     "write_kernel",
@@ -235,24 +231,6 @@ def read_function_csv(path) -> SampledFunction:
     return SampledFunction(grid, values)
 
 
-def read_tuple(manifest_path) -> FunctionTuple:
-    """A FunctionTuple in the CSV layout: a manifest listing the component
-    CSVs, ``d`` and ``m``."""
-    manifest_path = Path(manifest_path)
-    with decoding(manifest_path):
-        spec = load_json(manifest_path)
-        comps = [read_function_csv(manifest_path.parent / name) for name in spec["components"]]
-        if len(comps) != spec["d"] or any(c.grid.m != spec["m"] for c in comps):
-            raise ConfigError(f"{manifest_path}: manifest does not match component files")
-        return FunctionTuple(tuple(comps))
-
-
-def write_toeplitz_csv(rep, path) -> None:
-    """``k,re,im`` rows for k = -(n-1)..(n-1)."""
-    coeffs = [(k, rep.coeff(k)) for k in range(-(rep.n - 1), rep.n)]
-    write_rows_csv(path, ["k", "re", "im"], [(k, c.real, c.imag) for k, c in coeffs])
-
-
 # ---------------------------------------------------------------------------
 # kernel specs
 # ---------------------------------------------------------------------------
@@ -334,20 +312,10 @@ def write_dataset(directory, inputs, outputs=None) -> dict:
 
 def read_dataset(directory):
     """Returns (inputs, outputs); outputs is None when the dataset has none.
-    A manifest with a ``samples`` list is the CSV layout: one tuple manifest
-    per input and one CSV per output.  A dataset without samples is a
-    ConfigError."""
+    A dataset without samples is a ConfigError."""
     path = Path(directory) / "dataset.json"
     with decoding(path):
         manifest = load_json(path)
-        if "samples" in manifest:
-            samples = manifest["samples"]
-            if not samples:
-                raise ConfigError(f"{path}: dataset has no samples")
-            inputs = [read_tuple(path.parent / s["input"]) for s in samples]
-            if not all("output" in s for s in samples):
-                return inputs, None
-            return inputs, [read_function_csv(path.parent / s["output"]) for s in samples]
         n, m, d = manifest["n_samples"], manifest["m"], manifest["d"]
         arrays = path.parent / manifest["arrays"]
     with decoding(arrays), np.load(arrays, allow_pickle=False) as npz:
@@ -389,16 +357,13 @@ def write_model(model: RidgeModel, directory) -> Path:
 
 @dataclasses.dataclass(frozen=True)
 class _ModelManifest:
-    """The ``model.json`` document.  Models written in a CSV layout list
-    their files in ``training_inputs`` and ``coefficients``."""
+    """The ``model.json`` document."""
 
     kernel: KernelSpec
     lam: float
     N: int
     m: int
     allow_aliasing: bool = False
-    training_inputs: tuple | None = None
-    coefficients: tuple | None = None
 
     def __post_init__(self):
         for key, low in (("N", 1), ("m", 2)):
@@ -409,17 +374,12 @@ class _ModelManifest:
 
 
 def read_model(directory) -> RidgeModel:
-    """Model from ``model.json`` and the dataset beside it, or from the CSV
-    files its ``training_inputs`` and ``coefficients`` lists name."""
+    """Model from ``model.json`` and the dataset beside it."""
     directory = Path(directory)
     path = directory / "model.json"
     with decoding(path):
         doc = config_from_json(_ModelManifest, load_json(path), str(path), directory)
-        if doc.training_inputs is None and doc.coefficients is None:
-            inputs, coeffs = read_dataset(directory)
-        else:
-            inputs = [read_tuple(directory / f) for f in doc.training_inputs or ()]
-            coeffs = [read_function_csv(directory / f) for f in doc.coefficients or ()]
+        inputs, coeffs = read_dataset(directory)
         coefficients = np.array([c.values for c in coeffs or ()])
         if (len(inputs) != doc.N or coefficients.shape != (doc.N, doc.m)
                 or inputs[0].grid.m != doc.m):

@@ -26,8 +26,6 @@ __all__ = [
     "window_integral",
 ]
 
-REAL_TOL = 1e-10
-
 # slack for closed-window membership tests: grid points sitting exactly on
 # the window boundary must not fall out due to rounding of 2*pi*p/m
 _BOUNDARY_EPS = 1e-12
@@ -75,14 +73,6 @@ class SampledFunction:
     @classmethod
     def constant(cls, grid: TorusGrid, value: complex) -> "SampledFunction":
         return cls(grid, np.full(grid.m, value, dtype=complex))
-
-    def is_real(self, tol: float = REAL_TOL) -> bool:
-        return float(np.max(np.abs(self.values.imag))) <= tol
-
-    def assert_real(self, tol: float = REAL_TOL) -> None:
-        worst = float(np.max(np.abs(self.values.imag)))
-        if worst > tol:
-            raise ValueError(f"function tagged real has |Im| up to {worst:.3e}")
 
     def conj(self) -> "SampledFunction":
         return SampledFunction(self.grid, np.conj(self.values))

@@ -58,21 +58,9 @@ class ToeplitzRep:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
-    def coeff(self, k: int) -> complex:
-        if abs(k) > self.n - 1:
-            raise IndexError(f"coefficient index |k|={abs(k)} out of range n-1={self.n - 1}")
-        return complex(self.coeffs[k + self.n - 1])
-
     def dense(self) -> np.ndarray:
         idx = np.arange(self.n)[:, None] - np.arange(self.n)[None, :] + self.n - 1
         return self.coeffs[idx]
-
-    def is_hermitian_source(self, tol: float = 1e-10) -> bool:
-        """True when coeffs[-k] = conj(coeffs[k]) within tol, i.e. the dense
-        matrix is Hermitian (real-valued source function)."""
-        return bool(
-            np.max(np.abs(self.coeffs[::-1] - np.conj(self.coeffs))) <= tol
-        )
 
 
 def grid_coefficients(values: np.ndarray, kmax: int, allow_aliasing: bool = False) -> np.ndarray:

@@ -1,15 +1,14 @@
 import json
-import shutil
 
 import numpy as np
 import pytest
 
-from helpers import random_trig_tuple, write_csv_dataset, write_csv_model
+from helpers import random_trig_tuple
 from spectrunc import FunctionTuple, SampledFunction, TorusGrid
 from spectrunc.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from spectrunc.errors import NumericalError
-from spectrunc.serialize import (read_dataset, read_function_csv, read_model, write_dataset,
-                                 write_kernel)
+from spectrunc.serialize import (read_dataset, read_function_csv, write_dataset,
+                                 write_function_csv, write_kernel)
 from spectrunc.kernels import L2GaussianTupleKernel, SepKernel
 
 
@@ -311,9 +310,21 @@ GAUSS = {"kind": "gaussian", "gamma": 1.0}
 PROD = {"family": "prod", "n": 4, "q": 1, "bases1": [GAUSS], "bases2": [GAUSS]}
 
 
-@pytest.mark.parametrize("kernel", [PROD, {"family": "poly", "n": 4, "q": 1, "alpha": [1.0]}],
-                         ids=["prod", "poly-dense"])
-def test_nan_sample_exit_code(tmp_path, rng, capsys, kernel):
+POLY4 = {"family": "poly", "n": 4, "q": 1, "alpha": [1.0]}
+FIT = ["fit", "--lam", "0.1"]
+# gram and fit at lambda = 0 check the field before any solve
+GRAM_NAN = "non-finite Gram entry (0, 1) at grid point 0"
+
+
+@pytest.mark.parametrize("kernel, argv, message", [
+    pytest.param(PROD, FIT, "non-finite solution", id="prod"),
+    pytest.param(POLY4, FIT, "non-finite solution", id="poly-dense"),
+    pytest.param(PROD, ["gram"], GRAM_NAN, id="prod-gram"),
+    pytest.param(POLY4, ["gram"], GRAM_NAN, id="poly-dense-gram"),
+    pytest.param(PROD, ["fit", "--lam", "0"], GRAM_NAN, id="prod-lam-0"),
+    pytest.param(POLY4, ["fit", "--lam", "0"], GRAM_NAN, id="poly-dense-lam-0"),
+])
+def test_nan_sample_exit_code(tmp_path, rng, capsys, kernel, argv, message):
     # both kernels keep the dense N x N route (poly: d*n = N = 4)
     g = TorusGrid(16)
     xs = [random_trig_tuple(g, rng, d=1, real=True) for _ in range(4)]
@@ -321,12 +332,12 @@ def test_nan_sample_exit_code(tmp_path, rng, capsys, kernel):
     ys = [SampledFunction(g, rng.normal(size=16) + 0j) for _ in range(4)]
     write_dataset(tmp_path / "ds", xs, ys)
     (tmp_path / "kernel.json").write_text(json.dumps(kernel))
-    code = main(["fit", "--dataset", str(tmp_path / "ds"),
-                 "--kernel", str(tmp_path / "kernel.json"),
-                 "--lam", "0.1", "--out", str(tmp_path / "m")])
+    code = main(argv + ["--dataset", str(tmp_path / "ds"),
+                        "--kernel", str(tmp_path / "kernel.json"), "--out", str(tmp_path / "m")])
     assert code == EXIT_NUMERICAL
+    assert not (tmp_path / "m").exists()
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("numerical failure: non-finite solution"), err
+    assert len(err) == 1 and err[0].startswith(f"numerical failure: {message}"), err
 
 
 @pytest.mark.parametrize("command, config, written", [
@@ -406,6 +417,19 @@ def test_bad_config_value_rejected_before_any_cell(tmp_path, capsys, field, valu
     assert_one_config_error_line(capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["eigen-study", "--point", "30"], ["eigen-study", "--point", "-1"],
+    ["gen-synth", "--run", "-1"], ["gen-synth", "--run", str(2 ** 56)],
+], ids=["point-m", "point-negative", "run-negative", "run-2**56"])
+def test_index_out_of_range_exit_code(tmp_path, capsys, argv):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({"n_samples": 4, "n_test": 2, "runs": 1, "grid_m": 30,
+                               "kernels": [POLY2]}))
+    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+    assert_one_config_error_line(capsys)
+
+
 @pytest.mark.parametrize("command, config, written", [
     ("complexity", {**COMPLEXITY, "B": "big"}, ""),
     ("inpaint", {"height": 8, "width": 8, "mask_h": 4, "mask_w": 4, "n_train": 0,
@@ -433,26 +457,37 @@ def repack(ds, **arrays):
     np.savez(ds / "dataset.npz", **{k: a for k, a in packed.items() if a is not None})
 
 
-@pytest.mark.parametrize("csv, corrupt", [
-    (True, lambda ds: (ds / "x0001_c0.csv").unlink()),
-    (True, lambda ds: (ds / "y0002.csv").write_text("z,re,im\nz,abc,0\n")),
-    (False, lambda ds: truncate(ds / "dataset.npz")),
-    (False, lambda ds: (ds / "dataset.npz").write_text("z,re,im\n0,1,0\n")),
-    (False, lambda ds: repack(ds, inputs=None)),
-    (False, lambda ds: repack(ds, inputs=np.zeros((4, 15, 1), complex))),
-    (False, lambda ds: repack(ds, inputs=np.zeros((4, 16, 2), complex))),
-    (False, lambda ds: repack(ds, inputs=np.zeros((4, 16, 1)))),
-    (False, lambda ds: repack(ds, outputs=np.zeros((3, 16), complex))),
-    (False, lambda ds: repack(ds, inputs=np.full((4, 16, 1), None, dtype=object))),
-], ids=["deleted-component", "bad-csv-row", "truncated-npz", "not-a-zip", "no-inputs-array",
-        "inputs-m-15", "inputs-d-2", "real-inputs", "outputs-n-3", "object-array"])
-def test_bad_data_file_exit_code(tiny_dataset, tmp_path, capsys, csv, corrupt):
+def csv_layout(ds):
+    # the same samples as one CSV per tuple component and output, each tuple
+    # listed in its own manifest and every sample in dataset.json
+    inputs, outputs = read_dataset(ds)
+    samples = []
+    for i, (x, y) in enumerate(zip(inputs, outputs)):
+        write_function_csv(x.components[0], ds / f"x{i:04d}_c0.csv")
+        (ds / f"x{i:04d}.json").write_text(
+            json.dumps({"components": [f"x{i:04d}_c0.csv"], "d": 1, "m": 16}))
+        write_function_csv(y, ds / f"y{i:04d}.csv")
+        samples.append({"input": f"x{i:04d}.json", "output": f"y{i:04d}.csv"})
+    (ds / "dataset.npz").unlink()
+    (ds / "dataset.json").write_text(
+        json.dumps({"m": 16, "d": 1, "n_samples": 4, "samples": samples}))
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda ds: (ds / "dataset.npz").unlink(),
+    lambda ds: truncate(ds / "dataset.npz"),
+    lambda ds: (ds / "dataset.npz").write_text("z,re,im\n0,1,0\n"),
+    lambda ds: repack(ds, inputs=None),
+    lambda ds: repack(ds, inputs=np.zeros((4, 15, 1), complex)),
+    lambda ds: repack(ds, inputs=np.zeros((4, 16, 2), complex)),
+    lambda ds: repack(ds, inputs=np.zeros((4, 16, 1))),
+    lambda ds: repack(ds, outputs=np.zeros((3, 16), complex)),
+    lambda ds: repack(ds, inputs=np.full((4, 16, 1), None, dtype=object)),
+    csv_layout,
+], ids=["deleted-npz", "truncated-npz", "not-a-zip", "no-inputs-array", "inputs-m-15",
+        "inputs-d-2", "real-inputs", "outputs-n-3", "object-array", "csv-layout"])
+def test_bad_data_file_exit_code(tiny_dataset, tmp_path, capsys, corrupt):
     ds = tiny_dataset / "ds"
-    if csv:
-        # the same samples in the CSV layout, one file per component and output
-        inputs, outputs = read_dataset(ds)
-        shutil.rmtree(ds)
-        write_csv_dataset(ds, inputs, outputs)
     corrupt(ds)
     code = main(["fit", "--dataset", str(tiny_dataset / "ds"),
                  "--kernel", str(tiny_dataset / "kernel.json"),
@@ -462,23 +497,19 @@ def test_bad_data_file_exit_code(tiny_dataset, tmp_path, capsys, csv, corrupt):
     assert_one_config_error_line(capsys)
 
 
-@pytest.mark.parametrize("csv", [False, True], ids=["packed", "csv"])
-@pytest.mark.parametrize("command", ["fit", "predict", "eval"])
-def test_empty_dataset_exit_code(tiny_dataset, tmp_path, capsys, command, csv):
+@pytest.mark.parametrize("command", ["fit", "predict", "eval"],
+                         ids=["fit-packed", "predict-packed", "eval-packed"])
+def test_empty_dataset_exit_code(tiny_dataset, tmp_path, capsys, command):
     ds, model = tiny_dataset / "ds", tiny_dataset / "model"
     assert main(["fit", "--dataset", str(ds), "--kernel", str(tiny_dataset / "kernel.json"),
                  "--lam", "0.05", "--out", str(model)]) == EXIT_OK
     capsys.readouterr()
     empty = tmp_path / "empty"
     empty.mkdir()
-    manifest = {"m": 16, "d": 1, "n_samples": 0}
-    if csv:
-        manifest["samples"] = []
-    else:
-        manifest["arrays"] = "dataset.npz"
-        np.savez(empty / "dataset.npz", inputs=np.zeros((0, 16, 1), complex),
-                 outputs=np.zeros((0, 16), complex))
-    (empty / "dataset.json").write_text(json.dumps(manifest))
+    np.savez(empty / "dataset.npz", inputs=np.zeros((0, 16, 1), complex),
+             outputs=np.zeros((0, 16), complex))
+    (empty / "dataset.json").write_text(
+        json.dumps({"m": 16, "d": 1, "n_samples": 0, "arrays": "dataset.npz"}))
     if command == "fit":
         argv = ["fit", "--dataset", str(empty), "--kernel", str(tiny_dataset / "kernel.json"),
                 "--lam", "0.05"]
@@ -504,23 +535,6 @@ def test_bad_model_manifest_exit_code(tiny_dataset, tmp_path, capsys, command, c
     assert code == EXIT_CONFIG
     assert not (tmp_path / "out").exists()
     assert_one_config_error_line(capsys)
-
-
-def test_predict_csvs_identical_across_model_layouts(tiny_dataset):
-    # the model fit writes, and the same model in the CSV layout
-    ds = str(tiny_dataset / "ds")
-    assert main(["fit", "--dataset", ds, "--kernel", str(tiny_dataset / "kernel.json"),
-                 "--lam", "0.05", "--out", str(tiny_dataset / "packed")]) == EXIT_OK
-    write_csv_model(read_model(tiny_dataset / "packed"), tiny_dataset / "csv")
-    assert (tiny_dataset / "csv" / "x0000_c0.csv").exists()
-    outputs = {}
-    for layout in ("packed", "csv"):
-        out = tiny_dataset / f"preds-{layout}"
-        assert main(["predict", "--model", str(tiny_dataset / layout), "--dataset", ds,
-                     "--out", str(out)]) == EXIT_OK
-        outputs[layout] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
-    assert len(outputs["packed"]) == 5
-    assert outputs["packed"] == outputs["csv"]
 
 
 # results.csv and summary.csv of the run-synth configs of test_synthetic_pipeline

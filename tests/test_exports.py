@@ -1,0 +1,16 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import spectrunc
+
+MODULES = [importlib.import_module(f"spectrunc.{info.name}")
+           for info in pkgutil.iter_modules(spectrunc.__path__)]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if hasattr(m, "__all__")],
+                         ids=lambda m: m.__name__)
+def test_all_names_resolve(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, f"{module.__name__}.__all__ names {missing}, which it does not define"

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import random_trig_tuple, write_csv_dataset, write_csv_model, write_tuple
+from helpers import random_trig_tuple
 from spectrunc import (
     INF,
     ConfigError,
@@ -19,7 +19,6 @@ from spectrunc import (
     beta_from_policy,
     fit,
     predict,
-    truncate,
 )
 from spectrunc import serialize
 from spectrunc.serialize import (
@@ -33,13 +32,11 @@ from spectrunc.serialize import (
     read_function_csv,
     read_model,
     read_pgm,
-    read_tuple,
     write_dataset,
     write_function_csv,
     write_model,
     write_pgm,
     write_rows_csv,
-    write_toeplitz_csv,
 )
 
 
@@ -70,28 +67,11 @@ class TestFunctionCsv:
         with pytest.raises(ConfigError):
             read_function_csv(path)
 
-
-class TestTupleManifest:
-    def test_round_trip(self, tmp_path, rng):
-        t = random_trig_tuple(TorusGrid(16), rng, d=3)
-        manifest = write_tuple(t, tmp_path, "sample")
-        back = read_tuple(manifest)
-        assert back.d == 3
-        for a, b in zip(back.components, t.components):
-            assert np.array_equal(a.values, b.values)
-
-
-class TestToeplitzCsv:
-    def test_rows(self, tmp_path):
-        g = TorusGrid(16)
-        f = SampledFunction.from_callable(g, lambda z: np.exp(1j * z))
-        rep = truncate(f, 2)
-        path = tmp_path / "t.csv"
-        write_toeplitz_csv(rep, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "k,re,im"
-        assert len(lines) == 4
-        assert lines[2].startswith("0,")
+    def test_non_numeric_row_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("z,re,im\n0,1,0\nz,abc,0\n")
+        with pytest.raises(ConfigError, match="bad.csv"):
+            read_function_csv(path)
 
 
 class TestKernelJson:
@@ -269,14 +249,12 @@ class TestDatasetAndModel:
         xs = [random_trig_tuple(g, rng, d=3) for _ in range(5)]
         ys = [SampledFunction(g, rng.normal(size=12) + 1j * rng.normal(size=12))
               for _ in range(5)]
-        write_dataset(tmp_path / "packed", xs, ys)
-        write_csv_dataset(tmp_path / "csv", xs, ys)
-        for layout in ("packed", "csv"):
-            bx, by = read_dataset(tmp_path / layout)
-            assert [x.d for x in bx] == [3] * 5 and all(x.grid == g for x in bx)
-            assert ([c.values.tobytes() for x in bx for c in x.components]
-                    == [c.values.tobytes() for x in xs for c in x.components])
-            assert [y.values.tobytes() for y in by] == [y.values.tobytes() for y in ys]
+        write_dataset(tmp_path / "ds", xs, ys)
+        bx, by = read_dataset(tmp_path / "ds")
+        assert [x.d for x in bx] == [3] * 5 and all(x.grid == g for x in bx)
+        assert ([c.values.tobytes() for x in bx for c in x.components]
+                == [c.values.tobytes() for x in xs for c in x.components])
+        assert [y.values.tobytes() for y in by] == [y.values.tobytes() for y in ys]
 
     def test_packed_layout_files(self, tmp_path, rng):
         model = fitted_model(rng)
@@ -347,37 +325,6 @@ class TestDatasetAndModel:
         path.write_text(json.dumps({**json.loads(path.read_text()), "N": 3.0, "lambda": 0}))
         back = read_model(tmp_path)
         assert back.lam == 0.0 and np.array_equal(back.coefficients, model.coefficients)
-
-    def test_previous_model_layout_loads(self, tmp_path, rng):
-        # the CSV layout (xNNNN.json and yNNNN.csv listed in dataset.json and
-        # model.json) and the one before it (coefNNNN.csv and trainNNNN.json,
-        # listed in model.json only) both load the model the packed layout holds
-        model = fitted_model(rng)
-        write_csv_model(model, tmp_path / "csv")
-        old = tmp_path / "old"
-        old.mkdir()
-        for j, c in enumerate(model.coefficient_functions()):
-            write_function_csv(c, old / f"coef{j:04d}.csv")
-            write_tuple(model.inputs[j], old, f"train{j:04d}")
-        (old / "model.json").write_text(json.dumps({
-            "kernel": config_to_json(model.kernel), "lambda": model.lam, "N": 3, "m": 16,
-            "allow_aliasing": False,
-            "coefficients": [f"coef{j:04d}.csv" for j in range(3)],
-            "training_inputs": [f"train{j:04d}.json" for j in range(3)]}))
-        write_model(model, tmp_path / "new")
-        probe = random_trig_tuple(model.grid, rng, d=2)
-        want = predict(model, probe).values.tobytes()
-        back_new = read_model(tmp_path / "new")
-        assert back_new.coefficients.tobytes() == model.coefficients.tobytes()
-        assert predict(back_new, probe).values.tobytes() == want
-        for layout in ("csv", "old"):
-            back = read_model(tmp_path / layout)
-            assert back.coefficients.tobytes() == model.coefficients.tobytes()
-            assert ([x.value_matrix().tobytes() for x in back.inputs]
-                    == [x.value_matrix().tobytes() for x in model.inputs])
-            assert (back.kernel, back.lam, back.allow_aliasing) == (
-                back_new.kernel, back_new.lam, back_new.allow_aliasing)
-            assert predict(back, probe).values.tobytes() == want
 
 
 class TestNCodec:

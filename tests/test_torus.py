@@ -41,13 +41,6 @@ class TestGrid:
         with pytest.raises(GridMismatchError):
             FunctionTuple((f, g))
 
-    def test_real_tag(self):
-        g = TorusGrid(8)
-        assert const(g, 1.0).is_real()
-        assert not const(g, 1j).is_real()
-        with pytest.raises(ValueError):
-            const(g, 1e-3j).assert_real()
-
 
 class TestIntegrate:
     def test_constant(self):
