@@ -22,7 +22,7 @@ import concurrent.futures
 import functools
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +38,10 @@ from .kernels import (
     SepKernel,
     _check_pair,
     _integer,
+    _real,
 )
 from .regression import assemble_gram, fit, predict_batch, test_error
-from .serialize import config_to_json, n_label, read_pgm
+from .serialize import _JSON_KEYS, config_to_json, n_label, read_pgm
 from .torus import FunctionTuple, SampledFunction, TorusGrid, l2_distance, window_membership
 
 __all__ = [
@@ -79,9 +80,12 @@ def worker_count() -> int:
 
 
 def _check_fields(config, lows: dict[str, int]) -> None:
-    """Each integer field in ``lows`` at least its low bound, and lambda >= 0."""
+    """Integer fields in ``lows`` at least their bound, floats finite, lambda >= 0."""
     for name, low in lows.items():
         object.__setattr__(config, name, _integer(name, getattr(config, name), low))
+    for f in fields(config):
+        if f.type in ("float", float):
+            _real(_JSON_KEYS.get(f.name, f.name), getattr(config, f.name))
     if config.lam < 0:
         raise ConfigError(f"lambda must be >= 0, got {config.lam}")
 

@@ -20,15 +20,20 @@ and is the oracle the tests pin the batched route to.  Gram and cross-kernel
 blocks share one block core with a single family dispatch.  Poly and the
 q > 1 product chains take a mathematically identical matrix-free route,
 S_n(A^* B)(z) = (1/n) (A u(z))^* (B u(z)) with u(z)_r = e^{-irz}, which turns
-each Toeplitz-times-u product into windowed prefix sums.  A q = 1 product
-pair is a weighted correlation of the two DFT bin rows: one cached table of
-window counts K[u, v] (``_folded_reduce_matrix``), summed by frequency offset
-(v - u) mod m and sent back to the grid by one inverse FFT, serves the strict
-and the folded regime alike.  The separable family smooths its inputs with
-``truncation.smooth``, one FFT pair per component.  ``gram_values`` runs the
-core with the same samples on both sides, so the pair routes evaluate only
-the upper triangle, and fills the lower one in place by the Hermitian law
-k(x, y) = k(y, x)^*.
+each Toeplitz-times-u product into windowed prefix sums.  On the m-point
+grid the folded coefficients c_k = bins[k mod m] and the phases e^{ikz_p}
+are m-periodic in k, so past n = m a truncated chain has only m distinct
+rows, row r counted cnt_r times (``_fold``): every batched route works on
+min(n, m) rows.  A q = 1 product pair with n <= m is a weighted correlation
+of the two DFT bin rows: one cached table of window counts K[u, v]
+(``_folded_reduce_matrix``), summed by frequency offset (v - u) mod m and
+sent back to the grid by one inverse FFT.  For n > m the folded identity
+n S_n = sum_r cnt_r conj(W1_r) W2_r splits it into FFT terms and an
+order-(n mod m) table (``_folded_pair_sn``).  The separable family
+smooths its inputs with ``truncation.smooth``, one FFT pair per component.
+``gram_values`` runs the core with the same samples on both sides, so the
+pair routes evaluate only the upper triangle, and fills the lower one in
+place by the Hermitian law k(x, y) = k(y, x)^* of poly and prod.
 
 Some specs are real-valued whatever the data, because both sides of their
 chain are one operator B and S_n(B^* B)(z) = (1/n) |B u(z)|^2: prod with
@@ -52,7 +57,7 @@ import numpy as np
 from .errors import ConfigError, GridMismatchError
 from .fejer import BETA_POLICIES
 from .torus import FunctionTuple, SampledFunction, TorusGrid, check_alias_free, integrate
-from .truncation import grid_coefficients, sn_map, smooth, truncate
+from .truncation import sn_map, smooth, truncate
 
 __all__ = [
     "INF",
@@ -91,8 +96,8 @@ class GaussianKernel:
     kind = "gaussian"
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ConfigError(f"gaussian scale must be positive, got {self.gamma}")
+        if not 0 < self.gamma < INF:
+            raise ConfigError(f"gaussian scale must be positive and finite, got {self.gamma}")
 
     def pairwise(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         d2 = np.sum(np.abs(u - v) ** 2, axis=-1)
@@ -120,8 +125,8 @@ class PolynomialKernel:
 
     def __post_init__(self):
         object.__setattr__(self, "degree", _integer("polynomial degree", self.degree, 1))
-        if self.offset < 0:
-            raise ConfigError(f"polynomial offset must be >= 0, got {self.offset}")
+        if not 0 <= self.offset < INF:
+            raise ConfigError(f"polynomial offset must be finite and >= 0, got {self.offset}")
 
     def pairwise(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return (np.sum(np.conj(u) * v, axis=-1) + self.offset) ** self.degree
@@ -139,8 +144,8 @@ class L2GaussianTupleKernel:
     kind = "l2_gaussian"
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ConfigError(f"tuple-kernel scale must be positive, got {self.scale}")
+        if not 0 < self.scale < INF:
+            raise ConfigError(f"tuple-kernel scale must be positive and finite, got {self.scale}")
 
     def __call__(self, x: FunctionTuple, y: FunctionTuple) -> complex:
         d2 = self.distance_sq(x.value_matrix()[None], y.value_matrix()[None])
@@ -169,9 +174,10 @@ def _integer(name: str, value, low: int | None) -> int:
 
 
 def _real(name: str, value) -> float:
-    """``value`` as a float; a bool, a string or None is a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    """``value`` as a float; a bool, a string, None, NaN or +-inf is a ConfigError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not np.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite real number, got {value!r}")
     return float(value)
 
 
@@ -231,8 +237,8 @@ class ProdKernel:
             raise ConfigError(f"need exactly q={self.q} base kernels per row")
         object.__setattr__(self, "bases1", tuple(self.bases1))
         object.__setattr__(self, "bases2", tuple(self.bases2))
-        if self.beta < 0:
-            raise ConfigError(f"beta must be >= 0, got {self.beta}")
+        if not 0 <= self.beta < INF:
+            raise ConfigError(f"beta must be finite and >= 0, got {self.beta}")
         if self.beta_policy not in BETA_POLICIES:
             raise ConfigError(f"beta_policy must be one of {BETA_POLICIES}, "
                               f"got {self.beta_policy!r}")
@@ -433,68 +439,93 @@ def kernel_limit_gap(spec: KernelSpec, x: FunctionTuple, y: FunctionTuple,
 #
 # Everything below computes the same values as `evaluate`, the dense oracle
 # the tests pin it to, restructured as S_n(A^* B)(z) = (1/n) (A u(z))^* (B u(z))
-# with u(z)_r = e^{-irz} (O(n m) per chain factor instead of O(n^3)), or for
-# q = 1 products as a DFT-domain weight table (O(nnz + m log m) per pair).
+# with u(z)_r = e^{-irz} on the min(n, m) distinct rows (O(min(n, m) m) per
+# chain factor instead of O(n^3)), or for q = 1 products as a DFT-domain
+# weight table (O(nnz + m log m) per pair) plus FFT terms past n = m.
 # `_block` is the one family dispatch behind both entry points.
 # ---------------------------------------------------------------------------
 
 
 # complex elements per (chunk, width) pair workspace; width is the q = 1 table
-# size plus m, (2n-1)*m for the q > 1 chains, m*d for the n = INF limits
+# size plus m (8m past n = m), (2 min(n, m) - 1)*m for q > 1, m*d at n = INF
 _PAIR_CHUNK_BUDGET = 1 << 18
 
 
-def _toeplitz_times_phase(coeffs: np.ndarray, grid: TorusGrid, n: int) -> np.ndarray:
-    """T u(z_p) for a stack of Toeplitz coefficient rows.
+def _fold(n: int, m: int) -> tuple[int, int, np.ndarray]:
+    """(alpha, rho, cnt) with n = alpha*m + rho, 1 <= rho <= m: the rows r
+    and r + m of a truncated chain on the m-point grid agree, so it has
+    min(n, m) distinct rows, row r standing for cnt[r] = alpha + [r < rho]
+    of them.  For n <= m, alpha = 0, rho = n and every cnt is 1."""
+    alpha, rho = divmod(n - 1, m)
+    return alpha, rho + 1, alpha + (np.arange(min(n, m)) <= rho)
 
-    coeffs (..., 2n-1) -> (..., n, m):  (T u(z))_r = e^{-irz} *
-    (prefix-sum window r..r+n-1 of t_k e^{ikz}).
+
+def _toeplitz_times_phase(bins: np.ndarray, grid: TorusGrid, n: int) -> np.ndarray:
+    """T u(z_p) on its min(n, m) distinct rows (``_fold``) for a stack of
+    DFT bin rows, where T is the n x n Toeplitz matrix of c_k = bins[k mod m].
+
+    bins (..., m) -> (..., min(n, m), m):  (T u(z))_r = e^{-irz} W_r, W_r the
+    window sum of s_k = c_k e^{ikz} over k = r-n+1..r.  On the grid s_k is
+    m-periodic in k, so W_r = alpha * g(z) + (prefix-sum window r-rho+1..r),
+    with g(z_p) = sum_{k<m} s_k the sampled function itself.
     """
     z = grid.points
-    ks = np.arange(-(n - 1), n)
-    phase = np.exp(1j * ks[:, None] * z[None, :])          # (2n-1, m)
-    s = coeffs[..., :, None] * phase                        # (..., 2n-1, m)
+    alpha, rho, cnt = _fold(n, grid.m)
+    rows = len(cnt)
+    ks = np.arange(1 - rho, rows)
+    phase = np.exp(1j * ks[:, None] * z[None, :])           # (rows+rho-1, m)
+    s = bins[..., np.mod(ks, grid.m), None] * phase          # (..., rows+rho-1, m)
     p = np.cumsum(s, axis=-2)
-    win = p[..., n - 1:, :].copy()
-    win[..., 1:, :] -= p[..., : n - 1, :]
-    rows = np.exp(-1j * np.arange(n)[:, None] * z[None, :])
-    return win * rows
+    win = p[..., rho - 1:, :].copy()
+    win[..., 1:, :] -= p[..., : rows - 1, :]
+    if alpha:
+        win += (alpha * grid.m) * np.fft.ifft(bins, axis=-1)[..., None, :]
+    return win * np.exp(-1j * np.arange(rows)[:, None] * z[None, :])
 
 
-def _chain_columns(coeff_stacks: list[np.ndarray], grid: TorusGrid, n: int) -> np.ndarray:
-    """Columns (F_1 (F_2 (... (F_K u(z))))) for per-item factor stacks.
+def _chain_columns(bin_stacks: list[np.ndarray], grid: TorusGrid,
+                   n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns (F_1 (F_2 (... (F_K u(z))))) on their min(n, m) distinct rows,
+    and the rows' multiplicities cnt (``_fold``), for per-item DFT bin stacks.
 
-    coeff_stacks[k] has shape (B, 2n-1); the innermost factor uses the
-    windowed prefix-sum route, outer factors apply dense Toeplitz matvecs.
-    Returns (B, n, m).
+    bin_stacks[k] has shape (B, m); the innermost factor uses the windowed
+    prefix-sum route.  An outer factor meets an m-periodic column, so it acts
+    as the min(n, m)-square matrix bins[(r - s) mod m] * cnt[s].  Returns
+    (B, min(n, m), m) columns and cnt.
     """
-    cols = _toeplitz_times_phase(coeff_stacks[-1], grid, n)
-    idx = np.arange(n)[:, None] - np.arange(n)[None, :] + n - 1
-    for coeffs in reversed(coeff_stacks[:-1]):
-        cols = np.matmul(coeffs[..., idx], cols)
-    return cols
+    cols = _toeplitz_times_phase(bin_stacks[-1], grid, n)
+    cnt = _fold(n, grid.m)[2]
+    r = np.arange(len(cnt))
+    idx = np.mod(r[:, None] - r[None, :], grid.m)
+    for bins in reversed(bin_stacks[:-1]):
+        cols = np.matmul(bins[..., idx] * cnt, cols)
+    return cols, cnt
 
 
-def _poly_columns(spec: PolyKernel, samples, allow_aliasing: bool) -> np.ndarray:
-    """Per-sample columns W[i, c] = R_n(x_{i,c})^q u(z); shape (N, d, n, m)."""
+def _poly_columns(spec: PolyKernel, samples,
+                  allow_aliasing: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample columns W[i, c] = R_n(x_{i,c})^q u(z) on their min(n, m)
+    distinct rows, shape (N, d, min(n, m), m), and the rows' multiplicities."""
     grid = samples[0].grid
     n = int(spec.n)
-    vals = np.stack([t.value_matrix().T for t in samples])   # (N, d, m)
-    coeffs = grid_coefficients(vals, n - 1, allow_aliasing)
-    cols = _chain_columns([coeffs.reshape(-1, 2 * n - 1)] * spec.q, grid, n)
-    return cols.reshape(len(samples), samples[0].d, n, grid.m)
+    check_alias_free(n - 1, grid.m, allow_aliasing)
+    bins = np.fft.fft(np.stack([t.value_matrix().T for t in samples]), axis=-1)  # (N, d, m)
+    bins /= grid.m
+    cols, cnt = _chain_columns([bins.reshape(-1, grid.m)] * spec.q, grid, n)
+    return cols.reshape(*bins.shape[:2], len(cnt), grid.m), cnt
 
 
 def poly_factors(spec: PolyKernel, samples, allow_aliasing: bool = False) -> np.ndarray:
-    """Per-point factors F[p] of a finite-n poly kernel, shape (m, d*n, N):
-    row (c, r) of F[p] holds sqrt(alpha_c / n) (R_n(x_c)^q u(z_p))_r for each
-    sample, so k(x_i, x_j)(z_p) = (F[p]^* F[p])[i, j].  The Gram matrix at
-    every grid point thus has rank at most d*n."""
+    """Per-point factors F[p] of a finite-n poly kernel, shape
+    (m, d*min(n, m), N): row (c, r) of F[p] holds
+    sqrt(alpha_c cnt_r / n) (R_n(x_c)^q u(z_p))_r for each sample, over the
+    distinct rows r of ``_fold``, so k(x_i, x_j)(z_p) = (F[p]^* F[p])[i, j].
+    The Gram matrix at every grid point thus has rank at most d*min(n, m)."""
     _check_samples(spec, samples)
-    w = _poly_columns(spec, samples, allow_aliasing)          # (N, d, n, m)
-    N, d, n, m = w.shape
-    w *= np.sqrt(np.asarray(spec.alpha) / n)[None, :, None, None]
-    return w.transpose(3, 1, 2, 0).reshape(m, d * n, N)
+    w, cnt = _poly_columns(spec, samples, allow_aliasing)     # (N, d, rows, m)
+    N, d, rows, m = w.shape
+    w *= np.sqrt(np.multiply.outer(spec.alpha, cnt) / int(spec.n))[None, :, :, None]
+    return w.transpose(3, 1, 2, 0).reshape(m, d * rows, N)
 
 
 def _inf_values_block(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -518,28 +549,19 @@ def _inf_values_block(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndar
 
 
 def _folded_reduce_matrix(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Window counts K with S_n(R(g1)^* R(g2))(z_p) = (1/n) S1^* K S2, on
-    their support only: returns (cols, K[cols][:, cols]).
+    """Window counts K with S_n(R(g1)^* R(g2))(z_p) = (1/n) S1^* K S2 for
+    n <= m, on their support only: returns (cols, K[cols][:, cols]).
 
-    On the uniform grid both the folded coefficients c_k = bins[k mod m]
-    and the phases e^{ikz_p} are m-periodic in k, so the length-n window
-    sums W_r of s_k = c_k e^{ikz} are m-periodic in the row index r:
-    W = M S with M = alpha * ones + (circular window of length n mod m),
-    where S_j = bins_j e^{ijz} and n = alpha*m + rho.  Summing the row
-    products with their residue multiplicities cnt gives K = M^T diag(cnt) M;
-    K[u, v] counts the length-n windows holding a frequency k1 = u and a
-    frequency k2 = v (mod m), for every n, strict or folded.  Only the
-    min(n, m) rows with cnt > 0 and the min(2n-1, m) residues cols of
-    |k| < n enter, so building K costs O(n * min(2n-1, m)^2), never O(m^3).
-    Its row 0 is not the folded Fejer weight of ``truncation.smooth`` once
-    n > m.
+    Row r's window sum is W_r = sum_j M[r, j] S_j with S_j = bins_j e^{ijz}
+    and M[r, j] = [(r - j) mod m < n] (``_toeplitz_times_phase``), so
+    K = M^T M counts the length-n windows holding frequencies u and v
+    (mod m).  Only the min(2n-1, m) residues cols of |k| < n enter, so
+    building K costs O(n * min(2n-1, m)^2), never O(m^3).
     """
-    alpha, rho = divmod(n, m)
-    rows = np.arange(min(n, m))
-    cols = np.unique(np.mod(np.arange(-(n - 1), n), m))
-    M = alpha + (np.mod(rows[:, None] - cols[None, :], m) < rho)
-    cnt = (alpha + (rows < rho)).astype(float)
-    return cols, M.T @ (cnt[:, None] * M)
+    rows = np.arange(n)
+    cols = np.unique(np.mod(np.arange(1 - n, n), m))
+    M = (np.mod(rows[:, None] - cols[None, :], m) < n).astype(float)
+    return cols, M.T @ M
 
 
 @functools.lru_cache(maxsize=64)
@@ -567,14 +589,16 @@ def _band_table(n: int, m: int, half: bool = False) -> tuple[np.ndarray, ...]:
 
 
 def _band_pair_sn(bins1: np.ndarray, bins2: np.ndarray, n: int, real: bool) -> np.ndarray:
-    """(B, m) values of S_n(R(g1)^* R(g2)) from raw DFT bin rows (B, m).
+    """(B, m) values of S_n(R(g1)^* R(g2)) for n <= m from raw DFT bin rows
+    (B, m).
 
     S_n(z_p) = (1/n) sum_{u,v} K[u, v] conj(bins1_u) bins2_v e^{2 pi i (v-u) p/m}
     is a weighted correlation of the bin rows: summing the table by delta
     gives its DFT-domain coefficients c_delta, and one inverse FFT returns
-    the grid values.  O(nnz + m log m) per item, exact in both regimes.
-    A ``real`` pair (g1 = g2) sums only the half table and returns float64
-    values through ``irfft``, which is exact since c_{-delta} = conj(c_delta).
+    the grid values.  O(nnz + m log m) per item, exact whether or not the
+    coefficients alias.  A ``real`` pair (g1 = g2) sums only the half table
+    and returns float64 values through ``irfft``, which is exact since
+    c_{-delta} = conj(c_delta).
     """
     m = bins1.shape[-1]
     u, v, w, starts, deltas = _band_table(n, m, real)
@@ -588,11 +612,41 @@ def _band_pair_sn(bins1: np.ndarray, bins2: np.ndarray, n: int, real: bool) -> n
     return np.fft.ifft(c, axis=1) * (m / n)
 
 
-def _folded_pair_sn(bins1: np.ndarray, bins2: np.ndarray, n: int, real: bool) -> np.ndarray:
-    """The folded-regime (m < n) entry to ``_band_pair_sn``, where every
-    residue pair (u, v) carries weight; strict pairs call ``_band_pair_sn``
-    themselves."""
-    return _band_pair_sn(bins1, bins2, n, real)
+def _folded_pair_sn(g1: np.ndarray, g2: np.ndarray, bins1: np.ndarray, bins2: np.ndarray,
+                    n: int, real: bool) -> np.ndarray:
+    """(B, m) values of S_n(R(g1)^* R(g2)) for m < n from the grid values
+    and DFT bin rows (B, m) of g1 and g2.
+
+    With n = alpha*m + rho, row r's window sum is W_r = alpha g + V_r, V_r
+    the circular window of the rho frequencies ending at r, and
+    n S_n = sum_{r<m} cnt_r conj(W1_r) W2_r (``_fold``).  With h = conj(g1) g2,
+
+        n S_n = alpha^2 n h + alpha (conj(g1) A2 + conj(A1) g2 + ifft(w fft(h)))
+                + rho S_rho(R(g1)^* R(g2)),
+
+    w_delta = |arc & (arc + delta)| for an arc of rho residues, A = m ifft(a
+    bins) with a = alpha rho + w, and S_rho from ``_band_pair_sn``:
+    O(m log m + rho^2) per item.  A ``real`` pair (g1 = g2) returns float64.
+    """
+    m = bins1.shape[-1]
+    alpha, rho = divmod(n, m)
+    delta = np.arange(m)
+    w = np.maximum(rho - delta, 0) + np.maximum(rho - m + delta, 0)
+    a = alpha * rho + w
+    A2 = m * np.fft.ifft(a * bins2, axis=-1)
+    if real:
+        h = g2.real ** 2 + g2.imag ** 2
+        vals = alpha * n * h + 2 * (np.conj(g2) * A2).real
+        vals += np.fft.irfft(w[: m // 2 + 1] * np.fft.rfft(h, axis=-1), m, axis=-1)
+    else:
+        h = np.conj(g1) * g2
+        A1 = m * np.fft.ifft(a * bins1, axis=-1)
+        vals = alpha * n * h + np.conj(g1) * A2 + np.conj(A1) * g2
+        vals += np.fft.ifft(w * np.fft.fft(h, axis=-1), axis=-1)
+    vals *= alpha
+    if rho:
+        vals += rho * _band_pair_sn(bins1, bins2, rho, real)
+    return vals / n
 
 
 def _prod_pair_values(spec: ProdKernel, a: np.ndarray, b: np.ndarray, grid: TorusGrid,
@@ -603,23 +657,22 @@ def _prod_pair_values(spec: ProdKernel, a: np.ndarray, b: np.ndarray, grid: Toru
     m = grid.m
     real = _real_valued(spec)
     check_alias_free(n - 1, m, allow_aliasing)
-    # (B, m) DFT bins of z -> base(a(z), b(z)), once per distinct base kernel
-    bins = {base: np.fft.fft(base.pairwise(a, b), axis=-1) / m
-            for base in set(spec.bases1 + spec.bases2)}
+    # (B, m) values and DFT bins of z -> base(a(z), b(z)), once per distinct base
+    g = {base: base.pairwise(a, b) for base in set(spec.bases1 + spec.bases2)}
+    bins = {base: np.fft.fft(vals, axis=-1) / m for base, vals in g.items()}
     bins1 = [bins[base] for base in spec.bases1]
     bins2 = [bins[base] for base in spec.bases2]
     if spec.q == 1 and m < n:
-        vals = _folded_pair_sn(bins1[0], bins2[0], n, real)
+        vals = _folded_pair_sn(g[spec.bases1[0]], g[spec.bases2[0]], bins1[0], bins2[0],
+                               n, real)
     elif spec.q == 1:
         vals = _band_pair_sn(bins1[0], bins2[0], n, real)
     else:
-        ks = np.mod(np.arange(-(n - 1), n), m)
         # (prod_j T1_j^*)^* u = T1_q ... T1_1 u ; right chain is T2_1 ... T2_q u,
-        # the same chain when the spec is real-valued
-        right = _chain_columns([bn[..., ks] for bn in bins2], grid, n)
-        left = right if real else _chain_columns([bn[..., ks] for bn in reversed(bins1)],
-                                                 grid, n)
-        vals = np.einsum("brp,brp->bp", np.conj(left), right) / n
+        # the same chain when the spec is real-valued; rows weighted by cnt
+        right, cnt = _chain_columns(bins2, grid, n)
+        left = right if real else _chain_columns(bins1[::-1], grid, n)[0]
+        vals = np.einsum("brp,brp->bp", np.conj(left), right * cnt[:, None]) / n
         if real:
             vals = vals.real
     if spec.beta:
@@ -678,14 +731,18 @@ def _block(spec: KernelSpec, xs: list, ys: list, allow_aliasing: bool) -> np.nda
     else:
         pairs_i, pairs_j = np.divmod(np.arange(len(xs) * len(ys)), len(ys))
     real = _real_valued(spec)
+    m = grid.m
     if spec.is_infinite:
-        width = grid.m * xv.shape[-1]
+        width = m * xv.shape[-1]
     elif spec.q == 1:
-        width = len(_band_table(int(spec.n), grid.m, real)[0]) + grid.m
+        # the n <= m table plus the result, or the folded route's rho table
+        # plus its (B, m) temporaries
+        rho, extra = (int(spec.n) % m, 8 * m) if spec.n > m else (int(spec.n), m)
+        width = (len(_band_table(rho, m, real)[0]) if rho else 0) + extra
     else:
-        width = (2 * int(spec.n) - 1) * grid.m
+        width = (2 * min(int(spec.n), m) - 1) * m
     chunk = max(1, _PAIR_CHUNK_BUDGET // width)
-    out = np.empty((grid.m, len(xs), len(ys)), dtype=float if real else complex)
+    out = np.empty((m, len(xs), len(ys)), dtype=float if real else complex)
     for lo in range(0, len(pairs_i), chunk):
         ci, cj = pairs_i[lo : lo + chunk], pairs_j[lo : lo + chunk]
         if spec.is_infinite:
@@ -702,18 +759,21 @@ def cross_values(spec: KernelSpec, xs, ys, allow_aliasing: bool = False) -> np.n
 
 
 def gram_values(spec: KernelSpec, xs, allow_aliasing: bool = False) -> tuple[np.ndarray, int]:
-    """Hermitian Gram field G[p, i, j] = k(xs[i], xs[j])(z_p).
+    """Gram field G[p, i, j] = k(xs[i], xs[j])(z_p).
 
     The block core evaluates the upper triangle (N(N+1)/2 pair evaluations
-    on the pair routes); the strict lower triangle is then overwritten in
-    place, one grid point at a time, with the conjugate of the upper one.
-    The field is float64 for a real-valued spec, complex128 otherwise.
-    Returns (field, N(N+1)/2).
+    on the pair routes); for poly and prod the strict lower triangle is then
+    overwritten in place, one grid point at a time, with the conjugate of
+    the upper one.  The whole sep block is kept as computed: with
+    non-palindromic weights that kernel is symmetric, k(x, y) = k(y, x), not
+    Hermitian.  The field is float64 for a real-valued spec, complex128
+    otherwise.  Returns (field, N(N+1)/2).
     """
     xs = list(xs)
     N = len(xs)
     field = _block(spec, xs, xs, allow_aliasing)
-    lower = np.tri(N, k=-1, dtype=bool)
-    for mat in field:
-        np.copyto(mat, mat.T.conj(), where=lower)
+    if not isinstance(spec, SepKernel):
+        lower = np.tri(N, k=-1, dtype=bool)
+        for mat in field:
+            np.copyto(mat, mat.T.conj(), where=lower)
     return field, N * (N + 1) // 2

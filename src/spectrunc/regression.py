@@ -12,13 +12,13 @@ imaginary parts of y as two real right-hand sides.  Coefficients and
 predictions are complex either way.
 
 The truncated polynomial kernel has low rank: G(z_p) = F_p^* F_p with F_p
-the d*n x N factor of ``kernels.poly_factors``, so n bounds the rank of the
-representation.  When d*n < N (and no field is passed in), ``fit`` never
-builds the field: it solves all m systems at once in the d*n-dimensional
-factor space by the Woodbury identity, and ``predict_batch`` evaluates
-F_{x,p}^* (F_p c_p) instead of a cross block.  The n = INF poly limit has
-rank d but keeps the dense route, whose test errors are pinned
-byte-for-byte; the factored solve moves them in the last digits.
+the d*min(n, m) x N factor of ``kernels.poly_factors``.  When
+d*min(n, m) < N (and no field is passed in), ``fit`` never builds the
+field: it solves all m systems at once in the factor space by the Woodbury
+identity, and ``predict_batch`` evaluates F_{x,p}^* (F_p c_p) instead of a
+cross block.  The n = INF poly limit has rank d but keeps the dense route,
+whose test errors are pinned byte-for-byte; the factored solve moves them
+in the last digits.
 """
 
 from __future__ import annotations
@@ -96,9 +96,9 @@ class RidgeModel:
     inputs: tuple[FunctionTuple, ...]
     coefficients: np.ndarray = field(repr=False)  # (N, m)
     allow_aliasing: bool = False
-    # F_p c_p, (m, d*n, 1): all that prediction on the factored route needs
-    # of the training side.  Set by ``fit``; outside init, so a model read
-    # from disk or made by ``dataclasses.replace`` starts without it and
+    # F_p c_p, (m, d*min(n, m), 1): all that prediction on the factored route
+    # needs of the training side.  Set by ``fit``; outside init, so a model
+    # read from disk or made by ``dataclasses.replace`` starts without it and
     # ``predict_batch`` rebuilds it from the factors.  Never serialized.
     factor_coefficients: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False)
@@ -121,9 +121,9 @@ def assemble_gram(kernel: KernelSpec, inputs, allow_aliasing: bool = False) -> G
         raise ConfigError("need at least one training input")
     mats, count = gram_values(kernel, inputs, allow_aliasing=allow_aliasing)
     gram = GramField(inputs[0].grid, mats, eval_count=count)
-    # the strict lower triangle holds exact conjugates of the upper one, so
-    # hermitian_defect() reduces to the diagonal's 2 max |Im G_ii|; the
-    # field's scale matters only once that exceeds the tolerance
+    # the strict lower triangle holds exact conjugates of the upper one (sep:
+    # G_ij = s_ij w(z_p), s_ij <= s_ii = 1), so hermitian_defect() reduces to
+    # the diagonal's 2 max |Im G_ii|; the scale matters only past the bound
     defect = 2.0 * float(np.max(np.abs(np.diagonal(gram.matrices, axis1=1, axis2=2).imag)))
     if defect > HERMITIAN_TOL:
         scale = max(float(np.max(np.abs(g))) for g in gram.matrices)
@@ -145,12 +145,13 @@ def check_pd(gram: GramField) -> PDReport:
     return PDReport(min_per_point=mins, global_min=float(mins[arg]), argmin_point=arg)
 
 
-def _factored(kernel: KernelSpec, n_train: int) -> bool:
-    """Whether ``fit`` and ``predict_batch`` work on the rank-d*n factors of
-    ``kernels.poly_factors`` instead of the N x N field: a finite-n poly
-    kernel whose rank bound d*n is below the training size N."""
+def _factored(kernel: KernelSpec, inputs) -> bool:
+    """Whether ``fit`` and ``predict_batch`` work on the rank-d*min(n, m)
+    factors of ``kernels.poly_factors`` instead of the N x N field: a
+    finite-n poly kernel whose rank bound d*min(n, m), on the grid of the
+    training inputs, is below the training size N."""
     return (isinstance(kernel, PolyKernel) and not kernel.is_infinite
-            and len(kernel.alpha) * kernel.n < n_train)
+            and len(kernel.alpha) * min(kernel.n, inputs[0].grid.m) < len(inputs))
 
 
 def _checked(c: np.ndarray, resid: np.ndarray, y: np.ndarray, min_eig) -> np.ndarray:
@@ -224,8 +225,8 @@ def fit(kernel: KernelSpec, inputs, outputs, lam: float,
         allow_aliasing: bool = False, gram: GramField | None = None) -> RidgeModel:
     """Solve y(z_p) = (G(z_p) + lambda I) c(z_p) at every grid point.
 
-    Without a ``gram``, a finite-n poly kernel with d*n < N is solved in its
-    factor space (see the module docstring) and the field is never built.
+    Without a ``gram``, a finite-n poly kernel with d*min(n, m) < N is solved
+    in its factor space (see the module docstring), building no field.
     Otherwise the field is assembled (or taken from ``gram``) and factored
     by a Hermitian (Cholesky) factorization per point, falling back to a
     pivoted general solve with a ``SolverFallbackWarning`` when the shifted
@@ -237,9 +238,9 @@ def fit(kernel: KernelSpec, inputs, outputs, lam: float,
     Raises
     ------
     ConfigError
-        No inputs, mismatched inputs/outputs, or lam = 0 on a Gram field
-        that is not verifiably positive definite (on the factored route it
-        is singular by rank).
+        No inputs, mismatched inputs/outputs, a negative or non-finite lam,
+        or lam = 0 on a Gram field that is not verifiably positive definite
+        (on the factored route it is singular by rank).
     NumericalError
         Singular system or non-finite solution at some grid point, or a
         residual-check violation.
@@ -250,18 +251,18 @@ def fit(kernel: KernelSpec, inputs, outputs, lam: float,
         raise ConfigError("need at least one training input")
     if len(inputs) != len(outputs):
         raise ConfigError(f"{len(inputs)} inputs vs {len(outputs)} outputs")
-    if lam < 0:
-        raise ConfigError(f"regularization must be >= 0, got {lam}")
+    if not 0 <= lam < np.inf:
+        raise ConfigError(f"regularization must be finite and >= 0, got {lam}")
     grid = inputs[0].grid
     if any(o.grid != grid for o in outputs):
         raise ConfigError("outputs live on a different grid than inputs")
-    factored = gram is None and _factored(kernel, len(inputs))
+    factored = gram is None and _factored(kernel, inputs)
     if factored:
         if lam == 0.0:
-            raise ConfigError(
-                "lam = 0 requires a strictly positive definite Gram field; "
-                f"this one has rank <= d*n = {len(kernel.alpha) * kernel.n} < N = {len(inputs)}"
-            )
+            rows, d = min(kernel.n, grid.m), len(kernel.alpha)
+            raise ConfigError("lam = 0 requires a strictly positive definite Gram field; "
+                              f"this one has rank <= d*{'n' if rows == kernel.n else 'm'} "
+                              f"= {d * rows} < N = {len(inputs)}")
         F = poly_factors(kernel, inputs, allow_aliasing)
     else:
         if gram is None:
@@ -284,11 +285,11 @@ def fit(kernel: KernelSpec, inputs, outputs, lam: float,
 
 def predict_batch(model: RidgeModel, xs) -> list[SampledFunction]:
     """Predictions f(x)(z_p) = sum_j k(x, x_j)(z_p) c_j(z_p) for a batch of
-    input tuples.  On ``fit``'s factored route (finite-n poly, d*n < N) this
-    is F_{x,p}^* (F_p c_p): the factors of the batch times the model's
-    ``factor_coefficients``, rebuilt from the training factors only when the
-    model lacks them (read from disk); otherwise one (m, Nx, N) cross-kernel
-    block."""
+    input tuples.  On ``fit``'s factored route (finite-n poly,
+    d*min(n, m) < N) this is F_{x,p}^* (F_p c_p): the factors of the batch
+    times the model's ``factor_coefficients``, rebuilt from the training
+    factors only when the model lacks them (read from disk); otherwise one
+    (m, Nx, N) cross-kernel block."""
     xs = list(xs)
     if not xs:
         raise ConfigError("need at least one input to predict")
@@ -296,7 +297,7 @@ def predict_batch(model: RidgeModel, xs) -> list[SampledFunction]:
     if any(x.grid != grid for x in xs):
         raise ConfigError("prediction inputs live on a different grid than the model")
     c = model.coefficients
-    if _factored(model.kernel, len(model.inputs)):
+    if _factored(model.kernel, model.inputs):
         Fc = model.factor_coefficients
         if Fc is None:
             Fc = poly_factors(model.kernel, model.inputs, model.allow_aliasing) @ c.T[..., None]

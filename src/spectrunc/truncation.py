@@ -63,26 +63,15 @@ class ToeplitzRep:
         return self.coeffs[idx]
 
 
-def grid_coefficients(values: np.ndarray, kmax: int, allow_aliasing: bool = False) -> np.ndarray:
-    """Rectangle-rule Fourier coefficients k = -kmax..kmax of a stack of
-    grid-value rows, (..., m) -> (..., 2 kmax + 1).
-
-    Computed from the DFT of the grid values, so coefficient k is the DFT
-    bin at k mod m.  In the strict (default) regime every requested k must
-    satisfy |k| < m/2, where the bin equals the true coefficient of any
-    degree-<m/2 trigonometric polynomial; with ``allow_aliasing`` the folded
-    bins are returned as-is, which is what evaluating the defining
-    quadrature at an under-resolved k produces.
-    """
-    m = values.shape[-1]
-    check_alias_free(kmax, m, allow_aliasing)
-    bins = np.fft.fft(values, axis=-1) / m
-    return bins[..., np.mod(np.arange(-kmax, kmax + 1), m)]
-
-
 def truncate(x: SampledFunction, n: int, allow_aliasing: bool = False) -> ToeplitzRep:
     """Spectral truncation R_n(x): the Toeplitz matrix of coefficients
     -(n-1)..(n-1), stored as a coefficient vector.
+
+    Coefficient k is the DFT bin at k mod m.  In the strict (default) regime
+    every |k| < m/2, where the bin equals the true coefficient of any
+    degree-<m/2 trigonometric polynomial; with ``allow_aliasing`` the folded
+    bins are kept as-is, which is what evaluating the defining quadrature at
+    an under-resolved k produces.
 
     Raises
     ------
@@ -91,7 +80,9 @@ def truncate(x: SampledFunction, n: int, allow_aliasing: bool = False) -> Toepli
     """
     if n < 1:
         raise ValueError(f"truncation order must be positive, got n={n}")
-    return ToeplitzRep(n, grid_coefficients(x.values, n - 1, allow_aliasing=allow_aliasing))
+    m = x.grid.m
+    check_alias_free(n - 1, m, allow_aliasing)
+    return ToeplitzRep(n, (np.fft.fft(x.values) / m)[np.mod(np.arange(1 - n, n), m)])
 
 
 def _diagonal_sums(A: np.ndarray) -> np.ndarray:

@@ -201,6 +201,16 @@ def test_bad_worker_count_exit_code(monkeypatch, tmp_path):
     assert main(["run-synth", "--config", str(cfg), "--out", str(tmp_path / "res")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("lam", ["-1", "nan", "inf"])
+def test_bad_lam_exit_code(tmp_path, tiny_dataset, capsys, lam):
+    code = main(["fit", "--dataset", str(tiny_dataset / "ds"),
+                 "--kernel", str(tiny_dataset / "kernel.json"), "--lam", lam,
+                 "--out", str(tmp_path / "m")])
+    assert code == EXIT_CONFIG
+    assert not (tmp_path / "m").exists()
+    assert "regularization must be finite and >= 0" in assert_one_config_error_line(capsys)
+
+
 def test_bad_kernel_config_exit_code(tmp_path, tiny_dataset):
     bad = tmp_path / "bad_kernel.json"
     bad.write_text(json.dumps({"family": "poly", "n": 0, "q": 1, "alpha": [1.0]}))
@@ -407,6 +417,12 @@ def base_case(id, **fields):
     base_case("gamma-null", kind="gaussian", gamma=None),
     base_case("gamma-quoted", kind="gaussian", gamma="1.0"),
     base_case("degree-2.5", kind="polynomial", degree=2.5),
+    ("lambda", float("nan")), ("lambda", float("inf")), ("input_noise", float("inf")),
+    ("output_noise", float("nan")), ("delta", float("nan")),
+    kernel_case("alpha-nan", alpha=[1.0, float("nan")]),
+    pytest.param("kernels", [{**PROD, "beta": float("inf")}], id="beta-inf"),
+    base_case("gamma-nan", kind="gaussian", gamma=float("nan")),
+    base_case("offset-inf", kind="polynomial", degree=2, offset=float("inf")),
 ])
 def test_bad_config_value_rejected_before_any_cell(tmp_path, capsys, field, value):
     config = {"n_samples": 4, "n_test": 2, "runs": 1, "kernels": [POLY2], field: value}
@@ -523,7 +539,9 @@ def test_empty_dataset_exit_code(tiny_dataset, tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["predict", "eval"])
 @pytest.mark.parametrize("change", [
     {"allow_aliasing": "no"}, {"lambda": "0.1"}, {"lambda": -1.0}, {"N": "4"}, {"m": 16.5},
-], ids=["allow_aliasing-no", "lambda-quoted", "lambda-negative", "N-quoted", "m-16.5"])
+    {"lambda": float("nan")}, {"lambda": float("inf")},
+], ids=["allow_aliasing-no", "lambda-quoted", "lambda-negative", "N-quoted", "m-16.5",
+        "lambda-nan", "lambda-inf"])
 def test_bad_model_manifest_exit_code(tiny_dataset, tmp_path, capsys, command, change):
     ds, model = str(tiny_dataset / "ds"), tiny_dataset / "model"
     assert main(["fit", "--dataset", ds, "--kernel", str(tiny_dataset / "kernel.json"),

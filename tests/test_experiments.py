@@ -353,6 +353,18 @@ class TestConfigJson:
         with pytest.raises(ConfigError):
             config_from_json(SyntheticConfig, [{"lambda": 0.5}])
 
+    @pytest.mark.parametrize("field", ["lam", "input_noise", "output_noise", "delta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_synthetic_non_finite_real_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="must be a finite real number"):
+            SyntheticConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["lam", "gamma", "beta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_inpaint_non_finite_real_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="must be a finite real number"):
+            InpaintConfig(**{field: value})
+
     def test_bad_n_list_entry_rejected(self):
         with pytest.raises(ConfigError):
             config_from_json(InpaintConfig, {"n_list": [4, "infinity"]})

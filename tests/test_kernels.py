@@ -60,6 +60,18 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             PolyKernel(n=2.5, q=1, alpha=(1.0,))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_reals_rejected(self, value):
+        g = GaussianKernel(gamma=1.0)
+        makers = [lambda: ProdKernel(n=4, q=1, bases1=(g,), bases2=(g,), beta=value),
+                  lambda: GaussianKernel(gamma=value),
+                  lambda: PolynomialKernel(degree=2, offset=value),
+                  lambda: L2GaussianTupleKernel(scale=value),
+                  lambda: PolyKernel(n=4, q=1, alpha=(1.0, value))]
+        for make in makers:
+            with pytest.raises(ConfigError, match="finite"):
+                make()
+
     def test_beta_forced_zero_at_inf(self):
         g = GaussianKernel(gamma=1.0)
         spec = ProdKernel(n=INF, q=1, bases1=(g,), bases2=(g,), beta=3.0)
@@ -435,7 +447,7 @@ class TestBatchedBlocks:
                              for x in rows]).transpose(2, 0, 1)
             assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want))
 
-    # poly blocks, built from the rank-d*n factors at finite n: q in {1, 2},
+    # poly blocks, built from the rank-d*min(n, m) factors at finite n: q in {1, 2},
     # d in {1, 2}, n alias-free, aliased n <= m, folded n > m, or INF, with
     # or without a zero alpha weight
     @settings(max_examples=40, deadline=None)
@@ -464,7 +476,42 @@ class TestBatchedBlocks:
                              for x in rows]).transpose(2, 0, 1)
             assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want))
         if not limit:
-            assert kernels_mod.poly_factors(spec, xs, allow_aliasing=True).shape == (m, d * n, 3)
+            assert kernels_mod.poly_factors(spec, xs, allow_aliasing=True).shape == (m, d * min(n, m), 3)
+
+    # complex q > 1 chains, on the n-row prefix-sum route (n <= m) or the
+    # folded m-row one (n > m): prod with unrelated bases and sep with
+    # non-palindromic weights, q in {2, 3}, m in [5, 40], n in [1, 3m]
+    @settings(max_examples=30, deadline=None)
+    @given(hst.integers(5, 40).flatmap(lambda m: hst.tuples(hst.just(m), hst.integers(1, 3 * m))),
+           hst.sampled_from(["prod", "sep"]), hst.sampled_from([2, 3]),
+           hst.sampled_from([0.0, 0.4]), hst.integers(0, 2**16))
+    @example((12, 24), "prod", 3, 0.4, 0)         # rho = 0: n = 2m
+    @example((12, 13), "prod", 2, 0.0, 1)         # n = m + 1
+    @example((7, 21), "prod", 3, 0.0, 2)          # n = 3m
+    @example((13, 40), "prod", 2, 0.4, 3)
+    @example((9, 27), "sep", 3, 0.0, 4)
+    @example((10, 11), "sep", 2, 0.0, 5)
+    def test_complex_chain_blocks_match_dense_oracle(self, mn, family, q, beta, seed):
+        m, n = mn
+        grid = TorusGrid(m)
+        rng = np.random.default_rng(seed)
+        xs = [FunctionTuple(tuple(SampledFunction(grid, rng.standard_normal(m)
+                                                  + 1j * rng.standard_normal(m))
+                                  for _ in range(2))) for _ in range(3)]
+        if family == "prod":
+            spec = ProdKernel(n=n, q=q, bases1=(G06, LIN, POLY2)[:q],
+                              bases2=(LIN, POLY2, G06)[:q], beta=beta)
+        else:
+            a, b, _ = palindromic_weights(grid)
+            spec = SepKernel(n=n, q=q, weights=(a, b, b)[:q],
+                             base=L2GaussianTupleKernel(scale=0.2))
+        field, _ = gram_values(spec, xs, allow_aliasing=True)
+        cross = cross_values(spec, xs[:2], xs, allow_aliasing=True)
+        assert field.dtype == cross.dtype == np.complex128
+        for block, rows in ((field, xs), (cross, xs[:2])):
+            want = np.stack([[evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
+                             for x in rows]).transpose(2, 0, 1)
+            assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n", [5, INF], ids=["finite", "inf"])
     @pytest.mark.parametrize("spec, real", [

@@ -193,6 +193,12 @@ class TestFit:
         with pytest.raises(ConfigError):
             fit(sep_spec(GRID), [x], random_outputs(GRID, rng, 1), lam=-1.0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, rng, lam):
+        x = random_trig_tuple(GRID, rng, d=1, deg=2)
+        with pytest.raises(ConfigError, match="must be finite and >= 0"):
+            fit(sep_spec(GRID), [x], random_outputs(GRID, rng, 1), lam=lam)
+
     def test_fallback_warning_on_indefinite(self, rng):
         # an indefinite shifted Gram matrix defeats the Hermitian
         # factorization; the pivoted fallback still solves it
@@ -259,7 +265,7 @@ class TestFit:
         xs = [random_trig_tuple(GRID, rng, d=1, deg=3) for _ in range(6)]
         xs[2] = FunctionTuple((SampledFunction(GRID, np.full(GRID.m, np.nan + 0j)),))
         # a dense field holding NaN has no eigenvalues to report
-        eig = "1.000e-01" if regression._factored(spec, 6) else "nan"
+        eig = "1.000e-01" if regression._factored(spec, xs) else "nan"
         with pytest.raises(NumericalError, match=rf"non-finite solution at grid point 0 "
                                                  rf"\(min eigenvalue {eig}\)"):
             fit(spec, xs, complex_outputs(GRID, rng, 6), lam=0.1)
@@ -370,24 +376,27 @@ class TestFactoredRoute:
 
     @staticmethod
     def dense_fit_predict(spec, xs, ys, lam, probes):
-        model = fit(spec, xs, ys, lam, gram=assemble_gram(spec, xs))
-        K = regression.cross_values(spec, probes, xs)
+        model = fit(spec, xs, ys, lam, gram=assemble_gram(spec, xs, allow_aliasing=True))
+        K = regression.cross_values(spec, probes, xs, allow_aliasing=True)
         return model.coefficients, np.einsum("pij,jp->ip", K, model.coefficients)
 
+    # the folded cases have d*n >= N > d*m: rank d*m on the m = 32 grid
     @pytest.mark.parametrize("q, alpha, n, N", [
         (1, (1.0, 1.0), 4, 12),
         (1, (0.0, 1.3), 3, 8),
         (2, (0.7, 1.3), 3, 10),
         (2, (0.5,), 5, 9),
-    ], ids=["q1", "q1-zero-weight", "q2", "q2-d1"])
+        (1, (1.0,), 48, 40),
+        (1, (0.7, 1.3), 40, 70),
+    ], ids=["q1", "q1-zero-weight", "q2", "q2-d1", "q1-d1-folded", "q1-folded"])
     def test_factored_matches_dense_route(self, rng, q, alpha, n, N):
         d = len(alpha)
         spec = PolyKernel(n=n, q=q, alpha=alpha)
         xs = [random_trig_tuple(GRID, rng, d=d, deg=3) for _ in range(N)]
         ys = complex_outputs(GRID, rng, N)
         probes = [random_trig_tuple(GRID, rng, d=d, deg=3) for _ in range(3)]
-        assert regression._factored(spec, N)
-        model = fit(spec, xs, ys, lam=0.05)
+        assert regression._factored(spec, xs)
+        model = fit(spec, xs, ys, lam=0.05, allow_aliasing=True)
         got = np.stack([p.values for p in predict_batch(model, probes)])
         coeff, want = self.dense_fit_predict(spec, xs, ys, 0.05, probes)
         assert np.max(np.abs(model.coefficients - coeff)) <= 1e-10 * np.max(np.abs(coeff))
@@ -410,20 +419,29 @@ class TestFactoredRoute:
         with pytest.raises(ConfigError, match="rank <= d\\*n = 4 < N = 6"):
             fit(PolyKernel(n=4, q=1, alpha=(1.0,)), xs, complex_outputs(GRID, rng, 6), lam=0.0)
 
-    @pytest.mark.parametrize("n, dense", [(3, False), (4, True), (INF, True)],
-                             ids=["below-N", "equal-N", "inf"])
-    def test_dense_blocks_only_when_rank_reaches_N(self, rng, monkeypatch, n, dense):
-        # d*n = 6 < N = 8 takes the factored route; d*n = N and the rank-d
-        # n = INF limit keep the field and the cross block
+    def test_lambda_zero_rejected_names_the_folded_bound(self, rng):
+        xs = [random_trig_tuple(GRID, rng, d=1, deg=3) for _ in range(40)]
+        with pytest.raises(ConfigError, match="rank <= d\\*m = 32 < N = 40"):
+            fit(PolyKernel(n=48, q=1, alpha=(1.0,)), xs, complex_outputs(GRID, rng, 40), lam=0.0,
+                allow_aliasing=True)
+
+    @pytest.mark.parametrize("n, m, dense", [(3, 32, False), (4, 32, True), (INF, 32, True),
+                                             (5, 3, False)],
+                             ids=["below-N", "equal-N", "inf", "folded-below-N"])
+    def test_dense_blocks_only_when_rank_reaches_N(self, rng, monkeypatch, n, m, dense):
+        # d*min(n, m) = 6 < N = 8 takes the factored route, also when
+        # d*n = 10 >= N; d*n = N and the rank-d n = INF limit keep the field
+        # and the cross block
         called = set()
         for name in ("gram_values", "cross_values", "assemble_gram"):
             def spy(*args, _real=getattr(regression, name), _name=name, **kwargs):
                 called.add(_name)
                 return _real(*args, **kwargs)
             monkeypatch.setattr(regression, name, spy)
-        xs = [random_trig_tuple(GRID, rng, d=2, deg=3) for _ in range(8)]
-        model = fit(PolyKernel(n=n, q=1, alpha=(1.0, 1.0)), xs, complex_outputs(GRID, rng, 8),
-                    lam=0.1)
+        grid = TorusGrid(m)
+        xs = [random_trig_tuple(grid, rng, d=2, deg=3) for _ in range(8)]
+        model = fit(PolyKernel(n=n, q=1, alpha=(1.0, 1.0)), xs, complex_outputs(grid, rng, 8),
+                    lam=0.1, allow_aliasing=True)
         predict_batch(model, xs[:2])
         assert called == ({"gram_values", "cross_values", "assemble_gram"} if dense else set())
 

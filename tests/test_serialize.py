@@ -135,6 +135,11 @@ class TestKernelJson:
         ({"bases1": [{"kind": "cosine"}] * 2}, "kind must be one of"),
         ({"bases1": [{"gamma": 1.0}] * 2}, "'kind'"),
         ({"bases2": [{"kind": "polynomial", "degree": 2.5}] * 2}, "polynomial degree"),
+        ({"beta": float("nan")}, "'beta' must be a finite"),
+        ({"beta": float("inf")}, "'beta' must be a finite"),
+        ({"bases1": [{"kind": "gaussian", "gamma": float("inf")}] * 2}, "'gamma' must be a finite"),
+        ({"bases2": [{"kind": "polynomial", "degree": 2, "offset": float("nan")}] * 2},
+         "'offset' must be a finite"),
     ])
     def test_bad_value_is_config_error(self, change, match):
         doc = {**config_to_json(self.kernels()[2]), **change}
@@ -311,7 +316,7 @@ class TestDatasetAndModel:
     @pytest.mark.parametrize("change", [
         {"allow_aliasing": "no"}, {"allow_aliasing": 0}, {"lambda": "0.1"}, {"lambda": -0.1},
         {"lambda": None}, {"N": "3"}, {"N": 2.5}, {"m": "16"}, {"m": True}, {"N": 2}, {"m": 8},
-        {"coefficients": []}, {"lamda": 0.1},
+        {"coefficients": []}, {"lamda": 0.1}, {"lambda": float("nan")}, {"lambda": float("inf")},
     ])
     def test_bad_model_manifest_is_config_error(self, tmp_path, rng, change):
         path = write_model(fitted_model(rng), tmp_path)
