@@ -36,9 +36,9 @@ from .kernels import (
     PolyKernel,
     ProdKernel,
     SepKernel,
-    _check_pair,
     _integer,
     _real,
+    _values,
 )
 from .regression import assemble_gram, fit, predict_batch, test_error
 from .serialize import _JSON_KEYS, config_to_json, n_label, read_pgm
@@ -222,7 +222,7 @@ def run_synthetic(config: SyntheticConfig):
     datasets = [gen_synthetic(config, run) for run in range(config.runs)]
     (train_x, _), _ = datasets[0]
     for spec in specs:
-        _check_pair(spec, train_x[0], train_x[0])
+        _values(spec, train_x[:1], allow_aliasing=True)
     cells = [(spec, run) for spec in specs for run in range(config.runs)]
 
     def work(cell) -> float:

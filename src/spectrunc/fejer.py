@@ -54,6 +54,7 @@ ORACLE_MAX_Q = 2
 LATTICE_MAX_M = 4
 CONVOLVE_MAX_EVALS = 1 << 22
 BETA_POLICIES = ("manual", "bound", "estimate")
+BETA_MARGIN = 1e-6
 
 
 def dirichlet(n: int, s) -> np.ndarray | complex:
@@ -354,11 +355,10 @@ def beta_from_policy(
     value: float | None = None,
     grid_density: int = 64,
     seed: int = 0,
-    margin: float = 1e-6,
 ) -> float:
     """Positive-definiteness offset beta for the product kernel family.
 
-    ``estimate``: max(0, -estimated Fejer minimum) + margin;
+    ``estimate``: max(0, -estimated Fejer minimum) + ``BETA_MARGIN``;
     ``bound``: the provable ceiling n^{2q};
     ``manual``: the supplied value (the bundled experiment configs use 1 and
     0.01, well below the provable bound).
@@ -371,5 +371,5 @@ def beta_from_policy(
         return float(n) ** (2 * q)
     if policy == "estimate":
         est = fejer_min_estimate(n, q, grid_density=grid_density, seed=seed)
-        return max(0.0, -est) + margin
+        return max(0.0, -est) + BETA_MARGIN
     raise ValueError(f"unknown beta policy {policy!r}")

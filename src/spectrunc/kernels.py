@@ -17,8 +17,9 @@ kernels converge to:
 
 Single-pair evaluation (``evaluate``) goes through the dense matrix calculus
 and is the oracle the tests pin the batched route to.  Gram and cross-kernel
-blocks share one block core with a single family dispatch.  Poly and the
-q > 1 product chains take a mathematically identical matrix-free route,
+blocks share one core: one check reads a block's samples into one (N, m, d)
+array, then a single family dispatch.  Poly and the q > 1 product chains
+take a mathematically identical matrix-free route,
 S_n(A^* B)(z) = (1/n) (A u(z))^* (B u(z)) with u(z)_r = e^{-irz}, which turns
 each Toeplitz-times-u product into windowed prefix sums.  On the m-point
 grid the folded coefficients c_k = bins[k mod m] and the phases e^{ikz_p}
@@ -30,7 +31,7 @@ of the two DFT bin rows: one cached table of window counts K[u, v]
 sent back to the grid by one inverse FFT.  For n > m the folded identity
 n S_n = sum_r cnt_r conj(W1_r) W2_r splits it into FFT terms and an
 order-(n mod m) table (``_folded_pair_sn``).  The separable family
-smooths its inputs with ``truncation.smooth``, one FFT pair per component.
+smooths each block side by one batched FFT pair (``truncation.smooth``).
 ``gram_values`` runs the core with the same samples on both sides, so the
 pair routes evaluate only the upper triangle, and fills the lower one in
 place by the Hermitian law k(x, y) = k(y, x)^* of poly and prod.
@@ -57,7 +58,7 @@ import numpy as np
 from .errors import ConfigError, GridMismatchError
 from .fejer import BETA_POLICIES
 from .torus import FunctionTuple, SampledFunction, TorusGrid, check_alias_free, integrate
-from .truncation import sn_map, smooth, truncate
+from .truncation import _fejer_weights, sn_map, sn_map_at, smooth, truncate
 
 __all__ = [
     "INF",
@@ -187,8 +188,16 @@ def _check_n_q(spec: KernelSpec) -> None:
         object.__setattr__(spec, "n", _integer("truncation n", spec.n, 1))
 
 
+class _Truncated:
+    """A kernel family with truncation order n; n = INF selects its limit."""
+
+    @property
+    def is_infinite(self) -> bool:
+        return self.n == INF
+
+
 @dataclass(frozen=True)
-class PolyKernel:
+class PolyKernel(_Truncated):
     """Truncated polynomial family; alpha holds one weight per component."""
 
     n: int | float
@@ -205,13 +214,9 @@ class PolyKernel:
             raise ConfigError("alpha must be a nonempty tuple of weights >= 0")
         object.__setattr__(self, "alpha", alpha)
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.n == INF
-
 
 @dataclass(frozen=True)
-class ProdKernel:
+class ProdKernel(_Truncated):
     """Truncated product family with the positive-definiteness offset beta.
 
     ``bases1``/``bases2`` each hold q base scalar kernels.  beta is forced
@@ -245,13 +250,9 @@ class ProdKernel:
         if self.n == INF:
             object.__setattr__(self, "beta", 0.0)
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.n == INF
-
 
 @dataclass(frozen=True)
-class SepKernel:
+class SepKernel(_Truncated):
     """Truncated separable family: a tuple-level scalar kernel times the
     fixed weight function built from a_1..a_q."""
 
@@ -271,10 +272,6 @@ class SepKernel:
         if any(w.grid != grid for w in self.weights):
             raise GridMismatchError("weight functions live on different grids")
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.n == INF
-
 
 KernelSpec = PolyKernel | ProdKernel | SepKernel
 
@@ -290,27 +287,22 @@ def _real_valued(spec: KernelSpec) -> bool:
     return False
 
 
-def _check_pair(spec: KernelSpec, x: FunctionTuple, y: FunctionTuple) -> TorusGrid:
-    if x.grid != y.grid:
-        raise GridMismatchError("input tuples live on different grids")
-    if isinstance(spec, PolyKernel) and x.d != len(spec.alpha):
-        raise ConfigError(f"alpha has {len(spec.alpha)} weights but inputs have d={x.d}")
-    if x.d != y.d:
-        raise ConfigError(f"input tuples have different d: {x.d} vs {y.d}")
-    if isinstance(spec, SepKernel) and spec.weights[0].grid != x.grid:
+def _values(spec: KernelSpec, samples, allow_aliasing: bool) -> np.ndarray:
+    """The (N, m, d) values of a block's samples (or of one pair), all of one
+    grid and one d that ``spec`` accepts, after the block's one alias check."""
+    grid, d = samples[0].grid, samples[0].d
+    if isinstance(spec, PolyKernel) and d != len(spec.alpha):
+        raise ConfigError(f"alpha has {len(spec.alpha)} weights but inputs have d={d}")
+    if isinstance(spec, SepKernel) and spec.weights[0].grid != grid:
         raise GridMismatchError("separable weights live on a different grid than the inputs")
-    return x.grid
-
-
-def _check_samples(spec: KernelSpec, samples) -> TorusGrid:
-    """The one grid of a block's samples, all of one d that ``spec`` accepts."""
-    grid = _check_pair(spec, samples[0], samples[0])
     for i, t in enumerate(samples):
         if t.grid != grid:
             raise GridMismatchError(f"block sample {i} is on an m={t.grid.m} grid, not m={grid.m}")
-        if t.d != samples[0].d:
-            raise ConfigError(f"block sample {i} has d={t.d}, not d={samples[0].d}")
-    return grid
+        if t.d != d:
+            raise ConfigError(f"block sample {i} has d={t.d}, not d={d}")
+    if not spec.is_infinite:
+        check_alias_free(int(spec.n) - 1, grid.m, allow_aliasing)
+    return np.stack([t.value_matrix() for t in samples])
 
 
 def _base_values(base: BaseScalarKernel, x: FunctionTuple, y: FunctionTuple) -> np.ndarray:
@@ -337,7 +329,8 @@ def _dense_chain(fs1, fs2, n: int, allow_aliasing: bool) -> np.ndarray:
 
 def k_poly(spec: PolyKernel, x: FunctionTuple, y: FunctionTuple,
            allow_aliasing: bool = False) -> SampledFunction:
-    grid = _check_pair(spec, x, y)
+    _values(spec, [x, y], allow_aliasing)
+    grid = x.grid
     if spec.is_infinite:
         vals = np.zeros(grid.m, dtype=complex)
         for a, xc, yc in zip(spec.alpha, x.components, y.components):
@@ -364,7 +357,8 @@ def prod_offset(spec: ProdKernel, x: FunctionTuple, y: FunctionTuple) -> complex
 
 def k_prod(spec: ProdKernel, x: FunctionTuple, y: FunctionTuple,
            allow_aliasing: bool = False) -> SampledFunction:
-    grid = _check_pair(spec, x, y)
+    _values(spec, [x, y], allow_aliasing)
+    grid = x.grid
     g1 = [SampledFunction(grid, _base_values(b, x, y)) for b in spec.bases1]
     g2 = [SampledFunction(grid, _base_values(b, x, y)) for b in spec.bases2]
     if spec.is_infinite:
@@ -383,24 +377,24 @@ def sep_weight_matrix(spec: SepKernel, allow_aliasing: bool = False) -> np.ndarr
     return _dense_chain(spec.weights, spec.weights, int(spec.n), allow_aliasing)
 
 
-def _smooth_tuple(t: FunctionTuple, n: int, allow_aliasing: bool) -> FunctionTuple:
-    return FunctionTuple(tuple(smooth(c, n, allow_aliasing) for c in t.components))
+def _sep_weights(spec: SepKernel, allow_aliasing: bool) -> np.ndarray:
+    """Grid values of the sep weight function, S_n(``sep_weight_matrix``) or its limit."""
+    if not spec.is_infinite:
+        return sn_map_at(sep_weight_matrix(spec, allow_aliasing), spec.weights[0].grid.points)
+    vals = np.ones(spec.weights[0].grid.m, dtype=complex)
+    for a in spec.weights:
+        vals *= np.conj(a.values) * a.values
+    return vals
 
 
 def k_sep(spec: SepKernel, x: FunctionTuple, y: FunctionTuple,
           allow_aliasing: bool = False) -> SampledFunction:
-    grid = _check_pair(spec, x, y)
-    if spec.is_infinite:
-        scalar = spec.base(x, y)
-        vals = np.ones(grid.m, dtype=complex)
-        for a in spec.weights:
-            vals *= np.conj(a.values) * a.values
-        return SampledFunction(grid, scalar * vals)
-    n = int(spec.n)
-    scalar = spec.base(_smooth_tuple(x, n, allow_aliasing),
-                       _smooth_tuple(y, n, allow_aliasing))
-    wvals = sn_map(sep_weight_matrix(spec, allow_aliasing), grid).values
-    return SampledFunction(grid, scalar * wvals)
+    _values(spec, [x, y], allow_aliasing)
+    if not spec.is_infinite:
+        n = int(spec.n)
+        x, y = (FunctionTuple(tuple(smooth(c, n, allow_aliasing) for c in t.components))
+                for t in (x, y))
+    return SampledFunction(x.grid, spec.base(x, y) * _sep_weights(spec, allow_aliasing))
 
 
 def evaluate(spec: KernelSpec, x: FunctionTuple, y: FunctionTuple,
@@ -460,7 +454,7 @@ def _fold(n: int, m: int) -> tuple[int, int, np.ndarray]:
     return alpha, rho + 1, alpha + (np.arange(min(n, m)) <= rho)
 
 
-def _toeplitz_times_phase(bins: np.ndarray, grid: TorusGrid, n: int) -> np.ndarray:
+def _toeplitz_times_phase(bins: np.ndarray, n: int) -> np.ndarray:
     """T u(z_p) on its min(n, m) distinct rows (``_fold``) for a stack of
     DFT bin rows, where T is the n x n Toeplitz matrix of c_k = bins[k mod m].
 
@@ -469,22 +463,22 @@ def _toeplitz_times_phase(bins: np.ndarray, grid: TorusGrid, n: int) -> np.ndarr
     m-periodic in k, so W_r = alpha * g(z) + (prefix-sum window r-rho+1..r),
     with g(z_p) = sum_{k<m} s_k the sampled function itself.
     """
-    z = grid.points
-    alpha, rho, cnt = _fold(n, grid.m)
+    m = bins.shape[-1]
+    z = TorusGrid(m).points
+    alpha, rho, cnt = _fold(n, m)
     rows = len(cnt)
     ks = np.arange(1 - rho, rows)
     phase = np.exp(1j * ks[:, None] * z[None, :])           # (rows+rho-1, m)
-    s = bins[..., np.mod(ks, grid.m), None] * phase          # (..., rows+rho-1, m)
+    s = bins[..., np.mod(ks, m), None] * phase               # (..., rows+rho-1, m)
     p = np.cumsum(s, axis=-2)
     win = p[..., rho - 1:, :].copy()
     win[..., 1:, :] -= p[..., : rows - 1, :]
     if alpha:
-        win += (alpha * grid.m) * np.fft.ifft(bins, axis=-1)[..., None, :]
+        win += (alpha * m) * np.fft.ifft(bins, axis=-1)[..., None, :]
     return win * np.exp(-1j * np.arange(rows)[:, None] * z[None, :])
 
 
-def _chain_columns(bin_stacks: list[np.ndarray], grid: TorusGrid,
-                   n: int) -> tuple[np.ndarray, np.ndarray]:
+def _chain_columns(bin_stacks: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
     """Columns (F_1 (F_2 (... (F_K u(z))))) on their min(n, m) distinct rows,
     and the rows' multiplicities cnt (``_fold``), for per-item DFT bin stacks.
 
@@ -493,26 +487,26 @@ def _chain_columns(bin_stacks: list[np.ndarray], grid: TorusGrid,
     as the min(n, m)-square matrix bins[(r - s) mod m] * cnt[s].  Returns
     (B, min(n, m), m) columns and cnt.
     """
-    cols = _toeplitz_times_phase(bin_stacks[-1], grid, n)
-    cnt = _fold(n, grid.m)[2]
+    m = bin_stacks[-1].shape[-1]
+    cols = _toeplitz_times_phase(bin_stacks[-1], n)
+    cnt = _fold(n, m)[2]
     r = np.arange(len(cnt))
-    idx = np.mod(r[:, None] - r[None, :], grid.m)
+    idx = np.mod(r[:, None] - r[None, :], m)
     for bins in reversed(bin_stacks[:-1]):
         cols = np.matmul(bins[..., idx] * cnt, cols)
     return cols, cnt
 
 
-def _poly_columns(spec: PolyKernel, samples,
-                  allow_aliasing: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample columns W[i, c] = R_n(x_{i,c})^q u(z) on their min(n, m)
-    distinct rows, shape (N, d, min(n, m), m), and the rows' multiplicities."""
-    grid = samples[0].grid
+def _poly_columns(spec: PolyKernel, values: np.ndarray) -> np.ndarray:
+    """``poly_factors`` of (N, m, d) sample values."""
+    N, m, d = values.shape
     n = int(spec.n)
-    check_alias_free(n - 1, grid.m, allow_aliasing)
-    bins = np.fft.fft(np.stack([t.value_matrix().T for t in samples]), axis=-1)  # (N, d, m)
-    bins /= grid.m
-    cols, cnt = _chain_columns([bins.reshape(-1, grid.m)] * spec.q, grid, n)
-    return cols.reshape(*bins.shape[:2], len(cnt), grid.m), cnt
+    bins = np.fft.fft(np.ascontiguousarray(values.transpose(0, 2, 1)), axis=-1)  # (N, d, m)
+    bins /= m
+    w, cnt = _chain_columns([bins.reshape(-1, m)] * spec.q, n)
+    w = w.reshape(N, d, len(cnt), m)
+    w *= np.sqrt(np.multiply.outer(spec.alpha, cnt) / n)[None, :, :, None]
+    return w.transpose(3, 1, 2, 0).reshape(m, d * len(cnt), N)
 
 
 def poly_factors(spec: PolyKernel, samples, allow_aliasing: bool = False) -> np.ndarray:
@@ -521,11 +515,7 @@ def poly_factors(spec: PolyKernel, samples, allow_aliasing: bool = False) -> np.
     sqrt(alpha_c cnt_r / n) (R_n(x_c)^q u(z_p))_r for each sample, over the
     distinct rows r of ``_fold``, so k(x_i, x_j)(z_p) = (F[p]^* F[p])[i, j].
     The Gram matrix at every grid point thus has rank at most d*min(n, m)."""
-    _check_samples(spec, samples)
-    w, cnt = _poly_columns(spec, samples, allow_aliasing)     # (N, d, rows, m)
-    N, d, rows, m = w.shape
-    w *= np.sqrt(np.multiply.outer(spec.alpha, cnt) / int(spec.n))[None, :, :, None]
-    return w.transpose(3, 1, 2, 0).reshape(m, d * rows, N)
+    return _poly_columns(spec, _values(spec, samples, allow_aliasing))
 
 
 def _inf_values_block(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -649,14 +639,12 @@ def _folded_pair_sn(g1: np.ndarray, g2: np.ndarray, bins1: np.ndarray, bins2: np
     return vals / n
 
 
-def _prod_pair_values(spec: ProdKernel, a: np.ndarray, b: np.ndarray, grid: TorusGrid,
-                      allow_aliasing: bool) -> np.ndarray:
+def _prod_pair_values(spec: ProdKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(B, m) finite-n product-kernel values for paired sample values a, b
     of shape (B, m, d); float64 for a real-valued spec."""
     n = int(spec.n)
-    m = grid.m
+    m = a.shape[1]
     real = _real_valued(spec)
-    check_alias_free(n - 1, m, allow_aliasing)
     # (B, m) values and DFT bins of z -> base(a(z), b(z)), once per distinct base
     g = {base: base.pairwise(a, b) for base in set(spec.bases1 + spec.bases2)}
     bins = {base: np.fft.fft(vals, axis=-1) / m for base, vals in g.items()}
@@ -670,8 +658,8 @@ def _prod_pair_values(spec: ProdKernel, a: np.ndarray, b: np.ndarray, grid: Toru
     else:
         # (prod_j T1_j^*)^* u = T1_q ... T1_1 u ; right chain is T2_1 ... T2_q u,
         # the same chain when the spec is real-valued; rows weighted by cnt
-        right, cnt = _chain_columns(bins2, grid, n)
-        left = right if real else _chain_columns(bins1[::-1], grid, n)[0]
+        right, cnt = _chain_columns(bins2, n)
+        left = right if real else _chain_columns(bins1[::-1], n)[0]
         vals = np.einsum("brp,brp->bp", np.conj(left), right * cnt[:, None]) / n
         if real:
             vals = vals.real
@@ -684,21 +672,22 @@ def _prod_pair_values(spec: ProdKernel, a: np.ndarray, b: np.ndarray, grid: Toru
     return vals
 
 
-def _sep_blocks(spec: SepKernel, xs, ys, allow_aliasing: bool) -> np.ndarray:
-    """(m, Nx, Ny) separable-kernel block; float64 for palindromic weights."""
-    grid = xs[0].grid
-    if spec.is_infinite:
-        wvals = np.ones(grid.m, dtype=complex)
-        for a in spec.weights:
-            wvals *= np.conj(a.values) * a.values
-        prepare = FunctionTuple.value_matrix
-    else:
-        wvals = sn_map(sep_weight_matrix(spec, allow_aliasing), grid).values
-        prepare = lambda t: _smooth_tuple(t, int(spec.n), allow_aliasing).value_matrix()
+def _smooth_tuple(values: np.ndarray, n: int) -> np.ndarray:
+    """``truncation.smooth`` of every component of (N, m, d) sample values."""
+    w = _fejer_weights(n, values.shape[1])
+    return np.fft.ifft(np.fft.fft(values, axis=1) * w[:, None], axis=1)
+
+
+def _sep_blocks(spec: SepKernel, xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
+    """(m, Nx, Ny) separable-kernel block of (N, m, d) sample values; float64
+    for palindromic weights."""
+    wvals = _sep_weights(spec, allow_aliasing=True)          # the block is alias-checked
+    if not spec.is_infinite:
+        same = yv is xv
+        xv = _smooth_tuple(xv, int(spec.n))
+        yv = xv if same else _smooth_tuple(yv, int(spec.n))
     if _real_valued(spec):
         wvals = wvals.real
-    xv = np.stack([prepare(t) for t in xs])
-    yv = xv if ys is xs else np.stack([prepare(t) for t in ys])
     # (Nx, Ny) distances in row chunks: each builds (rows, Ny, m, d) temporaries
     d2 = np.empty((len(xv), len(yv)))
     rows = max(1, _PAIR_CHUNK_BUDGET // yv[0].size // len(yv))
@@ -716,22 +705,21 @@ def _block(spec: KernelSpec, xs: list, ys: list, allow_aliasing: bool) -> np.nda
     the pairs j >= i and leave the strict lower triangle unset.  A
     real-valued spec (``_real_valued``) gets a float64 block.
     """
-    same = ys is xs
-    grid = _check_samples(spec, xs if same else xs + ys)
+    values = _values(spec, xs if ys is xs else xs + ys, allow_aliasing)
+    xv = values[: len(xs)]                                    # (Nx, m, d)
+    yv = xv if ys is xs else values[len(xs) :]
     if isinstance(spec, SepKernel):
-        return _sep_blocks(spec, xs, ys, allow_aliasing)
+        return _sep_blocks(spec, xv, yv)
     if isinstance(spec, PolyKernel) and not spec.is_infinite:
-        fx = poly_factors(spec, xs, allow_aliasing)
-        fy = fx if same else poly_factors(spec, ys, allow_aliasing)
+        fx = _poly_columns(spec, xv)
+        fy = fx if yv is xv else _poly_columns(spec, yv)
         return np.conj(fx).transpose(0, 2, 1) @ fy
-    xv = np.stack([t.value_matrix() for t in xs])            # (Nx, m, d)
-    yv = xv if same else np.stack([t.value_matrix() for t in ys])
-    if same:
+    if yv is xv:
         pairs_i, pairs_j = np.triu_indices(len(xs))
     else:
         pairs_i, pairs_j = np.divmod(np.arange(len(xs) * len(ys)), len(ys))
     real = _real_valued(spec)
-    m = grid.m
+    m = values.shape[1]
     if spec.is_infinite:
         width = m * xv.shape[-1]
     elif spec.q == 1:
@@ -748,7 +736,7 @@ def _block(spec: KernelSpec, xs: list, ys: list, allow_aliasing: bool) -> np.nda
         if spec.is_infinite:
             vals = _inf_values_block(spec, xv[ci], yv[cj])
         else:
-            vals = _prod_pair_values(spec, xv[ci], yv[cj], grid, allow_aliasing)
+            vals = _prod_pair_values(spec, xv[ci], yv[cj])
         out[:, ci, cj] = vals.T
     return out
 

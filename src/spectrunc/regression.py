@@ -15,10 +15,10 @@ The truncated polynomial kernel has low rank: G(z_p) = F_p^* F_p with F_p
 the d*min(n, m) x N factor of ``kernels.poly_factors``.  When
 d*min(n, m) < N (and no field is passed in), ``fit`` never builds the
 field: it solves all m systems at once in the factor space by the Woodbury
-identity, and ``predict_batch`` evaluates F_{x,p}^* (F_p c_p) instead of a
-cross block.  The n = INF poly limit has rank d but keeps the dense route,
-whose test errors are pinned byte-for-byte; the factored solve moves them
-in the last digits.
+identity (refined once if the residual check fails), and ``predict_batch``
+evaluates F_{x,p}^* (F_p c_p) instead of a cross block.  The n = INF poly
+limit has rank d but keeps the dense route, whose test errors are pinned
+byte-for-byte; the factored solve moves them in the last digits.
 """
 
 from __future__ import annotations
@@ -107,9 +107,6 @@ class RidgeModel:
     def grid(self) -> TorusGrid:
         return self.inputs[0].grid
 
-    def coefficient_functions(self) -> tuple[SampledFunction, ...]:
-        return tuple(SampledFunction(self.grid, row) for row in self.coefficients)
-
 
 def assemble_gram(kernel: KernelSpec, inputs, allow_aliasing: bool = False) -> GramField:
     """Assemble the Gram field through the batched block core of
@@ -170,16 +167,23 @@ def _checked(c: np.ndarray, resid: np.ndarray, y: np.ndarray, min_eig) -> np.nda
 def _solve_factored(F: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """Solve (F[p]^* F[p] + lam I) c = y[p] for every grid point at once in
     the r-dimensional factor space (Woodbury): t = (F F^* + lam I)^{-1} F y,
-    c = (y - F^* t) / lam.  F is (m, r, N), y is (m, N); returns c, (m, N)."""
+    c = (y - F^* t) / lam.  F is (m, r, N), y is (m, N); returns c, (m, N).
+    Woodbury loses digits as F F^* + lam I grows ill-conditioned, so a
+    solution that fails the check gets one refinement step c -= solve(residual)
+    and is checked again."""
     r = F.shape[1]
     Fh = np.conj(F).transpose(0, 2, 1)
     M = F @ Fh
     M[:, np.arange(r), np.arange(r)] += lam
+    solve = lambda b: (b - (Fh @ np.linalg.solve(M, F @ b[..., None]))[..., 0]) / lam
+    residual = lambda c: (Fh @ (F @ c[..., None]))[..., 0] + lam * c - y
+    check = lambda c: _checked(c, np.linalg.norm(residual(c), axis=1), y, lambda p: lam)
     with np.errstate(all="ignore"):
-        t = np.linalg.solve(M, F @ y[..., None])
-        c = (y - (Fh @ t)[..., 0]) / lam
-        resid = np.linalg.norm((Fh @ (F @ c[..., None]))[..., 0] + lam * c - y, axis=1)
-    return _checked(c, resid, y, lambda p: lam)
+        c = solve(y)
+        try:
+            return check(c)
+        except NumericalError:
+            return check(c - solve(residual(c)))
 
 
 def _solve_dense(gram: GramField, y: np.ndarray, lam: float) -> np.ndarray:
@@ -242,8 +246,8 @@ def fit(kernel: KernelSpec, inputs, outputs, lam: float,
         or lam = 0 on a Gram field that is not verifiably positive definite
         (on the factored route it is singular by rank).
     NumericalError
-        Singular system or non-finite solution at some grid point, or a
-        residual-check violation.
+        Non-finite solution at some grid point (how a singular system ends),
+        or a residual-check violation.
     """
     inputs = tuple(inputs)
     outputs = tuple(outputs)

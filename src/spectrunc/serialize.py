@@ -298,11 +298,16 @@ def write_dataset(directory, inputs, outputs=None) -> dict:
     """Write the sample tuples as one (N, m, d) array, and the optional
     outputs as one (N, m) array, to ``dataset.npz`` plus the manifest
     ``dataset.json``; returns the manifest."""
+    return _write(directory, inputs, None if outputs is None else [f.values for f in outputs])
+
+
+def _write(directory, inputs, outputs) -> dict:
+    """``write_dataset`` with the outputs given as their (N, m) values."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     arrays = {"inputs": np.array([t.value_matrix() for t in inputs])}
     if outputs is not None:
-        arrays["outputs"] = np.array([f.values for f in outputs])
+        arrays["outputs"] = np.ascontiguousarray(outputs, dtype=complex)
     np.savez(directory / "dataset.npz", **arrays)
     n, m, d = arrays["inputs"].shape
     manifest = {"m": m, "d": d, "n_samples": n, "arrays": "dataset.npz"}
@@ -313,6 +318,12 @@ def write_dataset(directory, inputs, outputs=None) -> dict:
 def read_dataset(directory):
     """Returns (inputs, outputs); outputs is None when the dataset has none.
     A dataset without samples is a ConfigError."""
+    xs, outputs = _read(directory)
+    return xs, None if outputs is None else [SampledFunction(xs[0].grid, y) for y in outputs]
+
+
+def _read(directory) -> tuple[list[FunctionTuple], np.ndarray | None]:
+    """``read_dataset`` with the outputs returned as their (N, m) values."""
     path = Path(directory) / "dataset.json"
     with decoding(path):
         manifest = load_json(path)
@@ -333,16 +344,14 @@ def read_dataset(directory):
     inputs = np.ascontiguousarray(packed["inputs"].transpose(0, 2, 1))
     grid = TorusGrid(inputs.shape[2])
     xs = [FunctionTuple(tuple(SampledFunction(grid, c) for c in x)) for x in inputs]
-    if "outputs" not in packed:
-        return xs, None
-    return xs, [SampledFunction(grid, y) for y in packed["outputs"]]
+    return xs, packed.get("outputs")
 
 
 def write_model(model: RidgeModel, directory) -> Path:
-    """Write the training inputs with their coefficient functions as a
-    dataset, plus ``model.json``: kernel, lambda, N, m and allow_aliasing."""
+    """Write the training inputs with their (N, m) coefficients as a dataset,
+    plus ``model.json``: kernel, lambda, N, m and allow_aliasing."""
     directory = Path(directory)
-    write_dataset(directory, model.inputs, model.coefficient_functions())
+    _write(directory, model.inputs, model.coefficients)
     manifest = {
         "kernel": config_to_json(model.kernel),
         "lambda": model.lam,
@@ -379,10 +388,9 @@ def read_model(directory) -> RidgeModel:
     path = directory / "model.json"
     with decoding(path):
         doc = config_from_json(_ModelManifest, load_json(path), str(path), directory)
-        inputs, coeffs = read_dataset(directory)
-        coefficients = np.array([c.values for c in coeffs or ()])
-        if (len(inputs) != doc.N or coefficients.shape != (doc.N, doc.m)
-                or inputs[0].grid.m != doc.m):
+        inputs, coefficients = _read(directory)
+        # the arrays match their manifest, so (N, m) outputs fix the inputs' N and m
+        if coefficients is None or coefficients.shape != (doc.N, doc.m):
             raise ConfigError(f"{path} does not match the files it describes")
         return RidgeModel(kernel=doc.kernel, lam=doc.lam, inputs=tuple(inputs),
                           coefficients=coefficients, allow_aliasing=doc.allow_aliasing)

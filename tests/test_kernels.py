@@ -587,6 +587,25 @@ class TestBatchedBlocks:
             tracemalloc.stop()
         assert peak <= 1.5 * field.nbytes
 
+    @pytest.mark.parametrize("family, n, q", [
+        ("poly", 5, 2), ("poly", INF, 1), ("prod", 5, 1), ("prod", 20, 1), ("prod", 5, 2),
+        ("sep", 5, 2), ("sep", INF, 1),
+    ], ids=["poly", "poly-inf", "prod-q1", "prod-q1-folded", "prod-q2", "sep", "sep-inf"])
+    def test_blocks_build_no_per_sample_objects(self, rng, monkeypatch, family, n, q):
+        # the block core works on one (N, m, d) array: no SampledFunction or
+        # FunctionTuple is made per sample, or at all
+        spec = block_spec(family, n, q)
+        xs = [random_trig_tuple(PIN_GRID, rng, d=2) for _ in range(4)]
+        built = []
+        for cls in (SampledFunction, FunctionTuple):
+            def counted(self, _init=cls.__post_init__):
+                built.append(type(self).__name__)
+                _init(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        gram_values(spec, xs, allow_aliasing=True)
+        cross_values(spec, xs[:2], xs, allow_aliasing=True)
+        assert built == []
+
     @pytest.mark.parametrize("family", ["poly", "prod"])
     def test_block_checks_every_sample(self, rng, family):
         # poly takes the whole-block route, finite prod the pair route

@@ -402,6 +402,18 @@ class TestFactoredRoute:
         assert np.max(np.abs(model.coefficients - coeff)) <= 1e-10 * np.max(np.abs(coeff))
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
+    def test_ill_conditioned_solve_is_refined(self, rng):
+        # cond(F F^* + lam I) ~ 5e6: the plain Woodbury solve leaves a
+        # residual ~1.5e-7, past the bound 1e-8 (1 + |y_p|), until one
+        # refinement step
+        spec = PolyKernel(n=40, q=2, alpha=(0.7, 1.3))
+        xs = [random_trig_tuple(GRID, rng, d=2, deg=3, scale=1.0) for _ in range(70)]
+        ys = complex_outputs(GRID, rng, 70)
+        assert regression._factored(spec, xs)
+        model = fit(spec, xs, ys, lam=0.05, allow_aliasing=True)
+        coeff, _ = self.dense_fit_predict(spec, xs, ys, 0.05, xs[:1])
+        assert np.max(np.abs(model.coefficients - coeff)) <= 1e-9 * np.max(np.abs(coeff))
+
     def test_residual_invariant_against_dense_field(self, rng):
         xs = [random_trig_tuple(GRID, rng, d=2, deg=3) for _ in range(12)]
         ys = complex_outputs(GRID, rng, 12)
