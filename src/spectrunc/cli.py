@@ -19,7 +19,7 @@ import numpy as np
 
 from . import diagnostics, experiments, fejer, regression, serialize
 from .errors import ConfigError, NumericalError
-from .torus import FunctionTuple, l2_distance
+from .torus import FunctionTuple, l2_distances
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -195,7 +195,7 @@ def _cmd_eval(args) -> int:
     if outputs is None:
         raise ConfigError(f"{args.dataset}: dataset has no outputs to evaluate against")
     preds = regression.predict_batch(model, inputs)
-    per_sample = [float(l2_distance(p, o)) for p, o in zip(preds, outputs)]
+    per_sample = l2_distances(preds, outputs).tolist()
     mean_err = float(np.mean(per_sample))
     if args.out:
         rows = [(i, e) for i, e in enumerate(per_sample)] + [("mean", mean_err)]

@@ -42,7 +42,7 @@ from .kernels import (
 )
 from .regression import assemble_gram, fit, predict_batch, test_error
 from .serialize import _JSON_KEYS, config_to_json, n_label, read_pgm
-from .torus import FunctionTuple, SampledFunction, TorusGrid, l2_distance, window_membership
+from .torus import FunctionTuple, SampledFunction, TorusGrid, l2_distances, window_membership
 
 __all__ = [
     "SyntheticConfig",
@@ -387,7 +387,7 @@ def run_inpaint(config: InpaintConfig):
         spec = config.kernel(n)
         model = fit(spec, train_x, train_y, config.lam, allow_aliasing=True)
         preds = predict_batch(model, test_x)
-        err = float(np.mean([l2_distance(p, o) for p, o in zip(preds, test_y)]))
+        err = float(np.mean(l2_distances(preds, test_y)))
         rows.append((n_label(n), err))
         recovered[n_label(n)] = np.stack([np.clip(p.values.real, 0.0, 1.0).reshape(H, W)
                                           for p in preds[: config.recover_count]])

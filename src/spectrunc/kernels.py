@@ -30,8 +30,12 @@ of the two DFT bin rows: one cached table of window counts K[u, v]
 (``_folded_reduce_matrix``), summed by frequency offset (v - u) mod m and
 sent back to the grid by one inverse FFT.  For n > m the folded identity
 n S_n = sum_r cnt_r conj(W1_r) W2_r splits it into FFT terms and an
-order-(n mod m) table (``_folded_pair_sn``).  The separable family
-smooths each block side by one batched FFT pair (``truncation.smooth``).
+order-(n mod m) table (``_folded_pair_sn``).  The Gaussian base is
+float64: its DFT bins come from ``rfft`` and the Hermitian law, and the
+folded cross terms and the limit stay real (``_dft_bins``).  The separable
+family smooths each block side by one batched FFT pair
+(``truncation.smooth``) and takes its L2 distances from one matrix
+product of the samples centered on the block's mean (``_sep_distance_sq``).
 ``gram_values`` runs the core with the same samples on both sides, so the
 pair routes evaluate only the upper triangle, and fills the lower one in
 place by the Hermitian law k(x, y) = k(y, x)^* of poly and prod.
@@ -90,7 +94,11 @@ INF = float("inf")
 
 @dataclass(frozen=True)
 class GaussianKernel:
-    """k(u, v) = exp(-gamma |u - v|^2); values in (0, 1]."""
+    """k(u, v) = exp(-gamma |u - v|^2); values in (0, 1], as float64.
+
+    |u - v|^2 sums re^2 + im^2 of the direct difference: over an inner
+    dimension of only d, a norm expansion would gain nothing and add
+    cancellation."""
 
     gamma: float
 
@@ -101,8 +109,8 @@ class GaussianKernel:
             raise ConfigError(f"gaussian scale must be positive and finite, got {self.gamma}")
 
     def pairwise(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        d2 = np.sum(np.abs(u - v) ** 2, axis=-1)
-        return np.exp(-self.gamma * d2).astype(complex)
+        diff = np.asarray(u - v, dtype=complex).view(np.float64)
+        return np.exp(-self.gamma * np.einsum("...i,...i->...", diff, diff))
 
 
 @dataclass(frozen=True)
@@ -138,7 +146,11 @@ BaseScalarKernel = GaussianKernel | LinearKernel | PolynomialKernel
 
 @dataclass(frozen=True)
 class L2GaussianTupleKernel:
-    """Function-tuple kernel exp(-scale * sum_i ||x_i - y_i||^2_{L2})."""
+    """Function-tuple kernel exp(-scale * sum_i ||x_i - y_i||^2_{L2}).
+
+    One pair takes the direct difference, so the dense ``k_sep`` oracle
+    stays independent of the blocks' Gram-product distances
+    (``_sep_distance_sq``)."""
 
     scale: float
 
@@ -149,12 +161,8 @@ class L2GaussianTupleKernel:
             raise ConfigError(f"tuple-kernel scale must be positive and finite, got {self.scale}")
 
     def __call__(self, x: FunctionTuple, y: FunctionTuple) -> complex:
-        d2 = self.distance_sq(x.value_matrix()[None], y.value_matrix()[None])
-        return complex(np.exp(-self.scale * d2[0]))
-
-    def distance_sq(self, xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
-        """Summed squared L2 distances for stacks of value matrices (..., m, d)."""
-        return np.mean(np.abs(xv - yv) ** 2, axis=-2).sum(axis=-1)
+        d2 = np.mean(np.abs(x.value_matrix() - y.value_matrix()) ** 2, axis=0).sum()
+        return complex(np.exp(-self.scale * d2))
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +298,8 @@ def _real_valued(spec: KernelSpec) -> bool:
 def _values(spec: KernelSpec, samples, allow_aliasing: bool) -> np.ndarray:
     """The (N, m, d) values of a block's samples (or of one pair), all of one
     grid and one d that ``spec`` accepts, after the block's one alias check."""
+    if not samples:
+        raise ConfigError("a kernel block needs at least one sample")
     grid, d = samples[0].grid, samples[0].d
     if isinstance(spec, PolyKernel) and d != len(spec.alpha):
         raise ConfigError(f"alpha has {len(spec.alpha)} weights but inputs have d={d}")
@@ -525,11 +535,12 @@ def _inf_values_block(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndar
         alpha = np.asarray(spec.alpha)
         return np.einsum("bmd,d->bm", (np.conj(a) * b) ** spec.q, alpha)
     if isinstance(spec, ProdKernel) and _real_valued(spec):
-        # both sides hold the same factors: the value is |prod_j g_{2,j}|^2
-        prod = np.ones(a.shape[:2], dtype=complex)
+        # both sides hold the same factors: the value is |prod_j g_{2,j}|^2,
+        # real arithmetic throughout when every base value is real
+        prod = 1.0
         for base in spec.bases2:
-            prod *= base.pairwise(a, b)
-        return prod.real ** 2 + prod.imag ** 2
+            prod = prod * base.pairwise(a, b)
+        return (np.conj(prod) * prod).real
     if isinstance(spec, ProdKernel):
         out = np.ones(a.shape[:2], dtype=complex)
         for b1, b2 in zip(spec.bases1, spec.bases2):
@@ -623,9 +634,12 @@ def _folded_pair_sn(g1: np.ndarray, g2: np.ndarray, bins1: np.ndarray, bins2: np
     delta = np.arange(m)
     w = np.maximum(rho - delta, 0) + np.maximum(rho - m + delta, 0)
     a = alpha * rho + w
-    A2 = m * np.fft.ifft(a * bins2, axis=-1)
+    if np.isrealobj(g2):                     # Hermitian bins2 times an even a
+        A2 = m * np.fft.irfft(a[: m // 2 + 1] * bins2[:, : m // 2 + 1], m, axis=-1)
+    else:
+        A2 = m * np.fft.ifft(a * bins2, axis=-1)
     if real:
-        h = g2.real ** 2 + g2.imag ** 2
+        h = (np.conj(g2) * g2).real
         vals = alpha * n * h + 2 * (np.conj(g2) * A2).real
         vals += np.fft.irfft(w[: m // 2 + 1] * np.fft.rfft(h, axis=-1), m, axis=-1)
     else:
@@ -639,6 +653,17 @@ def _folded_pair_sn(g1: np.ndarray, g2: np.ndarray, bins1: np.ndarray, bins2: np
     return vals / n
 
 
+def _dft_bins(vals: np.ndarray) -> np.ndarray:
+    """Normalized DFT bins (B, m) of grid values (B, m): ``fft`` for complex
+    values, ``rfft`` and the Hermitian law bins[m - k] = conj(bins[k]) for
+    real ones (the Gaussian base)."""
+    m = vals.shape[-1]
+    if np.iscomplexobj(vals):
+        return np.fft.fft(vals, axis=-1) / m
+    half = np.fft.rfft(vals, axis=-1) / m
+    return np.concatenate([half, np.conj(half[:, (m - 1) // 2 : 0 : -1])], axis=1)
+
+
 def _prod_pair_values(spec: ProdKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(B, m) finite-n product-kernel values for paired sample values a, b
     of shape (B, m, d); float64 for a real-valued spec."""
@@ -647,7 +672,7 @@ def _prod_pair_values(spec: ProdKernel, a: np.ndarray, b: np.ndarray) -> np.ndar
     real = _real_valued(spec)
     # (B, m) values and DFT bins of z -> base(a(z), b(z)), once per distinct base
     g = {base: base.pairwise(a, b) for base in set(spec.bases1 + spec.bases2)}
-    bins = {base: np.fft.fft(vals, axis=-1) / m for base, vals in g.items()}
+    bins = {base: _dft_bins(vals) for base, vals in g.items()}
     bins1 = [bins[base] for base in spec.bases1]
     bins2 = [bins[base] for base in spec.bases2]
     if spec.q == 1 and m < n:
@@ -678,6 +703,32 @@ def _smooth_tuple(values: np.ndarray, n: int) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(values, axis=1) * w[:, None], axis=1)
 
 
+def _sep_distance_sq(xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
+    """(Nx, Ny) summed squared L2 distances sum_i ||x_i - y_i||^2 of the
+    (N, m, d) sample values of a block's sides (``yv is xv`` for a Gram block).
+
+    ||x - y||^2 = (|x|^2 + |y|^2 - 2 Re x^* y) / m over the flattened samples,
+    the cross terms from one matrix product of their float64 views.  Both
+    sides are first centered on the block's mean sample, which leaves the
+    distances unchanged and keeps a large common offset from cancelling in
+    the expansion.  Distances are clamped at 0; a Gram block has an exactly
+    0 diagonal and is exactly symmetric, mirrored from its upper triangle.
+    """
+    same = yv is xv
+    m = xv.shape[1]
+    center = np.mean(xv if same else np.concatenate([xv, yv]), axis=0)
+    x = (xv - center).reshape(len(xv), -1).view(np.float64)
+    y = x if same else (yv - center).reshape(len(yv), -1).view(np.float64)
+    x2 = np.einsum("ij,ij->i", x, x)
+    y2 = x2 if same else np.einsum("ij,ij->i", y, y)
+    d2 = x2[:, None] + y2[None, :] - 2.0 * (x @ y.T)
+    if same:
+        d2 = np.triu(d2, 1)
+        d2 += d2.T
+    np.maximum(d2, 0.0, out=d2)
+    return d2 / m
+
+
 def _sep_blocks(spec: SepKernel, xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
     """(m, Nx, Ny) separable-kernel block of (N, m, d) sample values; float64
     for palindromic weights."""
@@ -688,11 +739,7 @@ def _sep_blocks(spec: SepKernel, xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
         yv = xv if same else _smooth_tuple(yv, int(spec.n))
     if _real_valued(spec):
         wvals = wvals.real
-    # (Nx, Ny) distances in row chunks: each builds (rows, Ny, m, d) temporaries
-    d2 = np.empty((len(xv), len(yv)))
-    rows = max(1, _PAIR_CHUNK_BUDGET // yv[0].size // len(yv))
-    for lo in range(0, len(xv), rows):
-        d2[lo : lo + rows] = spec.base.distance_sq(xv[lo : lo + rows, None], yv[None, :])
+    d2 = _sep_distance_sq(xv, yv)
     return wvals[:, None, None] * np.exp(-spec.base.scale * d2)[None, :, :]
 
 
@@ -705,6 +752,8 @@ def _block(spec: KernelSpec, xs: list, ys: list, allow_aliasing: bool) -> np.nda
     the pairs j >= i and leave the strict lower triangle unset.  A
     real-valued spec (``_real_valued``) gets a float64 block.
     """
+    if not xs or not ys:
+        raise ConfigError("a kernel block needs at least one sample on each side")
     values = _values(spec, xs if ys is xs else xs + ys, allow_aliasing)
     xv = values[: len(xs)]                                    # (Nx, m, d)
     yv = xv if ys is xs else values[len(xs) :]

@@ -31,7 +31,7 @@ from scipy import linalg
 
 from .errors import ConfigError, NumericalError, SolverFallbackWarning
 from .kernels import KernelSpec, PolyKernel, cross_values, gram_values, poly_factors
-from .torus import FunctionTuple, SampledFunction, TorusGrid, l2_distance
+from .torus import FunctionTuple, SampledFunction, TorusGrid, l2_distances
 
 __all__ = [
     "GramField",
@@ -329,4 +329,4 @@ def test_error(model: RidgeModel, test_inputs, test_outputs) -> float:
     if len(test_inputs) != len(test_outputs):
         raise ConfigError("test inputs/outputs length mismatch")
     preds = predict_batch(model, test_inputs)
-    return float(np.mean([l2_distance(p, o) for p, o in zip(preds, test_outputs)]))
+    return float(np.mean(l2_distances(preds, test_outputs)))

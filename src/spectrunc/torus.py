@@ -23,6 +23,7 @@ __all__ = [
     "integrate",
     "fourier_coeff",
     "l2_distance",
+    "l2_distances",
     "window_integral",
 ]
 
@@ -150,9 +151,16 @@ def fourier_coeff(f: SampledFunction, k: int) -> complex:
 def l2_distance(f: SampledFunction, g: SampledFunction) -> float:
     """L2(T) distance under the normalized measure:
     sqrt((1/m) sum_p |f(z_p) - g(z_p)|^2)."""
-    require_same_grid(f, g)
-    diff = f.values - g.values
-    return float(np.sqrt(np.mean(np.abs(diff) ** 2)))
+    return float(l2_distances([f], [g])[0])
+
+
+def l2_distances(fs, gs) -> np.ndarray:
+    """``l2_distance`` of each pair (fs[i], gs[i]) of two equally long
+    sequences, from one stacked (N, m) difference."""
+    for f, g in zip(fs, gs):
+        require_same_grid(f, g)
+    diff = np.stack([f.values for f in fs]) - np.stack([g.values for g in gs])
+    return np.sqrt(np.mean(np.abs(diff) ** 2, axis=1))
 
 
 def window_membership(grid: TorusGrid, z: float, delta: float) -> np.ndarray:

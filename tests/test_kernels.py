@@ -418,26 +418,30 @@ class TestBatchedBlocks:
 
     # the real route (float64 blocks, half q = 1 table, one shared q > 1
     # chain) on m in [5, 40], odd and even, with n alias-free, aliased
-    # n <= m, n = m, n = m + 1, folded n > m, or INF
+    # n <= m, n = m, n = m + 1, folded n > m, or INF, and d in {1, 2}; the
+    # m = 256, d = 1 pins are the inpainting grid, where the Gaussian base's
+    # Hermitian-extended rfft bins feed the q = 1 weight table
     @settings(max_examples=40, deadline=None)
     @given(hst.integers(5, 40).flatmap(lambda m: hst.tuples(hst.just(m), hst.integers(1, 3 * m))),
            hst.sampled_from(sorted(REAL_SPECS)), hst.sampled_from([0.0, 0.4]), hst.booleans(),
-           hst.integers(0, 2**16))
-    @example((12, 5), "prod-gaussian", 0.4, False, 0)
-    @example((13, 9), "prod-linear", 0.0, False, 1)
-    @example((16, 16), "prod-polynomial", 0.4, False, 2)
-    @example((15, 16), "prod-q2-reversed", 0.4, False, 3)
-    @example((6, 15), "sep-palindrome", 0.0, False, 4)
-    @example((7, 20), "prod-q2-reversed", 0.0, False, 5)
-    @example((10, 1), "prod-q2-reversed", 0.0, True, 6)
-    @example((9, 1), "sep-palindrome", 0.0, True, 7)
-    def test_real_valued_blocks_match_dense_oracle(self, mn, name, beta, limit, seed):
+           hst.integers(0, 2**16), hst.sampled_from([1, 2]))
+    @example((12, 5), "prod-gaussian", 0.4, False, 0, 2)
+    @example((13, 9), "prod-linear", 0.0, False, 1, 2)
+    @example((16, 16), "prod-polynomial", 0.4, False, 2, 2)
+    @example((15, 16), "prod-q2-reversed", 0.4, False, 3, 2)
+    @example((6, 15), "sep-palindrome", 0.0, False, 4, 2)
+    @example((7, 20), "prod-q2-reversed", 0.0, False, 5, 2)
+    @example((10, 1), "prod-q2-reversed", 0.0, True, 6, 2)
+    @example((9, 1), "sep-palindrome", 0.0, True, 7, 2)
+    @example((256, 8), "prod-gaussian", 0.4, False, 8, 1)
+    @example((256, 16), "prod-gaussian", 0.4, False, 9, 1)
+    def test_real_valued_blocks_match_dense_oracle(self, mn, name, beta, limit, seed, d):
         m, n = mn
         grid = TorusGrid(m)
         rng = np.random.default_rng(seed)
         xs = [FunctionTuple(tuple(SampledFunction(grid, rng.standard_normal(m)
                                                   + 1j * rng.standard_normal(m))
-                                  for _ in range(2))) for _ in range(3)]
+                                  for _ in range(d))) for _ in range(3)]
         spec = REAL_SPECS[name](INF if limit else n, grid, beta)
         field, _ = gram_values(spec, xs, allow_aliasing=True)
         cross = cross_values(spec, xs[:2], xs, allow_aliasing=True)
@@ -605,6 +609,51 @@ class TestBatchedBlocks:
         gram_values(spec, xs, allow_aliasing=True)
         cross_values(spec, xs[:2], xs, allow_aliasing=True)
         assert built == []
+
+    @pytest.mark.parametrize("offset", [1e3, 1e5])
+    @pytest.mark.parametrize("n", [5, INF], ids=["finite", "inf"])
+    @pytest.mark.parametrize("palindromic", [True, False], ids=["real", "complex"])
+    def test_sep_blocks_under_common_offset(self, rng, palindromic, n, offset):
+        # the block's distances come from one Gram product of its samples:
+        # uncentered, a common offset would cancel there and cost its digits
+        if palindromic:
+            spec = block_spec("sep", n, 2)
+        else:
+            spec = SepKernel(n=n, q=2, weights=palindromic_weights(PIN_GRID)[:2],
+                             base=L2GaussianTupleKernel(scale=0.8))
+
+        def shifted():
+            t = random_trig_tuple(PIN_GRID, rng, d=2, deg=3)
+            return FunctionTuple(tuple(SampledFunction(PIN_GRID, c.values + offset)
+                                       for c in t.components))
+
+        xs = [shifted() for _ in range(4)]
+        ys = [shifted() for _ in range(3)]
+        field, _ = gram_values(spec, xs, allow_aliasing=True)
+        cross = cross_values(spec, ys, xs, allow_aliasing=True)
+        for block, rows in ((field, xs), (cross, ys)):
+            want = np.stack([[evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
+                             for x in rows]).transpose(2, 0, 1)
+            assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want))
+        # base(x, x) = 1, so the diagonal is the weight function itself
+        for i, x in enumerate(xs):
+            w = evaluate(spec, x, x, allow_aliasing=True).values
+            assert np.array_equal(field[:, i, i], w.real if field.dtype == np.float64 else w)
+        assert np.array_equal(field, field.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("family", ["poly", "prod", "sep"])
+    def test_empty_block_side_rejected(self, rng, family):
+        spec = block_spec(family, 5, 1)
+        x = random_trig_tuple(PIN_GRID, rng, d=2)
+        with pytest.raises(ConfigError, match="at least one sample"):
+            gram_values(spec, [])
+        with pytest.raises(ConfigError, match="at least one sample"):
+            cross_values(spec, [], [x])
+        with pytest.raises(ConfigError, match="at least one sample"):
+            cross_values(spec, [x], [])
+        if family == "poly":
+            with pytest.raises(ConfigError, match="at least one sample"):
+                kernels_mod.poly_factors(spec, [])
 
     @pytest.mark.parametrize("family", ["poly", "prod"])
     def test_block_checks_every_sample(self, rng, family):

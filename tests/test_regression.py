@@ -8,6 +8,7 @@ from spectrunc import (
     FunctionTuple,
     GaussianKernel,
     GramField,
+    GridMismatchError,
     L2GaussianTupleKernel,
     NumericalError,
     PolyKernel,
@@ -368,6 +369,14 @@ class TestTestError:
         model = fit(sep_spec(GRID), xs, [SampledFunction.constant(GRID, 0.0)] * 3, lam=0.5)
         ones = [SampledFunction.constant(GRID, 1.0)] * 3
         assert model_test_error(model, xs, ones) == pytest.approx(1.0, abs=1e-12)
+
+    def test_output_on_another_grid_rejected(self, rng):
+        xs = [random_trig_tuple(GRID, rng, d=1, deg=2) for _ in range(3)]
+        ys = random_outputs(GRID, rng, 3)
+        model = fit(sep_spec(GRID), xs, ys, lam=0.5)
+        other = ys[:2] + [SampledFunction.constant(TorusGrid(2 * GRID.m), 0.0)]
+        with pytest.raises(GridMismatchError):
+            model_test_error(model, xs, other)
 
 
 class TestFactoredRoute:

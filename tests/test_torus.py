@@ -15,6 +15,7 @@ from spectrunc import (
     l2_distance,
     window_integral,
 )
+from spectrunc.torus import l2_distances
 
 
 def const(grid, v):
@@ -117,6 +118,16 @@ class TestL2Distance:
     def test_grid_mismatch(self):
         with pytest.raises(GridMismatchError):
             l2_distance(const(TorusGrid(6), 1.0), const(TorusGrid(8), 1.0))
+
+    def test_stacked_distances_match_pairwise(self):
+        rng = np.random.default_rng(5)
+        g = TorusGrid(30)
+        fs = [random_trig_function(g, rng)[0] for _ in range(7)]
+        gs = [random_trig_function(g, rng)[0] for _ in range(7)]
+        want = [l2_distance(f, h) for f, h in zip(fs, gs)]
+        assert l2_distances(fs, gs).tolist() == want
+        with pytest.raises(GridMismatchError):
+            l2_distances(fs[:2], [gs[0], const(TorusGrid(8), 1.0)])
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(11)
