@@ -142,6 +142,9 @@ class SyntheticConfig:
 
     def __post_init__(self):
         _check_fields(self, {"n_samples": 1, "n_test": 1, "runs": 1, "grid_m": 2, "seed": 0})
+        if not (self.delta > 0 and self.input_noise >= 0 and self.output_noise >= 0):
+            raise ConfigError(f"need delta > 0 and noise levels >= 0, got delta {self.delta}, "
+                              f"input_noise {self.input_noise}, output_noise {self.output_noise}")
 
     def resolved_kernels(self) -> list[KernelSpec]:
         if self.kernels:
@@ -303,6 +306,8 @@ class InpaintConfig:
                                               "n_test", "recover_count"), 1), "seed": 0})
         if self.beta < 0:
             raise ConfigError(f"beta must be >= 0, got {self.beta}")
+        if self.height * self.width < 2:
+            raise ConfigError(f"an image needs at least 2 pixels, got {self.height}x{self.width}")
 
     def mask(self) -> np.ndarray:
         if self.mask_h > self.height or self.mask_w > self.width:

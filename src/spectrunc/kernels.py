@@ -27,7 +27,7 @@ are m-periodic in k, so past n = m a truncated chain has only m distinct
 rows, row r counted cnt_r times (``_fold``): every batched route works on
 min(n, m) rows.  A q = 1 product pair with n <= m is a weighted correlation
 of the two DFT bin rows: one cached table of window counts K[u, v]
-(``_folded_reduce_matrix``), summed by frequency offset (v - u) mod m and
+(``_band_table``), summed by frequency offset (v - u) mod m and
 sent back to the grid by one inverse FFT.  For n > m the folded identity
 n S_n = sum_r cnt_r conj(W1_r) W2_r splits it into FFT terms and an
 order-(n mod m) table (``_folded_pair_sn``).  The Gaussian base is
@@ -36,9 +36,11 @@ folded cross terms and the limit stay real (``_dft_bins``).  The separable
 family smooths each block side by one batched FFT pair
 (``truncation.smooth``) and takes its L2 distances from one matrix
 product of the samples centered on the block's mean (``_sep_distance_sq``).
-``gram_values`` runs the core with the same samples on both sides, so the
-pair routes evaluate only the upper triangle, and fills the lower one in
-place by the Hermitian law k(x, y) = k(y, x)^* of poly and prod.
+Finite prod and the n = INF limits walk each block in row tiles, rows
+i0:i1 broadcast against the columns, one call and one contiguous slab per
+tile.  ``gram_values`` runs the core with the same samples on both sides,
+so a tile takes only the columns j >= i0, and fills the strict lower
+triangle in place by the Hermitian law k(x, y) = k(y, x)^* of poly and prod.
 
 Some specs are real-valued whatever the data, because both sides of their
 chain are one operator B and S_n(B^* B)(z) = (1/n) |B u(z)|^2: prod with
@@ -450,8 +452,9 @@ def kernel_limit_gap(spec: KernelSpec, x: FunctionTuple, y: FunctionTuple,
 # ---------------------------------------------------------------------------
 
 
-# complex elements per (chunk, width) pair workspace; width is the q = 1 table
-# size plus m (8m past n = m), (2 min(n, m) - 1)*m for q > 1, m*d at n = INF
+# complex elements per row-tile workspace, height x Ny x a per-pair width: the
+# q = 1 table size plus m (8m past n = m), (2 min(n, m) - 1)*m for q > 1, m*d
+# at n = INF
 _PAIR_CHUNK_BUDGET = 1 << 18
 
 
@@ -529,52 +532,42 @@ def poly_factors(spec: PolyKernel, samples, allow_aliasing: bool = False) -> np.
 
 
 def _inf_values_block(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(B, m) commutative-limit values for paired sample values a, b of
-    shape (B, m, d)."""
+    """(..., m) commutative-limit values for sample values a, b (..., m, d)
+    that broadcast together, a row tile (T, 1, m, d) against (1, W, m, d)."""
     if isinstance(spec, PolyKernel):
         alpha = np.asarray(spec.alpha)
-        return np.einsum("bmd,d->bm", (np.conj(a) * b) ** spec.q, alpha)
-    if isinstance(spec, ProdKernel) and _real_valued(spec):
-        # both sides hold the same factors: the value is |prod_j g_{2,j}|^2,
-        # real arithmetic throughout when every base value is real
-        prod = 1.0
-        for base in spec.bases2:
-            prod = prod * base.pairwise(a, b)
-        return (np.conj(prod) * prod).real
+        return np.einsum("...d,d->...", (np.conj(a) * b) ** spec.q, alpha)
     if isinstance(spec, ProdKernel):
-        out = np.ones(a.shape[:2], dtype=complex)
+        # once per distinct base; real arithmetic throughout when every base
+        # value is real, and a real-valued spec's value is |prod_j g_{2,j}|^2
+        g = {base: base.pairwise(a, b) for base in set(spec.bases1 + spec.bases2)}
+        out = 1.0
         for b1, b2 in zip(spec.bases1, spec.bases2):
-            out *= np.conj(b1.pairwise(a, b)) * b2.pairwise(a, b)
-        return out
+            out = out * (np.conj(g[b1]) * g[b2])
+        return out.real if _real_valued(spec) else out
     raise ConfigError("no pointwise-limit block for this family")
 
 
-def _folded_reduce_matrix(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Window counts K with S_n(R(g1)^* R(g2))(z_p) = (1/n) S1^* K S2 for
-    n <= m, on their support only: returns (cols, K[cols][:, cols]).
+@functools.lru_cache(maxsize=64)
+def _band_table(n: int, m: int, half: bool = False) -> tuple[np.ndarray, ...]:
+    """The q = 1 weight table for n <= m: the nonzero entries (u, v, w) of
+    the window counts K with S_n(R(g1)^* R(g2))(z_p) = (1/n) S1^* K S2,
+    sorted by delta = (v - u) mod m, with the start of each delta run and
+    that run's delta.
 
     Row r's window sum is W_r = sum_j M[r, j] S_j with S_j = bins_j e^{ijz}
     and M[r, j] = [(r - j) mod m < n] (``_toeplitz_times_phase``), so
     K = M^T M counts the length-n windows holding frequencies u and v
     (mod m).  Only the min(2n-1, m) residues cols of |k| < n enter, so
-    building K costs O(n * min(2n-1, m)^2), never O(m^3).
+    building K costs O(n * min(2n-1, m)^2), never O(m^3), and the table
+    holds at most min(2n-1, m)^2 entries (3n^2 - 3n + 1 while 2n-1 <= m).
+    The ``half`` table keeps only the runs with delta <= m/2, about half the
+    entries: for a real-valued pair, K symmetric makes c_{-delta} =
+    conj(c_delta), so those runs determine the rest.
     """
-    rows = np.arange(n)
     cols = np.unique(np.mod(np.arange(1 - n, n), m))
-    M = (np.mod(rows[:, None] - cols[None, :], m) < n).astype(float)
-    return cols, M.T @ M
-
-
-@functools.lru_cache(maxsize=64)
-def _band_table(n: int, m: int, half: bool = False) -> tuple[np.ndarray, ...]:
-    """The q = 1 weight table: the nonzero entries (u, v, w) of
-    ``_folded_reduce_matrix(n, m)`` sorted by delta = (v - u) mod m, with
-    the start of each delta run and that run's delta.  It holds at most
-    min(2n-1, m)^2 entries (3n^2 - 3n + 1 while 2n-1 <= m).  The ``half``
-    table keeps only the runs with delta <= m/2, about half the entries:
-    for a real-valued pair, K symmetric makes c_{-delta} = conj(c_delta), so
-    those runs determine the rest."""
-    cols, K = _folded_reduce_matrix(n, m)
+    M = (np.mod(np.arange(n)[:, None] - cols[None, :], m) < n).astype(float)
+    K = M.T @ M
     iu, iv = np.nonzero(K)
     u, v = cols[iu], cols[iv]
     delta = np.mod(v - u, m)
@@ -665,17 +658,19 @@ def _dft_bins(vals: np.ndarray) -> np.ndarray:
 
 
 def _prod_pair_values(spec: ProdKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(B, m) finite-n product-kernel values for paired sample values a, b
-    of shape (B, m, d); float64 for a real-valued spec."""
+    """(..., m) finite-n product-kernel values for broadcasting sample values
+    a, b (``_inf_values_block``); float64 for a real-valued spec."""
     n = int(spec.n)
-    m = a.shape[1]
     real = _real_valued(spec)
-    # (B, m) values and DFT bins of z -> base(a(z), b(z)), once per distinct base
+    # values and DFT bins of z -> base(a(z), b(z)), once per distinct base,
+    # flattened to (B, m) rows for the routes below
     g = {base: base.pairwise(a, b) for base in set(spec.bases1 + spec.bases2)}
+    shape = g[spec.bases1[0]].shape
+    g = {base: vals.reshape(-1, shape[-1]) for base, vals in g.items()}
     bins = {base: _dft_bins(vals) for base, vals in g.items()}
     bins1 = [bins[base] for base in spec.bases1]
     bins2 = [bins[base] for base in spec.bases2]
-    if spec.q == 1 and m < n:
+    if spec.q == 1 and shape[-1] < n:
         vals = _folded_pair_sn(g[spec.bases1[0]], g[spec.bases2[0]], bins1[0], bins2[0],
                                n, real)
     elif spec.q == 1:
@@ -690,11 +685,11 @@ def _prod_pair_values(spec: ProdKernel, a: np.ndarray, b: np.ndarray) -> np.ndar
             vals = vals.real
     if spec.beta:
         # normalized means are the k = 0 bins
-        off = np.ones(len(a), dtype=complex)
+        off = np.ones(len(vals), dtype=complex)
         for ca, cb in zip(bins1, bins2):
             off *= np.conj(ca[:, 0]) * cb[:, 0]
         vals = vals + spec.beta * (off.real if real else off)[:, None]
-    return vals
+    return vals.reshape(shape)
 
 
 def _smooth_tuple(values: np.ndarray, n: int) -> np.ndarray:
@@ -747,10 +742,10 @@ def _block(spec: KernelSpec, xs: list, ys: list, allow_aliasing: bool) -> np.nda
     """(m, Nx, Ny) block K[p, i, j] = k(xs[i], ys[j])(z_p).
 
     Poly and sep use their factorized whole-block routes; finite prod and the
-    n = INF limits evaluate index pairs in chunks bounded by
-    ``_PAIR_CHUNK_BUDGET``.  When ``ys is xs`` those pair routes evaluate only
-    the pairs j >= i and leave the strict lower triangle unset.  A
-    real-valued spec (``_real_valued``) gets a float64 block.
+    n = INF limits walk row tiles i0:i1, their height bounded by
+    ``_PAIR_CHUNK_BUDGET``, against every column, or against the columns
+    j >= i0 when ``ys is xs``, leaving the rest of the strict lower triangle
+    unset.  A real-valued spec (``_real_valued``) gets a float64 block.
     """
     if not xs or not ys:
         raise ConfigError("a kernel block needs at least one sample on each side")
@@ -763,10 +758,6 @@ def _block(spec: KernelSpec, xs: list, ys: list, allow_aliasing: bool) -> np.nda
         fx = _poly_columns(spec, xv)
         fy = fx if yv is xv else _poly_columns(spec, yv)
         return np.conj(fx).transpose(0, 2, 1) @ fy
-    if yv is xv:
-        pairs_i, pairs_j = np.triu_indices(len(xs))
-    else:
-        pairs_i, pairs_j = np.divmod(np.arange(len(xs) * len(ys)), len(ys))
     real = _real_valued(spec)
     m = values.shape[1]
     if spec.is_infinite:
@@ -778,15 +769,13 @@ def _block(spec: KernelSpec, xs: list, ys: list, allow_aliasing: bool) -> np.nda
         width = (len(_band_table(rho, m, real)[0]) if rho else 0) + extra
     else:
         width = (2 * min(int(spec.n), m) - 1) * m
-    chunk = max(1, _PAIR_CHUNK_BUDGET // width)
+    pair_values = _inf_values_block if spec.is_infinite else _prod_pair_values
+    height = max(1, _PAIR_CHUNK_BUDGET // (width * len(ys)))
     out = np.empty((m, len(xs), len(ys)), dtype=float if real else complex)
-    for lo in range(0, len(pairs_i), chunk):
-        ci, cj = pairs_i[lo : lo + chunk], pairs_j[lo : lo + chunk]
-        if spec.is_infinite:
-            vals = _inf_values_block(spec, xv[ci], yv[cj])
-        else:
-            vals = _prod_pair_values(spec, xv[ci], yv[cj])
-        out[:, ci, cj] = vals.T
+    for i0 in range(0, len(xs), height):
+        j0 = i0 if yv is xv else 0
+        vals = pair_values(spec, xv[i0 : i0 + height, None], yv[None, j0:])
+        out[:, i0 : i0 + height, j0:] = vals.transpose(2, 0, 1)
     return out
 
 
@@ -798,13 +787,13 @@ def cross_values(spec: KernelSpec, xs, ys, allow_aliasing: bool = False) -> np.n
 def gram_values(spec: KernelSpec, xs, allow_aliasing: bool = False) -> tuple[np.ndarray, int]:
     """Gram field G[p, i, j] = k(xs[i], xs[j])(z_p).
 
-    The block core evaluates the upper triangle (N(N+1)/2 pair evaluations
-    on the pair routes); for poly and prod the strict lower triangle is then
-    overwritten in place, one grid point at a time, with the conjugate of
-    the upper one.  The whole sep block is kept as computed: with
+    The block core evaluates the upper triangle, its diagonal row tiles also a
+    sliver below it; for poly and prod the whole strict lower triangle is then
+    overwritten in place, one grid point at a time, with the exact conjugate
+    of the upper one.  The whole sep block is kept as computed: with
     non-palindromic weights that kernel is symmetric, k(x, y) = k(y, x), not
     Hermitian.  The field is float64 for a real-valued spec, complex128
-    otherwise.  Returns (field, N(N+1)/2).
+    otherwise.  Returns (field, N(N+1)/2), the count of distinct values.
     """
     xs = list(xs)
     N = len(xs)

@@ -56,7 +56,9 @@ def _min_eig(A: np.ndarray) -> float:
 @dataclass(frozen=True)
 class GramField:
     """Per-grid-point N x N kernel matrices G(z_p), stacked as (m, N, N):
-    a float64 field stays float64 (real symmetric), any other is complex."""
+    a float64 field stays float64 (real symmetric), any other is complex.
+    ``eval_count`` is the N(N+1)/2 distinct values of ``kernels.gram_values``;
+    its diagonal row tiles also evaluate slivers it overwrites by conjugates."""
 
     grid: TorusGrid
     matrices: np.ndarray = field(repr=False)
@@ -110,17 +112,17 @@ class RidgeModel:
 
 def assemble_gram(kernel: KernelSpec, inputs, allow_aliasing: bool = False) -> GramField:
     """Assemble the Gram field through the batched block core of
-    ``kernels.gram_values``: N(N+1)/2 kernel evaluations for the upper
-    triangle, the lower one filled in place by Hermitian symmetry.  The dense
-    ``kernels.evaluate`` route is the oracle the tests pin it to."""
+    ``kernels.gram_values``: the N(N+1)/2 distinct values, the strict lower
+    triangle (row-tile slivers included) overwritten by Hermitian symmetry.
+    The dense ``kernels.evaluate`` route is the oracle the tests pin it to."""
     inputs = list(inputs)
     if not inputs:
         raise ConfigError("need at least one training input")
     mats, count = gram_values(kernel, inputs, allow_aliasing=allow_aliasing)
     gram = GramField(inputs[0].grid, mats, eval_count=count)
-    # the strict lower triangle holds exact conjugates of the upper one (sep:
-    # G_ij = s_ij w(z_p), s_ij <= s_ii = 1), so hermitian_defect() reduces to
-    # the diagonal's 2 max |Im G_ii|; the scale matters only past the bound
+    # every strict-lower entry, row-tile slivers too, is an exact conjugate of
+    # the upper one (sep: G_ij = s_ij w(z_p), s_ij <= s_ii = 1), so hermitian_defect()
+    # reduces to the diagonal's 2 max |Im G_ii|; the scale matters only past the bound
     defect = 2.0 * float(np.max(np.abs(np.diagonal(gram.matrices, axis1=1, axis2=2).imag)))
     if defect > HERMITIAN_TOL:
         scale = max(float(np.max(np.abs(g))) for g in gram.matrices)

@@ -419,6 +419,7 @@ def base_case(id, **fields):
     base_case("degree-2.5", kind="polynomial", degree=2.5),
     ("lambda", float("nan")), ("lambda", float("inf")), ("input_noise", float("inf")),
     ("output_noise", float("nan")), ("delta", float("nan")),
+    ("delta", 0), ("delta", -1), ("input_noise", -1), ("output_noise", -1),
     kernel_case("alpha-nan", alpha=[1.0, float("nan")]),
     pytest.param("kernels", [{**PROD, "beta": float("inf")}], id="beta-inf"),
     base_case("gamma-nan", kind="gaussian", gamma=float("nan")),
@@ -452,8 +453,11 @@ def test_index_out_of_range_exit_code(tmp_path, capsys, argv):
                  "n_test": 2, "n_list": [4]}, "errors.csv"),
     ("inpaint", {"height": 8, "width": 8, "mask_h": 4, "mask_w": 4, "n_train": 2,
                  "n_test": 2, "n_list": [4], "gamma": "1.0"}, "errors.csv"),
+    ("inpaint", {"height": 1, "width": 1, "mask_h": 1, "mask_w": 1, "n_train": 2,
+                 "n_test": 2, "n_list": [4]}, "errors.csv"),
     ("converge", {**CONVERGE, "allow_aliasing": "no"}, ""),
-], ids=["complexity-B", "inpaint-n_train", "inpaint-gamma-quoted", "converge-allow_aliasing"])
+], ids=["complexity-B", "inpaint-n_train", "inpaint-gamma-quoted", "inpaint-one-pixel",
+        "converge-allow_aliasing"])
 def test_bad_document_value_exit_code(tmp_path, capsys, command, config, written):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

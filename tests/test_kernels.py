@@ -374,6 +374,45 @@ class TestBatchedBlocks:
         iu, ju = np.triu_indices(4, 1)
         assert np.array_equal(field[:, ju, iu], np.conj(field[:, iu, ju]))
 
+    @pytest.mark.parametrize("spec", [
+        block_spec("prod", 5, 1), ProdKernel(n=5, q=1, bases1=(LIN,), bases2=(G06,), beta=0.4),
+        block_spec("prod", 5, 2), block_spec("prod", 20, 1), block_spec("poly", INF, 2),
+        block_spec("prod", INF, 1), block_spec("prod", INF, 2),
+    ], ids=["strict-q1-real", "strict-q1-complex", "strict-q2", "folded", "poly-limit",
+            "prod-limit-real", "prod-limit-complex"])
+    def test_row_tiles_match_one_tile_block(self, rng, monkeypatch, spec):
+        # N = 7 is prime, so the first power-of-two budget whose tile height
+        # passes 1 gives a height of 2 or 3, which does not divide it
+        xs = [random_trig_tuple(PIN_GRID, rng, d=2, deg=3) for _ in range(7)]
+        ys = [random_trig_tuple(PIN_GRID, rng, d=2, deg=3) for _ in range(7)]
+        heights = []
+        for name in ("_prod_pair_values", "_inf_values_block"):
+            def spy(spec, a, b, _real=getattr(kernels_mod, name)):
+                heights.append(len(a))
+                return _real(spec, a, b)
+            monkeypatch.setattr(kernels_mod, name, spy)
+
+        def blocks():
+            heights.clear()
+            return (gram_values(spec, xs, allow_aliasing=True)[0],
+                    cross_values(spec, ys, xs, allow_aliasing=True))
+
+        gram, cross = one_tile = blocks()
+        assert heights == [7, 7]
+        for block, rows in ((gram, xs), (cross, ys)):
+            want = np.stack([[evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
+                             for x in rows]).transpose(2, 0, 1)
+            assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want))
+        iu, ju = np.triu_indices(7, 1)
+        assert np.array_equal(gram[:, ju, iu], np.conj(gram[:, iu, ju]))
+        seen = set()
+        for budget in 2 ** np.arange(19):
+            monkeypatch.setattr(kernels_mod, "_PAIR_CHUNK_BUDGET", int(budget))
+            for block, want in zip(blocks(), one_tile):
+                assert block.dtype == want.dtype and np.array_equal(block, want)
+            seen.update(heights)
+        assert 1 in seen and seen & {2, 3}
+
     @pytest.mark.parametrize("family", ["poly", "prod", "sep"])
     def test_blocks_reject_aliasing_by_default(self, rng, family):
         spec = block_spec(family, 20, 1)
