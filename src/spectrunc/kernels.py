@@ -745,7 +745,7 @@ def _block(spec: KernelSpec, xs: list, ys: list, allow_aliasing: bool) -> np.nda
     n = INF limits walk row tiles i0:i1, their height bounded by
     ``_PAIR_CHUNK_BUDGET``, against every column, or against the columns
     j >= i0 when ``ys is xs``, leaving the rest of the strict lower triangle
-    unset.  A real-valued spec (``_real_valued``) gets a float64 block.
+    unset; a single row wider than the budget is split into column tiles.  A real-valued spec (``_real_valued``) gets a float64 block.
     """
     if not xs or not ys:
         raise ConfigError("a kernel block needs at least one sample on each side")
@@ -771,11 +771,12 @@ def _block(spec: KernelSpec, xs: list, ys: list, allow_aliasing: bool) -> np.nda
         width = (2 * min(int(spec.n), m) - 1) * m
     pair_values = _inf_values_block if spec.is_infinite else _prod_pair_values
     height = max(1, _PAIR_CHUNK_BUDGET // (width * len(ys)))
+    cols = max(1, _PAIR_CHUNK_BUDGET // width)               # < Ny only when height is 1
     out = np.empty((m, len(xs), len(ys)), dtype=float if real else complex)
     for i0 in range(0, len(xs), height):
-        j0 = i0 if yv is xv else 0
-        vals = pair_values(spec, xv[i0 : i0 + height, None], yv[None, j0:])
-        out[:, i0 : i0 + height, j0:] = vals.transpose(2, 0, 1)
+        for j0 in range(i0 if yv is xv else 0, len(ys), cols):
+            vals = pair_values(spec, xv[i0 : i0 + height, None], yv[None, j0 : j0 + cols])
+            out[:, i0 : i0 + height, j0 : j0 + cols] = vals.transpose(2, 0, 1)
     return out
 
 

@@ -382,23 +382,24 @@ class TestBatchedBlocks:
             "prod-limit-real", "prod-limit-complex"])
     def test_row_tiles_match_one_tile_block(self, rng, monkeypatch, spec):
         # N = 7 is prime, so the first power-of-two budget whose tile height
-        # passes 1 gives a height of 2 or 3, which does not divide it
+        # (or, below one row, tile width) passes 1 gives 2 or 3, which does
+        # not divide it
         xs = [random_trig_tuple(PIN_GRID, rng, d=2, deg=3) for _ in range(7)]
         ys = [random_trig_tuple(PIN_GRID, rng, d=2, deg=3) for _ in range(7)]
-        heights = []
+        tiles = []
         for name in ("_prod_pair_values", "_inf_values_block"):
             def spy(spec, a, b, _real=getattr(kernels_mod, name)):
-                heights.append(len(a))
+                tiles.append((a.shape[0], b.shape[1]))
                 return _real(spec, a, b)
             monkeypatch.setattr(kernels_mod, name, spy)
 
         def blocks():
-            heights.clear()
+            tiles.clear()
             return (gram_values(spec, xs, allow_aliasing=True)[0],
                     cross_values(spec, ys, xs, allow_aliasing=True))
 
         gram, cross = one_tile = blocks()
-        assert heights == [7, 7]
+        assert tiles == [(7, 7), (7, 7)]
         for block, rows in ((gram, xs), (cross, ys)):
             want = np.stack([[evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
                              for x in rows]).transpose(2, 0, 1)
@@ -410,8 +411,9 @@ class TestBatchedBlocks:
             monkeypatch.setattr(kernels_mod, "_PAIR_CHUNK_BUDGET", int(budget))
             for block, want in zip(blocks(), one_tile):
                 assert block.dtype == want.dtype and np.array_equal(block, want)
-            seen.update(heights)
-        assert 1 in seen and seen & {2, 3}
+            seen.update(tiles)
+        heights, widths = {h for h, w in seen}, {w for h, w in seen if h == 1}
+        assert 1 in heights and heights & {2, 3} and 1 in widths and widths & {2, 3}
 
     @pytest.mark.parametrize("family", ["poly", "prod", "sep"])
     def test_blocks_reject_aliasing_by_default(self, rng, family):
