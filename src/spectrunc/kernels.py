@@ -745,7 +745,8 @@ def _block(spec: KernelSpec, xs: list, ys: list, allow_aliasing: bool) -> np.nda
     n = INF limits walk row tiles i0:i1, their height bounded by
     ``_PAIR_CHUNK_BUDGET``, against every column, or against the columns
     j >= i0 when ``ys is xs``, leaving the rest of the strict lower triangle
-    unset; a single row wider than the budget is split into column tiles.  A real-valued spec (``_real_valued``) gets a float64 block.
+    unset; a row wider than the budget is split into column tiles.  A
+    real-valued spec (``_real_valued``) gets a float64 block.
     """
     if not xs or not ys:
         raise ConfigError("a kernel block needs at least one sample on each side")

@@ -57,8 +57,9 @@ def _min_eig(A: np.ndarray) -> float:
 class GramField:
     """Per-grid-point N x N kernel matrices G(z_p), stacked as (m, N, N):
     a float64 field stays float64 (real symmetric), any other is complex.
-    ``eval_count`` is the N(N+1)/2 distinct values of ``kernels.gram_values``;
-    its diagonal row tiles also evaluate slivers it overwrites by conjugates."""
+    ``eval_count`` is the N(N+1)/2 distinct values of ``kernels.gram_values``,
+    whose diagonal row tiles also evaluate slivers below the diagonal that it
+    then overwrites with exact conjugates."""
 
     grid: TorusGrid
     matrices: np.ndarray = field(repr=False)

@@ -388,9 +388,9 @@ class TestBatchedBlocks:
         ys = [random_trig_tuple(PIN_GRID, rng, d=2, deg=3) for _ in range(7)]
         tiles = []
         for name in ("_prod_pair_values", "_inf_values_block"):
-            def spy(spec, a, b, _real=getattr(kernels_mod, name)):
+            def spy(s, a, b, _real=getattr(kernels_mod, name)):
                 tiles.append((a.shape[0], b.shape[1]))
-                return _real(spec, a, b)
+                return _real(s, a, b)
             monkeypatch.setattr(kernels_mod, name, spy)
 
         def blocks():
