@@ -20,15 +20,16 @@ and is the oracle the tests pin the batched route to.  Gram and cross-kernel
 blocks share one core: one check reads a block's samples into one (N, m, d)
 array, then a single family dispatch.  Poly and the q > 1 product chains
 take a mathematically identical matrix-free route,
-S_n(A^* B)(z) = (1/n) (A u(z))^* (B u(z)) with u(z)_r = e^{-irz}, which turns
-each Toeplitz-times-u product into windowed prefix sums.  On the m-point
-grid the folded coefficients c_k = bins[k mod m] and the phases e^{ikz_p}
-are m-periodic in k, so past n = m a truncated chain has only m distinct
-rows, row r counted cnt_r times (``_fold``): every batched route works on
-min(n, m) rows.  A q = 1 product pair with n <= m is a weighted correlation
-of the two DFT bin rows: one cached table of window counts K[u, v]
-(``_band_table``), summed by frequency offset (v - u) mod m and
-sent back to the grid by one inverse FFT.  For n > m the folded identity
+S_n(A^* B)(z) = (1/n) (A u(z))^* (B u(z)) with u(z)_r = e^{-irz}.  On the
+m-point grid the folded coefficients c_k = bins[k mod m] and the phases
+e^{ikz_p} are m-periodic in k, so past n = m a truncated chain has only m
+distinct rows, row r counted cnt_r times (``_fold``): every batched route
+works on min(n, m) rows.  Each Toeplitz-times-u product is then one
+inverse FFT of the bin rows shifted by r (``_toeplitz_times_phase``).  A
+q = 1 product pair with n <= m is a weighted correlation of the two DFT
+bin rows: one cached table of window counts K[u, v] (``_band_table``),
+summed by frequency offset (v - u) mod m and sent back to the grid by one
+inverse FFT.  For n > m the folded identity
 n S_n = sum_r cnt_r conj(W1_r) W2_r splits it into FFT terms and an
 order-(n mod m) table (``_folded_pair_sn``).  The Gaussian base is
 float64: its DFT bins come from ``rfft`` and the Hermitian law, and the
@@ -60,10 +61,11 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, GridMismatchError
 from .fejer import BETA_POLICIES
-from .torus import FunctionTuple, SampledFunction, TorusGrid, check_alias_free, integrate
+from .torus import FunctionTuple, SampledFunction, check_alias_free, integrate
 from .truncation import _fejer_weights, sn_map, sn_map_at, smooth, truncate
 
 __all__ = [
@@ -445,8 +447,8 @@ def kernel_limit_gap(spec: KernelSpec, x: FunctionTuple, y: FunctionTuple,
 #
 # Everything below computes the same values as `evaluate`, the dense oracle
 # the tests pin it to, restructured as S_n(A^* B)(z) = (1/n) (A u(z))^* (B u(z))
-# with u(z)_r = e^{-irz} on the min(n, m) distinct rows (O(min(n, m) m) per
-# chain factor instead of O(n^3)), or for q = 1 products as a DFT-domain
+# with u(z)_r = e^{-irz} on the min(n, m) distinct rows (O(min(n, m) m log m)
+# per chain factor instead of O(n^3)), or for q = 1 products as a DFT-domain
 # weight table (O(nnz + m log m) per pair) plus FFT terms past n = m.
 # `_block` is the one family dispatch behind both entry points.
 # ---------------------------------------------------------------------------
@@ -471,32 +473,27 @@ def _toeplitz_times_phase(bins: np.ndarray, n: int) -> np.ndarray:
     """T u(z_p) on its min(n, m) distinct rows (``_fold``) for a stack of
     DFT bin rows, where T is the n x n Toeplitz matrix of c_k = bins[k mod m].
 
-    bins (..., m) -> (..., min(n, m), m):  (T u(z))_r = e^{-irz} W_r, W_r the
-    window sum of s_k = c_k e^{ikz} over k = r-n+1..r.  On the grid s_k is
-    m-periodic in k, so W_r = alpha * g(z) + (prefix-sum window r-rho+1..r),
-    with g(z_p) = sum_{k<m} s_k the sampled function itself.
+    bins (..., m) -> (..., min(n, m), m).  Both factors of (T u(z_p))_r =
+    sum_{j<n} c_{r-j} e^{-ijz_p} depend on j mod m only, and the n columns
+    hold alpha + [s < rho] of each residue s, so with k = -j mod m
+    (T u(z_p))_r = m ifft_k(bins[(k + r) mod m] (alpha + [-k mod m < rho]))[p]:
+    one inverse FFT of the bin rows shifted by r (a strided view), with no
+    phase table and no differences of running sums to cancel.
     """
     m = bins.shape[-1]
-    z = TorusGrid(m).points
     alpha, rho, cnt = _fold(n, m)
-    rows = len(cnt)
-    ks = np.arange(1 - rho, rows)
-    phase = np.exp(1j * ks[:, None] * z[None, :])           # (rows+rho-1, m)
-    s = bins[..., np.mod(ks, m), None] * phase               # (..., rows+rho-1, m)
-    p = np.cumsum(s, axis=-2)
-    win = p[..., rho - 1:, :].copy()
-    win[..., 1:, :] -= p[..., : rows - 1, :]
-    if alpha:
-        win += (alpha * m) * np.fft.ifft(bins, axis=-1)[..., None, :]
-    return win * np.exp(-1j * np.arange(rows)[:, None] * z[None, :])
+    weight = m * (alpha + (np.mod(-np.arange(m), m) < rho))
+    wrapped = np.concatenate([bins, bins[..., : len(cnt) - 1]], axis=-1)
+    cols = sliding_window_view(wrapped, m, axis=-1) * weight   # (..., min(n, m), m)
+    return np.fft.ifft(cols, axis=-1)
 
 
 def _chain_columns(bin_stacks: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
     """Columns (F_1 (F_2 (... (F_K u(z))))) on their min(n, m) distinct rows,
     and the rows' multiplicities cnt (``_fold``), for per-item DFT bin stacks.
 
-    bin_stacks[k] has shape (B, m); the innermost factor uses the windowed
-    prefix-sum route.  An outer factor meets an m-periodic column, so it acts
+    bin_stacks[k] has shape (B, m); the innermost factor is one inverse FFT
+    of shifted bin rows.  An outer factor meets an m-periodic column, so it acts
     as the min(n, m)-square matrix bins[(r - s) mod m] * cnt[s].  Returns
     (B, min(n, m), m) columns and cnt.
     """
@@ -516,10 +513,12 @@ def _poly_columns(spec: PolyKernel, values: np.ndarray) -> np.ndarray:
     n = int(spec.n)
     bins = np.fft.fft(np.ascontiguousarray(values.transpose(0, 2, 1)), axis=-1)  # (N, d, m)
     bins /= m
-    w, cnt = _chain_columns([bins.reshape(-1, m)] * spec.q, n)
-    w = w.reshape(N, d, len(cnt), m)
-    w *= np.sqrt(np.multiply.outer(spec.alpha, cnt) / n)[None, :, :, None]
-    return w.transpose(3, 1, 2, 0).reshape(m, d * len(cnt), N)
+    # the factor sqrt(alpha_c / n) rides on the innermost bins, sqrt(cnt_r) is 1 for n <= m
+    inner = bins * np.sqrt(np.asarray(spec.alpha) / n)[:, None]
+    w, cnt = _chain_columns([bins.reshape(-1, m)] * (spec.q - 1) + [inner.reshape(-1, m)], n)
+    if n > m:
+        w *= np.sqrt(cnt)[:, None]
+    return w.reshape(N, d, len(cnt), m).transpose(3, 1, 2, 0).reshape(m, d * len(cnt), N)
 
 
 def poly_factors(spec: PolyKernel, samples, allow_aliasing: bool = False) -> np.ndarray:
@@ -555,14 +554,14 @@ def _band_table(n: int, m: int, half: bool = False) -> tuple[np.ndarray, ...]:
     sorted by delta = (v - u) mod m, with the start of each delta run and
     that run's delta.
 
-    Row r's window sum is W_r = sum_j M[r, j] S_j with S_j = bins_j e^{ijz}
-    and M[r, j] = [(r - j) mod m < n] (``_toeplitz_times_phase``), so
-    K = M^T M counts the length-n windows holding frequencies u and v
-    (mod m).  Only the min(2n-1, m) residues cols of |k| < n enter, so
-    building K costs O(n * min(2n-1, m)^2), never O(m^3), and the table
-    holds at most min(2n-1, m)^2 entries (3n^2 - 3n + 1 while 2n-1 <= m).
-    The ``half`` table keeps only the runs with delta <= m/2, about half the
-    entries: for a real-valued pair, K symmetric makes c_{-delta} =
+    Here S_j = bins_j e^{ijz_p}, and K[u, v] counts the rows r < n whose
+    length-n frequency window r-n+1..r holds both u and v (mod m): K = M^T M
+    for the window indicator M[r, j] = [(r - j) mod m < n].  Only the
+    min(2n-1, m) residues cols of |k| < n enter, so building K costs
+    O(n * min(2n-1, m)^2), never O(m^3), and the table holds at most
+    min(2n-1, m)^2 entries (3n^2 - 3n + 1 while 2n-1 <= m).  The ``half``
+    table keeps only the runs with delta <= m/2, about half the entries:
+    for a real-valued pair, K symmetric makes c_{-delta} =
     conj(c_delta), so those runs determine the rest.
     """
     cols = np.unique(np.mod(np.arange(1 - n, n), m))

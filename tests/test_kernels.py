@@ -523,7 +523,7 @@ class TestBatchedBlocks:
         if not limit:
             assert kernels_mod.poly_factors(spec, xs, allow_aliasing=True).shape == (m, d * min(n, m), 3)
 
-    # complex q > 1 chains, on the n-row prefix-sum route (n <= m) or the
+    # complex q > 1 chains, on their n distinct rows (n <= m) or the
     # folded m-row one (n > m): prod with unrelated bases and sep with
     # non-palindromic weights, q in {2, 3}, m in [5, 40], n in [1, 3m]
     @settings(max_examples=30, deadline=None)
@@ -596,6 +596,25 @@ class TestBatchedBlocks:
         cross_values(spec, xs[:2], xs)
         assert bool(calls) == windowed
 
+    @pytest.mark.parametrize("m, n", [
+        (30, 1), (30, 16), (30, 29), (30, 30), (30, 60), (30, 45), (30, 128), (31, 50), (7, 3),
+        (256, 16),
+    ], ids=["n1", "n-below-m", "n-m-1", "n-m", "n-2m", "rho-15", "rho-8", "odd-m", "odd-m-small",
+            "m256"])
+    def test_toeplitz_columns_match_extended_precision_sum(self, m, n):
+        # (T u(z_p))_r = sum_{j<n} c_{r-j} e^{-2 pi i (j p mod m)/m}, c_k = bins[k mod m],
+        # summed directly in extended precision on the min(n, m) distinct rows
+        rng = np.random.default_rng(m + n)
+        bins = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+        rows, j, p = min(n, m), np.arange(n), np.arange(m)
+        angle = -2 * np.pi * np.longdouble(1) * np.mod(np.outer(j, p), m) / m
+        phase = np.cos(angle) + 1j * np.sin(angle)                        # (n, m)
+        coef = bins.astype(np.clongdouble)[:, np.mod(np.arange(rows)[:, None] - j, m)]
+        want = np.einsum("brj,jp->brp", coef, phase)
+        got = kernels_mod._toeplitz_times_phase(bins, n)
+        assert got.shape == (3, rows, m)
+        assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("n, m", [(16, 4096), (64, 4096), (16, 16384)])
     def test_band_table_built_from_its_support(self, n, m):
         # an m x m window-count matrix at m = 4096 alone is 128 MiB; the table
@@ -631,6 +650,22 @@ class TestBatchedBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * field.nbytes
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_poly_factor_workspace_bounded_by_factor(self, n, q):
+        grid = TorusGrid(30)
+        rng = np.random.default_rng(0)
+        xs = [FunctionTuple(tuple(SampledFunction(grid, rng.standard_normal(30) + 0j)
+                                  for _ in range(2))) for _ in range(300)]
+        spec = PolyKernel(n=n, q=q, alpha=(1.0, 1.0))
+        tracemalloc.start()
+        try:
+            factor = kernels_mod.poly_factors(spec, xs, allow_aliasing=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * factor.nbytes
 
     @pytest.mark.parametrize("family, n, q", [
         ("poly", 5, 2), ("poly", INF, 1), ("prod", 5, 1), ("prod", 20, 1), ("prod", 5, 2),
