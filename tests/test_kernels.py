@@ -523,8 +523,8 @@ class TestBatchedBlocks:
         if not limit:
             assert kernels_mod.poly_factors(spec, xs, allow_aliasing=True).shape == (m, d * min(n, m), 3)
 
-    # complex q > 1 chains, on their n distinct rows (n <= m) or the
-    # folded m-row one (n > m): prod with unrelated bases and sep with
+    # complex q > 1 chains, on n rows (n <= m) or on the m folded rows
+    # (n > m): prod with unrelated bases and sep with
     # non-palindromic weights, q in {2, 3}, m in [5, 40], n in [1, 3m]
     @settings(max_examples=30, deadline=None)
     @given(hst.integers(5, 40).flatmap(lambda m: hst.tuples(hst.just(m), hst.integers(1, 3 * m))),
