@@ -33,10 +33,6 @@ from .fejer import (
     fejer_convolve,
     fejer_min_estimate,
     fejer_multi,
-    fejer_multi_oracle,
-    lattice_points_mP,
-    polyhedron_contains,
-    q_set_union,
 )
 from .kernels import (
     INF,

@@ -3,8 +3,9 @@
 All configs are JSON.  Datasets and models are one ``dataset.npz`` with a
 JSON manifest; predictions and result tables are CSV, recovered images PGM.
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
-failures.  The environment variable SPECTRUNC_WORKERS caps the sweep thread
-budget (absent: all available cores).
+failures.  The environment variable SPECTRUNC_WORKERS is the total thread
+budget, sweep cells plus the helper threads that share a kernel block's row
+tiles (absent: all available cores).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, experiments, fejer, regression, serialize
+from . import diagnostics, experiments, fejer, parallel, regression, serialize
 from .errors import ConfigError, NumericalError
 from .torus import FunctionTuple, l2_distances
 
@@ -75,6 +76,10 @@ def _cmd_run_synth(args) -> int:
     serialize.write_rows_csv(out / "summary.csv",
                              ["family", "n", "median", "q1", "q3"], summary)
     print(f"wrote {out / 'results.csv'} and {out / 'summary.csv'}")
+    failed = [row for row in rows if np.isnan(row[3])]
+    if failed:
+        raise NumericalError("{} of {} sweep cells failed, the first family={} n={} run={}"
+                             .format(len(failed), len(rows), *failed[0][:3]))
     return EXIT_OK
 
 
@@ -295,6 +300,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        parallel.worker_count()            # a bad thread budget fails every command alike
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

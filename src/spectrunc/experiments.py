@@ -18,9 +18,7 @@ and re-runs are fully deterministic.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
-import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -40,6 +38,7 @@ from .kernels import (
     _real,
     _values,
 )
+from .parallel import WORKERS_ENV, share, take, worker_count  # WORKERS_ENV re-exported
 from .regression import assemble_gram, fit, predict_batch, test_error
 from .serialize import _JSON_KEYS, config_to_json, n_label, read_pgm
 from .torus import FunctionTuple, SampledFunction, TorusGrid, l2_distances, window_membership
@@ -55,28 +54,9 @@ __all__ = [
     "worker_count",
 ]
 
-WORKERS_ENV = "SPECTRUNC_WORKERS"
-
 _SPLIT_TRAIN = 0
 _SPLIT_TEST = 1
 _SPLIT_BLOBS = 2
-
-
-def worker_count() -> int:
-    """Thread budget for sweep cells; the environment variable wins,
-    absence means the CPUs this process may run on (its affinity mask)."""
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    if count < 1:
-        raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {raw}")
-    return count
 
 
 def _check_fields(config, lows: dict[str, int]) -> None:
@@ -227,18 +207,18 @@ def run_synthetic(config: SyntheticConfig):
     for spec in specs:
         _values(spec, train_x[:1], allow_aliasing=True)
     cells = [(spec, run) for spec in specs for run in range(config.runs)]
+    errors = [float("nan")] * len(cells)
 
-    def work(cell) -> float:
-        spec, run = cell
+    def work(index: int) -> None:
+        spec, run = cells[index]
         try:
-            return _synthetic_cell(config, datasets, spec, run)
+            errors[index] = _synthetic_cell(config, datasets, spec, run)
         except Exception as exc:  # a failed cell is recorded, not fatal
             print(f"cell family={spec.family} n={n_label(spec.n)} run={run} failed: {exc}",
                   file=sys.stderr)
-            return float("nan")
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        errors = list(pool.map(work, cells))
+    # the calling thread only waits, lending its slot to one cell thread
+    share(work, range(len(cells)), take(min(workers, len(cells)) - 1), caller_works=False)
     rows = [(spec.family, n_label(spec.n), run, err) for (spec, run), err in zip(cells, errors)]
     quartiles = np.percentile(np.reshape(errors, (len(specs), config.runs)), [25, 50, 75], axis=1)
     summary = [(spec.family, n_label(spec.n), float(med), float(q1), float(q3))

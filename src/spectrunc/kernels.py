@@ -39,7 +39,10 @@ family smooths each block side by one batched FFT pair
 product of the samples centered on the block's mean (``_sep_distance_sq``).
 Finite prod and the n = INF limits walk each block in row tiles, rows
 i0:i1 broadcast against the columns, one call and one contiguous slab per
-tile.  ``gram_values`` runs the core with the same samples on both sides,
+tile.  The calling thread and any spare threads of the ``parallel`` budget
+pull the tiles from one list, and k threads share one workspace budget, so
+the slabs are disjoint and the block is the same at any thread count.
+``gram_values`` runs the core with the same samples on both sides,
 so a tile takes only the columns j >= i0, and fills the strict lower
 triangle in place by the Hermitian law k(x, y) = k(y, x)^* of poly and prod.
 
@@ -63,6 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import parallel
 from .errors import ConfigError, GridMismatchError
 from .fejer import BETA_POLICIES
 from .torus import FunctionTuple, SampledFunction, check_alias_free, integrate
@@ -454,9 +458,9 @@ def kernel_limit_gap(spec: KernelSpec, x: FunctionTuple, y: FunctionTuple,
 # ---------------------------------------------------------------------------
 
 
-# complex elements per row-tile workspace, height x Ny x a per-pair width: the
-# q = 1 table size plus m (8m past n = m), (2 min(n, m) - 1)*m for q > 1, m*d
-# at n = INF
+# complex elements of row-tile workspace live at once, height x Ny x a per-pair
+# width: the q = 1 table size plus m (8m past n = m), (2 min(n, m) - 1)*m for
+# q > 1, m*d at n = INF; a block on k threads sizes each tile from budget // k
 _PAIR_CHUNK_BUDGET = 1 << 18
 
 
@@ -742,9 +746,10 @@ def _block(spec: KernelSpec, xs: list, ys: list, allow_aliasing: bool) -> np.nda
 
     Poly and sep use their factorized whole-block routes; finite prod and the
     n = INF limits walk row tiles i0:i1, their height bounded by
-    ``_PAIR_CHUNK_BUDGET``, against every column, or against the columns
-    j >= i0 when ``ys is xs``, leaving the rest of the strict lower triangle
-    unset; a row wider than the budget is split into column tiles.  A
+    ``_PAIR_CHUNK_BUDGET`` split over the threads the block got from
+    ``parallel.take``, against every column, or against the columns j >= i0
+    when ``ys is xs``, leaving the rest of the strict lower triangle unset; a
+    row wider than its share of the budget is split into column tiles.  A
     real-valued spec (``_real_valued``) gets a float64 block.
     """
     if not xs or not ys:
@@ -770,13 +775,19 @@ def _block(spec: KernelSpec, xs: list, ys: list, allow_aliasing: bool) -> np.nda
     else:
         width = (2 * min(int(spec.n), m) - 1) * m
     pair_values = _inf_values_block if spec.is_infinite else _prod_pair_values
-    height = max(1, _PAIR_CHUNK_BUDGET // (width * len(ys)))
-    cols = max(1, _PAIR_CHUNK_BUDGET // width)               # < Ny only when height is 1
     out = np.empty((m, len(xs), len(ys)), dtype=float if real else complex)
-    for i0 in range(0, len(xs), height):
-        for j0 in range(i0 if yv is xv else 0, len(ys), cols):
-            vals = pair_values(spec, xv[i0 : i0 + height, None], yv[None, j0 : j0 + cols])
-            out[:, i0 : i0 + height, j0 : j0 + cols] = vals.transpose(2, 0, 1)
+
+    def run(tile: tuple[slice, slice]) -> None:
+        rows, cols = tile
+        out[:, rows, cols] = pair_values(spec, xv[rows, None], yv[None, cols]).transpose(2, 0, 1)
+
+    spares = parallel.take(len(xs) * len(ys) - 1)
+    budget = _PAIR_CHUNK_BUDGET // (spares + 1)
+    height = max(1, budget // (width * len(ys)))
+    cols = max(1, budget // width)                            # < Ny only when height is 1
+    parallel.share(run, [(slice(i0, i0 + height), slice(j0, j0 + cols))
+                         for i0 in range(0, len(xs), height)
+                         for j0 in range(i0 if yv is xv else 0, len(ys), cols)], spares)
     return out
 
 

@@ -105,6 +105,13 @@ def n_from_json(raw) -> int | float:
     return INF if raw == "inf" else _integer('truncation order n (or "inf")', raw, 1)
 
 
+def n_list_from_json(raw) -> tuple:
+    """A nonempty list of truncation orders from JSON."""
+    if not (ns := tuple(map(n_from_json, raw))):
+        raise ConfigError("n_list must hold at least one truncation order")
+    return ns
+
+
 def n_label(n) -> str:
     """The truncation order as it appears in result tables."""
     return str(n_to_json(n))
@@ -129,7 +136,7 @@ def _decoders(base_dir: Path | None, what: str) -> dict:
     bases = lambda docs: tuple(config_from_json(_BASES, b, f"base kernel in {what}")
                                for b in docs)
     kernel = lambda doc: kernel_from_json(doc, base_dir, f"kernel spec in {what}")
-    return {"n": n_from_json, "n_list": lambda ns: tuple(map(n_from_json, ns)),
+    return {"n": n_from_json, "n_list": n_list_from_json,
             "kernel": kernel, "kernels": lambda docs: tuple(map(kernel, docs)),
             "bases1": bases, "bases2": bases, "weights": functions,
             "base": lambda b: config_from_json((L2GaussianTupleKernel,), b,

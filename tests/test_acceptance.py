@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from helpers import eval_trig, random_trig_coeffs, random_trig_tuple, trig_from_coeffs
+from oracles import lattice_points_mP, q_set_union
 from spectrunc import (
     INF,
     FunctionTuple,
@@ -28,9 +29,7 @@ from spectrunc import (
     fejer_multi,
     fit,
     kernel_limit_gap,
-    lattice_points_mP,
     predict,
-    q_set_union,
     sn_map_at,
     truncate,
 )

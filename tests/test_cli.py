@@ -201,6 +201,57 @@ def test_bad_worker_count_exit_code(monkeypatch, tmp_path):
     assert main(["run-synth", "--config", str(cfg), "--out", str(tmp_path / "res")]) == EXIT_CONFIG
 
 
+def test_failed_sweep_cell_exits_numerical(tmp_path, capsys):
+    # zero weights give an all-zero Gram field, which lambda = 0 cannot solve
+    config = {"n_samples": 12, "n_test": 8, "seed": 7, "runs": 1, "lambda": 0,
+              "kernels": [{"family": "poly", "n": 4, "q": 1, "alpha": [0.0, 0.0]}]}
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "res"
+    assert main(["run-synth", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+    assert (out / "results.csv").read_text().splitlines()[1] == "poly,4,0,nan"
+    assert (out / "summary.csv").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("numerical failure:")] == [err[-1]]
+    assert "1 of 1 sweep cells failed" in err[-1] and "family=poly n=4 run=0" in err[-1]
+
+
+INPAINT_SMALL = {"height": 16, "width": 16, "mask_h": 6, "mask_w": 6, "n_train": 24,
+                 "n_test": 6, "n_list": [8, 16, "inf"], "recover_count": 2}
+
+
+def test_inpaint_outputs_identical_across_thread_budgets(monkeypatch, tmp_path):
+    # a small pair budget splits every block into many row tiles
+    monkeypatch.setattr("spectrunc.kernels._PAIR_CHUNK_BUDGET", 1 << 14)
+    cfg = tmp_path / "inp.json"
+    cfg.write_text(json.dumps(INPAINT_SMALL))
+    trees = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SPECTRUNC_WORKERS", workers)
+        out = tmp_path / f"w{workers}"
+        assert main(["inpaint", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        trees.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                      if p.is_file()})
+    assert len(trees[0]) == 1 + 3 * 2 and trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("command", ["inpaint", "fit"])
+def test_bad_worker_count_on_block_commands(monkeypatch, tmp_path, capsys, command):
+    cfg = tmp_path / "inp.json"
+    cfg.write_text(json.dumps(INPAINT_SMALL))
+    g = TorusGrid(16)
+    xs = [FunctionTuple((SampledFunction(g, np.cos(k * g.points) + 0j),)) for k in range(4)]
+    write_dataset(tmp_path / "ds", xs, [x.components[0] for x in xs])
+    (tmp_path / "prod.json").write_text(json.dumps(PROD))
+    argv = {"inpaint": ["inpaint", "--config", str(cfg)],
+            "fit": ["fit", "--dataset", str(tmp_path / "ds"), "--kernel",
+                    str(tmp_path / "prod.json"), "--lam", "0.1"]}[command]
+    monkeypatch.setenv("SPECTRUNC_WORKERS", "abc")
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "SPECTRUNC_WORKERS" in assert_one_config_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("lam", ["-1", "nan", "inf"])
 def test_bad_lam_exit_code(tmp_path, tiny_dataset, capsys, lam):
     code = main(["fit", "--dataset", str(tiny_dataset / "ds"),
@@ -456,8 +507,13 @@ def test_index_out_of_range_exit_code(tmp_path, capsys, argv):
     ("inpaint", {"height": 1, "width": 1, "mask_h": 1, "mask_w": 1, "n_train": 2,
                  "n_test": 2, "n_list": [4]}, "errors.csv"),
     ("converge", {**CONVERGE, "allow_aliasing": "no"}, ""),
+    ("inpaint", {"height": 8, "width": 8, "mask_h": 4, "mask_w": 4, "n_train": 2,
+                 "n_test": 2, "n_list": []}, "errors.csv"),
+    ("converge", {**CONVERGE, "n_list": []}, ""),
+    ("complexity", {**COMPLEXITY, "n_list": []}, ""),
 ], ids=["complexity-B", "inpaint-n_train", "inpaint-gamma-quoted", "inpaint-one-pixel",
-        "converge-allow_aliasing"])
+        "converge-allow_aliasing", "inpaint-empty-n_list", "converge-empty-n_list",
+        "complexity-empty-n_list"])
 def test_bad_document_value_exit_code(tmp_path, capsys, command, config, written):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from spectrunc import (
     window_integral,
 )
 from spectrunc import L2GaussianTupleKernel, PolyKernel
+from spectrunc import kernels, parallel
 from spectrunc.errors import ConfigError
 from spectrunc.experiments import (
     InpaintConfig,
@@ -308,6 +311,33 @@ class TestWorkerCount:
         assert worker_count() == 2
         monkeypatch.delattr(os, "sched_getaffinity")
         assert worker_count() == 8
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_sweep_and_tiles_stay_within_the_budget(self, monkeypatch, workers):
+        # many row tiles per block, so every free slot is worth a helper;
+        # a short switch interval interleaves the threads often
+        monkeypatch.setattr(kernels, "_PAIR_CHUNK_BUDGET", 1 << 10)
+        monkeypatch.setenv("SPECTRUNC_WORKERS", str(workers))
+        lock, in_flight, most = threading.Lock(), [0], [0]
+        for name in ("_prod_pair_values", "_inf_values_block"):
+            def counted(*args, _real=getattr(kernels, name)):
+                with lock:
+                    in_flight[0] += 1
+                    most[0] = max(most[0], in_flight[0])
+                try:
+                    return _real(*args)
+                finally:
+                    with lock:
+                        in_flight[0] -= 1
+            monkeypatch.setattr(kernels, name, counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            rows, _ = run_synthetic(tiny_synth(runs=3))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.isfinite(r[3]) for r in rows)
+        assert 1 <= most[0] <= workers and parallel._taken == 0
 
     def test_parallelism_does_not_change_results(self, monkeypatch):
         config = tiny_synth()

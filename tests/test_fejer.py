@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import eval_trig, random_trig_coeffs
+from oracles import fejer_multi_oracle, lattice_points_mP, q_set_union
 from spectrunc import fejer
 from spectrunc import (
     beta_from_policy,
@@ -17,9 +18,6 @@ from spectrunc import (
     fejer_convolve,
     fejer_min_estimate,
     fejer_multi,
-    fejer_multi_oracle,
-    lattice_points_mP,
-    q_set_union,
 )
 from spectrunc.errors import BudgetError, ConfigError
 
@@ -136,7 +134,7 @@ class TestOracle:
 
 class TestPolyhedron:
     def test_membership(self):
-        from spectrunc import polyhedron_contains
+        from oracles import polyhedron_contains
 
         # the partial-sum constraint kills the same-sign diagonal corners
         assert polyhedron_contains((1, -1))

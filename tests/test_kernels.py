@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import threading
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from spectrunc import (
     smooth,
 )
 from spectrunc import kernels as kernels_mod
+from spectrunc import parallel
 from spectrunc.errors import ConfigError
 from spectrunc.kernels import PolynomialKernel, cross_values, gram_values, prod_offset
 
@@ -353,6 +355,16 @@ REAL_SPECS = {
 }
 
 
+# the row-tiled routes: finite prod (strict and folded) and the n = INF limits
+ROW_TILE_SPECS = [
+    block_spec("prod", 5, 1), ProdKernel(n=5, q=1, bases1=(LIN,), bases2=(G06,), beta=0.4),
+    block_spec("prod", 5, 2), block_spec("prod", 20, 1), block_spec("poly", INF, 2),
+    block_spec("prod", INF, 1), block_spec("prod", INF, 2),
+]
+ROW_TILE_IDS = ["strict-q1-real", "strict-q1-complex", "strict-q2", "folded", "poly-limit",
+                "prod-limit-real", "prod-limit-complex"]
+
+
 class TestBatchedBlocks:
     """gram_values / cross_values pinned to the dense `evaluate` oracle."""
 
@@ -374,12 +386,7 @@ class TestBatchedBlocks:
         iu, ju = np.triu_indices(4, 1)
         assert np.array_equal(field[:, ju, iu], np.conj(field[:, iu, ju]))
 
-    @pytest.mark.parametrize("spec", [
-        block_spec("prod", 5, 1), ProdKernel(n=5, q=1, bases1=(LIN,), bases2=(G06,), beta=0.4),
-        block_spec("prod", 5, 2), block_spec("prod", 20, 1), block_spec("poly", INF, 2),
-        block_spec("prod", INF, 1), block_spec("prod", INF, 2),
-    ], ids=["strict-q1-real", "strict-q1-complex", "strict-q2", "folded", "poly-limit",
-            "prod-limit-real", "prod-limit-complex"])
+    @pytest.mark.parametrize("spec", ROW_TILE_SPECS, ids=ROW_TILE_IDS)
     def test_row_tiles_match_one_tile_block(self, rng, monkeypatch, spec):
         # N = 7 is prime, so the first power-of-two budget whose tile height
         # (or, below one row, tile width) passes 1 gives 2 or 3, which does
@@ -745,3 +752,98 @@ class TestBatchedBlocks:
                 cross_values(spec, bad, xs)
             with pytest.raises(error, match="block sample 5"):
                 cross_values(spec, xs, bad)
+
+
+class TestThreadBudget:
+    """Row tiles on spare threads of the SPECTRUNC_WORKERS budget."""
+
+    @staticmethod
+    def spy_tiles(monkeypatch, meet=0, fail_at=None):
+        """Record the thread of every tile call; the first ``meet`` calls
+        wait for each other, and call ``fail_at`` raises."""
+        idents, lock = [], threading.Lock()
+        barrier = threading.Barrier(max(meet, 1), timeout=10)
+        for name in ("_prod_pair_values", "_inf_values_block"):
+            def spy(s, a, b, _real=getattr(kernels_mod, name)):
+                with lock:
+                    idents.append(threading.get_ident())
+                    call = len(idents)
+                if call == fail_at:
+                    raise RuntimeError("tile failed")
+                if call <= meet:
+                    barrier.wait()
+                return _real(s, a, b)
+            monkeypatch.setattr(kernels_mod, name, spy)
+        return idents
+
+    @pytest.mark.parametrize("spec", ROW_TILE_SPECS, ids=ROW_TILE_IDS)
+    def test_blocks_identical_across_budgets(self, rng, monkeypatch, spec):
+        xs = [random_trig_tuple(PIN_GRID, rng, d=2, deg=3) for _ in range(7)]
+        ys = [random_trig_tuple(PIN_GRID, rng, d=2, deg=3) for _ in range(7)]
+        for budget in 2 ** np.arange(19):
+            monkeypatch.setattr(kernels_mod, "_PAIR_CHUNK_BUDGET", int(budget))
+            blocks = []
+            for workers in ("1", "2", "3"):
+                monkeypatch.setenv("SPECTRUNC_WORKERS", workers)
+                blocks.append((gram_values(spec, xs, allow_aliasing=True)[0],
+                               cross_values(spec, ys, xs, allow_aliasing=True)))
+            for other in blocks[1:]:
+                for block, want in zip(other, blocks[0]):
+                    assert block.dtype == want.dtype and np.array_equal(block, want)
+
+    def test_tiles_share_the_budget_threads(self, rng, monkeypatch):
+        xs = [random_trig_tuple(PIN_GRID, rng, d=2, deg=3) for _ in range(7)]
+        spec = block_spec("prod", 5, 1)
+        monkeypatch.setattr(kernels_mod, "_PAIR_CHUNK_BUDGET", 1 << 10)
+        monkeypatch.setenv("SPECTRUNC_WORKERS", "2")
+        # the first two tiles meet, so both threads run tiles at once
+        idents = self.spy_tiles(monkeypatch, meet=2)
+        gram_values(spec, xs, allow_aliasing=True)
+        assert len(idents) > 2 and len(set(idents)) == 2
+        monkeypatch.setenv("SPECTRUNC_WORKERS", "1")
+        idents = self.spy_tiles(monkeypatch)
+        cross_values(spec, xs, xs, allow_aliasing=True)
+        assert len(idents) > 2 and set(idents) == {threading.get_ident()}
+        monkeypatch.setenv("SPECTRUNC_WORKERS", "2")
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t)))
+        cross_values(spec, xs[:1], xs[1:2], allow_aliasing=True)
+        assert started == [] and parallel._taken == 0
+
+    def test_failed_tile_returns_its_slots(self, rng, monkeypatch):
+        xs = [random_trig_tuple(PIN_GRID, rng, d=2, deg=3) for _ in range(7)]
+        spec = block_spec("prod", INF, 2)
+        monkeypatch.setattr(kernels_mod, "_PAIR_CHUNK_BUDGET", 1 << 8)
+        for workers in ("1", "2"):
+            monkeypatch.setenv("SPECTRUNC_WORKERS", workers)
+            idents = self.spy_tiles(monkeypatch, fail_at=3)
+            with pytest.raises(RuntimeError, match="tile failed"):
+                gram_values(spec, xs, allow_aliasing=True)
+            # on one thread, no tile is handed out after the failed one
+            assert len(idents) == 3 if workers == "1" else len(idents) >= 3
+            assert parallel._taken == 0
+        # the next block at budget 2 gets its helper again
+        idents = self.spy_tiles(monkeypatch, meet=2)
+        gram_values(spec, xs, allow_aliasing=True)
+        assert len(set(idents)) == 2 and parallel._taken == 0
+
+    def test_two_threads_share_the_workspace_budget(self, monkeypatch):
+        # the inpaint shape: m = 256 pixels, N = 100 images, n = 16
+        grid = TorusGrid(256)
+        rng = np.random.default_rng(5)
+        xs = [FunctionTuple((SampledFunction(grid, rng.uniform(size=256) + 0j),))
+              for _ in range(100)]
+        g = GaussianKernel(gamma=0.1)
+        spec = ProdKernel(n=16, q=1, bases1=(g,), bases2=(g,), beta=0.01)
+        gram_values(spec, xs[:2], allow_aliasing=True)          # caches the weight table
+        peaks = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("SPECTRUNC_WORKERS", workers)
+            tracemalloc.start()
+            try:
+                gram_values(spec, xs, allow_aliasing=True)
+                peaks[workers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["2"] <= 1.05 * peaks["1"]
