@@ -37,6 +37,12 @@ class ConvergeConfig:
     n_list: tuple
     allow_aliasing: bool = False
 
+    def __post_init__(self):
+        families = [spec.family for spec in self.kernels]
+        if len(set(families)) < len(families):
+            raise ConfigError(f"kernels repeat the {max(families, key=families.count)!r} "
+                              "family; the report has one row per family and n")
+
 
 @dataclasses.dataclass(frozen=True)
 class ComplexityConfig:
@@ -142,7 +148,7 @@ def _cmd_complexity(args) -> int:
     for spec in doc.kernels:
         for n in doc.n_list:
             report = diagnostics.complexity_report(
-                dataclasses.replace(spec, n=n), doc.samples, B=doc.B, L=doc.L,
+                diagnostics.spec_at(spec, n), doc.samples, B=doc.B, L=doc.L,
                 delta=doc.delta, allow_aliasing=doc.allow_aliasing)
             rows.append((report.family, report.n, float(np.sum(report.D_values)),
                          report.second_term, report.third_term))

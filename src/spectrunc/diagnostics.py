@@ -21,6 +21,7 @@ import warnings
 import numpy as np
 
 from .errors import BetaMonotonicityWarning, ConfigError
+from .fejer import beta_from_policy
 from .kernels import (
     KernelSpec,
     PolyKernel,
@@ -39,6 +40,7 @@ __all__ = [
     "bound_rhs",
     "complexity_sweep",
     "convergence_report",
+    "spec_at",
 ]
 
 _IMAG_TOL = 1e-9
@@ -101,61 +103,66 @@ def complexity_D(spec: KernelSpec, x: FunctionTuple, allow_aliasing: bool = Fals
     raise ConfigError(f"unknown kernel spec {type(spec).__name__}")
 
 
-def bound_rhs(D_values, B: float, L: float, delta: float, empirical_losses) -> float:
-    """Right-hand side of the generalization bound:
-
-        mean empirical loss + 2 L B / N * (sum_i D_i)^{1/2}
-                            + 3 sqrt(log(1/delta) / N).
-    """
-    D = np.asarray(D_values, dtype=float)
-    losses = np.asarray(empirical_losses, dtype=float)
-    if D.shape != losses.shape or D.ndim != 1 or len(D) == 0:
-        raise ConfigError("D values and empirical losses must be equal-length 1-D arrays")
+def _bound_terms(D: np.ndarray, B: float, L: float, delta: float) -> tuple[float, float]:
+    """The bound's second and third terms for N per-sample D values,
+    2 L B / N * (sum_i D_i)^{1/2} and 3 sqrt(log(1/delta) / N)."""
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"delta must lie in (0, 1), got {delta}")
     if B <= 0 or L <= 0:
         raise ConfigError("B and L must be positive")
+    N = len(D)
+    return (2.0 * L * B / N * math.sqrt(float(np.sum(D))),
+            3.0 * math.sqrt(math.log(1.0 / delta) / N))
+
+
+def bound_rhs(D_values, B: float, L: float, delta: float, empirical_losses) -> float:
+    """Right-hand side of the generalization bound: the mean empirical loss
+    plus the two terms of ``_bound_terms``."""
+    D = np.asarray(D_values, dtype=float)
+    losses = np.asarray(empirical_losses, dtype=float)
+    if D.shape != losses.shape or D.ndim != 1 or len(D) == 0:
+        raise ConfigError("D values and empirical losses must be equal-length 1-D arrays")
     if np.any(D < 0):
         raise ConfigError("D values must be nonnegative")
-    N = len(D)
-    return (
-        float(np.mean(losses))
-        + 2.0 * L * B / N * math.sqrt(float(np.sum(D)))
-        + 3.0 * math.sqrt(math.log(1.0 / delta) / N)
-    )
+    second, third = _bound_terms(D, B, L, delta)
+    return float(np.mean(losses)) + second + third
 
 
 def complexity_report(spec: KernelSpec, xs, B: float = 1.0, L: float = 1.0,
                       delta: float = 0.05, allow_aliasing: bool = False) -> ComplexityReport:
     """Compute per-sample D values and the bound's second and third terms."""
-    xs = list(xs)
-    if not 0.0 < delta < 1.0:
-        raise ConfigError(f"delta must lie in (0, 1), got {delta}")
     D = np.array([complexity_D(spec, x, allow_aliasing) for x in xs])
-    N = len(xs)
-    second = 2.0 * L * B / N * math.sqrt(float(np.sum(D)))
-    third = 3.0 * math.sqrt(math.log(1.0 / delta) / N)
+    second, third = _bound_terms(D, B, L, delta)
     return ComplexityReport(
         family=spec.family, n=int(spec.n), D_values=D,
         second_term=second, third_term=third, B=B, L=L, delta=delta,
     )
 
 
-def complexity_sweep(spec: KernelSpec, x: FunctionTuple, n_list,
-                     allow_aliasing: bool = False,
-                     beta_for_n=None) -> list[tuple[int, float]]:
-    """D(k_n, x) across a truncation sweep.
+def spec_at(spec: KernelSpec, n) -> KernelSpec:
+    """``spec`` at truncation order n.  A prod spec whose ``beta_policy`` is
+    ``bound`` or ``estimate`` gets that policy's beta_n (``fejer.beta_from_policy``)
+    at any finite n other than its own; at its own n the loaded beta stands,
+    so an explicit beta still wins there."""
+    if n == spec.n:
+        return spec
+    spec_n = dataclasses.replace(spec, n=n)
+    if isinstance(spec, ProdKernel) and spec.beta_policy != "manual" and not spec_n.is_infinite:
+        spec_n = dataclasses.replace(spec_n, beta=beta_from_policy(spec.beta_policy, n, spec.q))
+    return spec_n
 
-    ``beta_for_n`` optionally maps n to the offset used at that truncation
-    (product family); a nonmonotone beta sweep voids the monotonicity
-    guarantee and triggers a ``BetaMonotonicityWarning``.
+
+def complexity_sweep(spec: KernelSpec, x: FunctionTuple, n_list,
+                     allow_aliasing: bool = False) -> list[tuple[int, float]]:
+    """D(k_n, x) across a truncation sweep, each n through ``spec_at``.
+
+    A prod beta_n that falls as n grows (an ``estimate`` policy can) voids
+    the monotonicity guarantee and triggers a ``BetaMonotonicityWarning``.
     """
     rows = []
     betas = []
     for n in n_list:
-        spec_n = dataclasses.replace(spec, n=int(n))
-        if beta_for_n is not None and isinstance(spec, ProdKernel):
-            spec_n = dataclasses.replace(spec_n, beta=float(beta_for_n(int(n))))
+        spec_n = spec_at(spec, int(n))
         if isinstance(spec_n, ProdKernel):
             betas.append(spec_n.beta)
         rows.append((int(n), complexity_D(spec_n, x, allow_aliasing)))

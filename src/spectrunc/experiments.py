@@ -38,7 +38,7 @@ from .kernels import (
     _real,
     _values,
 )
-from .parallel import WORKERS_ENV, share, take, worker_count  # WORKERS_ENV re-exported
+from .parallel import share, take, worker_count
 from .regression import assemble_gram, fit, predict_batch, test_error
 from .serialize import _JSON_KEYS, config_to_json, n_label, read_pgm
 from .torus import FunctionTuple, SampledFunction, TorusGrid, l2_distances, window_membership
@@ -117,7 +117,6 @@ class SyntheticConfig:
     delta: float = 2.0 * np.pi / 30.0
     lam: float = 0.01
     runs: int = 5
-    window_normalized: bool = False
     kernels: tuple[KernelSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -136,18 +135,17 @@ class SyntheticConfig:
 
 
 @functools.lru_cache(maxsize=8)
-def _window_matrix(grid: TorusGrid, delta: float, normalized: bool) -> np.ndarray:
+def _window_matrix(grid: TorusGrid, delta: float) -> np.ndarray:
     rows = np.stack([window_membership(grid, z, delta) for z in grid.points])
-    scale = (1.0 / grid.m) if normalized else grid.spacing
-    out = rows.astype(float) * scale
+    out = rows.astype(float) * grid.spacing
     out.setflags(write=False)
     return out
 
 
-def synthetic_target(x: FunctionTuple, delta: float, normalized: bool = False) -> SampledFunction:
+def synthetic_target(x: FunctionTuple, delta: float) -> SampledFunction:
     """f(x)(z) = 3 sin(cos(W_1(z) + W_2(z))) with W_c the windowed integral
     of component c."""
-    W = _window_matrix(x.grid, delta, normalized)
+    W = _window_matrix(x.grid, delta)
     total = np.zeros(x.grid.m, dtype=complex)
     for comp in x.components:
         total += W @ comp.values
@@ -168,7 +166,7 @@ def _synthetic_split(config: SyntheticConfig, run_index: int, split: int, count:
         c2 = np.cos(0.01 * i * z) + config.input_noise * eta[i - 1]
         x = FunctionTuple((SampledFunction(grid, c1.astype(complex)),
                            SampledFunction(grid, c2.astype(complex))))
-        target = synthetic_target(x, config.delta, config.window_normalized)
+        target = synthetic_target(x, config.delta)
         y = SampledFunction(grid, target.values + config.output_noise * out_noise[i - 1])
         inputs.append(x)
         outputs.append(y)

@@ -49,6 +49,7 @@ ORACLE_MAX_Q = 2
 CONVOLVE_MAX_EVALS = 1 << 22
 BETA_POLICIES = ("manual", "bound", "estimate")
 BETA_MARGIN = 1e-6
+MIN_ESTIMATE_STARTS = 32       # seeded random scan points of a q >= 2 minimum estimate
 
 
 def dirichlet(n: int, s) -> np.ndarray | complex:
@@ -199,13 +200,12 @@ def fejer_min_estimate(
     q: int,
     grid_density: int = 64,
     seed: int = 0,
-    n_random_starts: int = 32,
 ) -> float:
     """Estimated minimum of the Fejer kernel over T^{2q}.
 
     q = 1 scans the full 2-D grid (grid_density points per axis) and refines
     the best point locally; q >= 2 scans the coarse 8^{2q} tensor grid plus
-    n_random_starts seeded random points and refines the best 8.  The local
+    MIN_ESTIMATE_STARTS seeded random points and refines the best 8.  The local
     descent runs scipy's Nelder-Mead steps (xatol 1e-10, fatol 1e-12, at
     most 2000 iterations) for all starts at once, in numpy; scipy is not
     imported.  An estimate, not a certificate; always >= -n^{2q} (the
@@ -225,10 +225,11 @@ def fejer_min_estimate(
     if q == 1:
         pts = grid_points(grid_density, q)
     else:
-        _check_budget(8, 2 * q, n_random_starts, "scan points")
+        _check_budget(8, 2 * q, MIN_ESTIMATE_STARTS, "scan points")
         pts = grid_points(8, q)
         rng = np.random.default_rng(seed)
-        pts = np.concatenate([pts, rng.uniform(0.0, 2.0 * np.pi, size=(n_random_starts, 2 * q))])
+        pts = np.concatenate([pts, rng.uniform(0.0, 2.0 * np.pi,
+                                               size=(MIN_ESTIMATE_STARTS, 2 * q))])
     vals = fejer_multi(n, q, pts)
     starts = pts[np.argsort(vals)[:8]] if q > 1 else pts[[int(np.argmin(vals))]]
 
@@ -271,24 +272,18 @@ def beta_from_policy(
     policy: str,
     n: int,
     q: int,
-    value: float | None = None,
     grid_density: int = 64,
     seed: int = 0,
 ) -> float:
     """Positive-definiteness offset beta for the product kernel family.
 
     ``estimate``: max(0, -estimated Fejer minimum) + ``BETA_MARGIN``;
-    ``bound``: the provable ceiling n^{2q};
-    ``manual``: the supplied value (the bundled experiment configs use 1 and
-    0.01, well below the provable bound).
+    ``bound``: the provable ceiling n^{2q}.  A ``manual`` beta is the spec's
+    own value, so that policy has no rule here.
     """
-    if policy == "manual":
-        if value is None:
-            raise ValueError("manual beta policy needs a value")
-        return float(value)
     if policy == "bound":
         return float(n) ** (2 * q)
     if policy == "estimate":
         est = fejer_min_estimate(n, q, grid_density=grid_density, seed=seed)
         return max(0.0, -est) + BETA_MARGIN
-    raise ValueError(f"unknown beta policy {policy!r}")
+    raise ValueError(f"beta policy {policy!r} has no offset rule")

@@ -507,7 +507,8 @@ def _chain_columns(bin_stacks: list[np.ndarray], n: int) -> tuple[np.ndarray, np
     r = np.arange(len(cnt))
     idx = np.mod(r[:, None] - r[None, :], m)
     for bins in reversed(bin_stacks[:-1]):
-        cols = np.matmul(bins[..., idx] * cnt, cols)
+        factor = bins[..., idx]        # cnt is all ones for n <= m
+        cols = np.matmul(np.multiply(factor, cnt, out=factor) if n > m else factor, cols)
     return cols, cnt
 
 

@@ -13,12 +13,12 @@ predictions are complex either way.
 
 The truncated polynomial kernel has low rank: G(z_p) = F_p^* F_p with F_p
 the d*min(n, m) x N factor of ``kernels.poly_factors``.  When
-d*min(n, m) < N (and no field is passed in), ``fit`` never builds the
-field: it solves all m systems at once in the factor space by the Woodbury
-identity (refined once if the residual check fails), and ``predict_batch``
-evaluates F_{x,p}^* (F_p c_p) instead of a cross block.  The n = INF poly
-limit has rank d but keeps the dense route, whose test errors are pinned
-byte-for-byte; the factored solve moves them in the last digits.
+d*min(n, m) < N, ``fit`` never builds the field: it solves all m systems
+at once in the factor space by the Woodbury identity (refined once if the
+residual check fails), and ``predict_batch`` evaluates F_{x,p}^* (F_p c_p)
+instead of a cross block.  The n = INF poly limit has rank d but keeps the
+dense route, whose test errors are pinned byte-for-byte; the factored solve
+moves them in the last digits.
 """
 
 from __future__ import annotations
@@ -56,14 +56,10 @@ def _min_eig(A: np.ndarray) -> float:
 @dataclass(frozen=True)
 class GramField:
     """Per-grid-point N x N kernel matrices G(z_p), stacked as (m, N, N):
-    a float64 field stays float64 (real symmetric), any other is complex.
-    ``eval_count`` is the N(N+1)/2 distinct values of ``kernels.gram_values``,
-    whose diagonal row tiles also evaluate slivers below the diagonal that it
-    then overwrites with exact conjugates."""
+    a float64 field stays float64 (real symmetric), any other is complex."""
 
     grid: TorusGrid
     matrices: np.ndarray = field(repr=False)
-    eval_count: int = 0
 
     def __post_init__(self):
         mats = np.asarray(self.matrices)
@@ -119,8 +115,7 @@ def assemble_gram(kernel: KernelSpec, inputs, allow_aliasing: bool = False) -> G
     inputs = list(inputs)
     if not inputs:
         raise ConfigError("need at least one training input")
-    mats, count = gram_values(kernel, inputs, allow_aliasing=allow_aliasing)
-    gram = GramField(inputs[0].grid, mats, eval_count=count)
+    gram = GramField(inputs[0].grid, gram_values(kernel, inputs, allow_aliasing)[0])
     # every strict-lower entry, row-tile slivers too, is an exact conjugate of
     # the upper one (sep: G_ij = s_ij w(z_p), s_ij <= s_ii = 1), so hermitian_defect()
     # reduces to the diagonal's 2 max |Im G_ii|; the scale matters only past the bound
@@ -229,17 +224,17 @@ def _solve_dense(gram: GramField, y: np.ndarray, lam: float) -> np.ndarray:
 
 
 def fit(kernel: KernelSpec, inputs, outputs, lam: float,
-        allow_aliasing: bool = False, gram: GramField | None = None) -> RidgeModel:
+        allow_aliasing: bool = False) -> RidgeModel:
     """Solve y(z_p) = (G(z_p) + lambda I) c(z_p) at every grid point.
 
-    Without a ``gram``, a finite-n poly kernel with d*min(n, m) < N is solved
-    in its factor space (see the module docstring), building no field.
-    Otherwise the field is assembled (or taken from ``gram``) and factored
-    by a Hermitian (Cholesky) factorization per point, falling back to a
-    pivoted general solve with a ``SolverFallbackWarning`` when the shifted
-    Gram matrix is not positive definite.  Never regularizes silently.  A
-    float64 field is factored in real arithmetic and solved for the real and
-    imaginary parts of y as two real columns.  Either route ends in one
+    A finite-n poly kernel with d*min(n, m) < N is solved in its factor
+    space (see the module docstring), building no field.  Otherwise the
+    field is assembled and factored by a Hermitian (Cholesky) factorization
+    per point, falling back to a pivoted general solve with a
+    ``SolverFallbackWarning`` when the shifted Gram matrix is not positive
+    definite.  Never regularizes silently.  A float64 field is factored in
+    real arithmetic and solved for the real and imaginary parts of y as two
+    real columns.  Either route ends in one
     batched check of every point's solution and residual.
 
     Raises
@@ -263,7 +258,7 @@ def fit(kernel: KernelSpec, inputs, outputs, lam: float,
     grid = inputs[0].grid
     if any(o.grid != grid for o in outputs):
         raise ConfigError("outputs live on a different grid than inputs")
-    factored = gram is None and _factored(kernel, inputs)
+    factored = _factored(kernel, inputs)
     if factored:
         if lam == 0.0:
             rows, d = min(kernel.n, grid.m), len(kernel.alpha)
@@ -272,8 +267,7 @@ def fit(kernel: KernelSpec, inputs, outputs, lam: float,
                               f"= {d * rows} < N = {len(inputs)}")
         F = poly_factors(kernel, inputs, allow_aliasing)
     else:
-        if gram is None:
-            gram = assemble_gram(kernel, inputs, allow_aliasing=allow_aliasing)
+        gram = assemble_gram(kernel, inputs, allow_aliasing=allow_aliasing)
         if lam == 0.0:
             report = check_pd(gram)
             if report.global_min <= 0.0:

@@ -105,11 +105,11 @@ def n_from_json(raw) -> int | float:
     return INF if raw == "inf" else _integer('truncation order n (or "inf")', raw, 1)
 
 
-def n_list_from_json(raw) -> tuple:
-    """A nonempty list of truncation orders from JSON."""
-    if not (ns := tuple(map(n_from_json, raw))):
-        raise ConfigError("n_list must hold at least one truncation order")
-    return ns
+def _items(key: str, decode, raw) -> tuple:
+    """The JSON list ``key``, each item by ``decode``; empty is a ConfigError."""
+    if not (items := tuple(map(decode, raw))):
+        raise ConfigError(f"{key} must not be an empty list")
+    return items
 
 
 def n_label(n) -> str:
@@ -124,6 +124,7 @@ _TAGS = ("family", "kind")
 # the tagged unions: kernel families and base scalar kernels
 _KERNELS = (PolyKernel, ProdKernel, SepKernel)
 _BASES = (GaussianKernel, LinearKernel, PolynomialKernel)
+PGM_MAXVAL = 255        # the white level of a written graymap
 
 
 def _decoders(base_dir: Path | None, what: str) -> dict:
@@ -136,12 +137,12 @@ def _decoders(base_dir: Path | None, what: str) -> dict:
     bases = lambda docs: tuple(config_from_json(_BASES, b, f"base kernel in {what}")
                                for b in docs)
     kernel = lambda doc: kernel_from_json(doc, base_dir, f"kernel spec in {what}")
-    return {"n": n_from_json, "n_list": n_list_from_json,
-            "kernel": kernel, "kernels": lambda docs: tuple(map(kernel, docs)),
+    return {"n": n_from_json, "n_list": lambda ns: _items("n_list", n_from_json, ns),
+            "kernel": kernel, "kernels": lambda docs: _items("kernels", kernel, docs),
             "bases1": bases, "bases2": bases, "weights": functions,
             "base": lambda b: config_from_json((L2GaussianTupleKernel,), b,
                                                f"tuple kernel in {what}"),
-            "x": tuples, "y": tuples, "samples": lambda docs: tuple(map(tuples, docs))}
+            "x": tuples, "y": tuples, "samples": lambda docs: _items("samples", tuples, docs)}
 
 
 def config_from_json(cls, doc, what: str = "config", base_dir: Path | None = None):
@@ -419,13 +420,13 @@ def write_rows_csv(path, header: list[str], rows) -> None:
             w.writerow([fmt(v) if isinstance(v, float) else v for v in row])
 
 
-def write_pgm(image: np.ndarray, path, maxval: int = 255) -> None:
-    """ASCII portable graymap of an array scaled from [0, 1]."""
+def write_pgm(image: np.ndarray, path) -> None:
+    """ASCII portable graymap of an array scaled from [0, 1] to PGM_MAXVAL levels."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     img = np.clip(np.asarray(image, dtype=float), 0.0, 1.0)
-    levels = np.rint(img * maxval).astype(int)
-    lines = ["P2", f"{img.shape[1]} {img.shape[0]}", str(maxval)]
+    levels = np.rint(img * PGM_MAXVAL).astype(int)
+    lines = ["P2", f"{img.shape[1]} {img.shape[0]}", str(PGM_MAXVAL)]
     lines += [" ".join(str(v) for v in row) for row in levels]
     path.write_text("\n".join(lines) + "\n")
 

@@ -78,10 +78,6 @@ class SampledFunction:
     def conj(self) -> "SampledFunction":
         return SampledFunction(self.grid, np.conj(self.values))
 
-    def __sub__(self, other: "SampledFunction") -> "SampledFunction":
-        require_same_grid(self, other)
-        return SampledFunction(self.grid, self.values - other.values)
-
 
 @dataclass(frozen=True)
 class FunctionTuple:

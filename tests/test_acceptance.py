@@ -188,7 +188,7 @@ def test_06_ridge_correctness():
     g1 = GaussianKernel(gamma=1.0)
     spec = ProdKernel(n=32, q=1, bases1=(g1,), bases2=(g1,), beta=1.0)
     gram = assemble_gram(spec, train_x, allow_aliasing=True)
-    model = fit(spec, train_x, train_y, lam=0.01, allow_aliasing=True, gram=gram)
+    model = fit(spec, train_x, train_y, lam=0.01, allow_aliasing=True)
     worst_rel = 0.0
     for p in range(gram.grid.m):
         A = gram.matrices[p] + 0.01 * np.eye(len(train_x))

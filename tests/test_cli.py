@@ -133,6 +133,36 @@ def test_complexity_subcommand(tmp_path):
     assert len(lines) == 4
 
 
+def test_complexity_resolves_beta_policy_per_n(tmp_path):
+    # b(x, x) = 1 for a Gaussian base, so sum_D = 1 + beta_n = 1 + n^2 under
+    # the bound policy, re-resolved at every n but the kernel's own
+    gauss = {"kind": "gaussian", "gamma": 1.0}
+    config = {
+        "n_list": [2, 4, 8],
+        "samples": [[{"m": 32, "trig": [[1, 1.0, 0.0]]}]],
+        "kernels": [{"family": "prod", "n": 2, "q": 1, "beta_policy": "bound",
+                     "bases1": [gauss], "bases2": [gauss]}],
+    }
+    cfg = tmp_path / "cx.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "cx.csv"
+    assert main(["complexity", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [("prod", "2"), ("prod", "4"), ("prod", "8")]
+    assert [float(r[2]) for r in rows] == pytest.approx([5.0, 17.0, 65.0], rel=1e-12)
+
+
+def test_converge_repeated_family_exit_code(tmp_path, capsys):
+    poly = {"family": "poly", "n": 4, "alpha": [1.0]}
+    config = {**CONVERGE, "kernels": [{**poly, "q": 1}, {**poly, "q": 2}]}
+    cfg = tmp_path / "conv.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "conv.csv"
+    assert main(["converge", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert "repeat the 'poly' family" in assert_one_config_error_line(capsys)
+
+
 def test_synthetic_pipeline(tmp_path):
     config = {
         "n_samples": 8, "n_test": 6, "grid_m": 30, "seed": 3, "runs": 1,
@@ -511,9 +541,14 @@ def test_index_out_of_range_exit_code(tmp_path, capsys, argv):
                  "n_test": 2, "n_list": []}, "errors.csv"),
     ("converge", {**CONVERGE, "n_list": []}, ""),
     ("complexity", {**COMPLEXITY, "n_list": []}, ""),
+    ("run-synth", {"n_samples": 4, "n_test": 2, "runs": 1, "kernels": []}, "results.csv"),
+    ("converge", {**CONVERGE, "kernels": []}, ""),
+    ("complexity", {**COMPLEXITY, "kernels": []}, ""),
+    ("complexity", {**COMPLEXITY, "samples": []}, ""),
 ], ids=["complexity-B", "inpaint-n_train", "inpaint-gamma-quoted", "inpaint-one-pixel",
         "converge-allow_aliasing", "inpaint-empty-n_list", "converge-empty-n_list",
-        "complexity-empty-n_list"])
+        "complexity-empty-n_list", "run-synth-empty-kernels", "converge-empty-kernels",
+        "complexity-empty-kernels", "complexity-empty-samples"])
 def test_bad_document_value_exit_code(tmp_path, capsys, command, config, written):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from spectrunc import (
     operator_norm,
     truncate,
 )
+from spectrunc.diagnostics import spec_at
 from spectrunc.errors import BetaMonotonicityWarning
 from spectrunc.kernels import _base_values
 
@@ -144,11 +147,37 @@ class TestComplexityReport:
 
 class TestSweepAndReport:
     def test_beta_monotonicity_warning(self, rng):
+        # the density-64 scan of the estimate policy under-resolves the Fejer
+        # minimum past n ~ 48: beta_48 = 92.6 but beta_56 = 27.5
         g1 = GaussianKernel(gamma=1.0)
-        spec = ProdKernel(n=2, q=1, bases1=(g1,), bases2=(g1,), beta=1.0)
+        spec = ProdKernel(n=2, q=1, bases1=(g1,), bases2=(g1,), beta_policy="estimate")
         x = random_trig_tuple(GRID, rng, d=2, deg=3, real=True)
         with pytest.warns(BetaMonotonicityWarning):
-            complexity_sweep(spec, x, [2, 3, 4], beta_for_n=lambda n: 1.0 / n)
+            complexity_sweep(spec, x, [48, 56], allow_aliasing=True)
+        manual = dataclasses.replace(spec, beta=1.0, beta_policy="manual")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BetaMonotonicityWarning)
+            complexity_sweep(manual, x, [48, 56], allow_aliasing=True)
+
+    def test_spec_at_resolves_the_policy_beta_at_other_orders(self):
+        g1 = GaussianKernel(gamma=1.0)
+        spec = ProdKernel(n=2, q=1, bases1=(g1,), bases2=(g1,), beta=7.0, beta_policy="bound")
+        assert spec_at(spec, 2) is spec                    # the loaded (explicit) beta stands
+        assert [spec_at(spec, n).beta for n in (4, 8)] == [16.0, 64.0]
+        assert spec_at(spec, INF).beta == 0.0
+        manual = dataclasses.replace(spec, beta_policy="manual")
+        assert spec_at(manual, 8) == dataclasses.replace(manual, n=8)
+        poly = PolyKernel(n=2, q=1, alpha=(1.0,))
+        assert spec_at(poly, 8) == PolyKernel(n=8, q=1, alpha=(1.0,))
+
+    def test_sweep_of_bound_policy_tracks_beta_n(self):
+        # b(x, x) = 1 for a Gaussian base, so D = 1 + beta_n = 1 + n^2
+        g1 = GaussianKernel(gamma=1.0)
+        spec = ProdKernel(n=2, q=1, bases1=(g1,), bases2=(g1,), beta=4.0, beta_policy="bound")
+        x = FunctionTuple((SampledFunction.constant(GRID, 0.5),))
+        rows = complexity_sweep(spec, x, [2, 4, 8])
+        assert [n for n, _ in rows] == [2, 4, 8]
+        assert [D for _, D in rows] == pytest.approx([5.0, 17.0, 65.0], rel=1e-12)
 
     def test_convergence_report_constants(self):
         x = FunctionTuple((SampledFunction.constant(GRID, 1.0),

@@ -101,10 +101,10 @@ class TestGenSynthetic:
         from spectrunc.experiments import _window_matrix
 
         grid = TorusGrid(30)
-        W = _window_matrix(grid, 0.2, False)
-        assert _window_matrix(TorusGrid(30), 0.2, False) is W
+        W = _window_matrix(grid, 0.2)
+        assert _window_matrix(TorusGrid(30), 0.2) is W
         assert not W.flags.writeable
-        assert _window_matrix(grid, 0.2, True) is not W
+        assert _window_matrix(grid, 0.3) is not W
 
     def test_train_test_noise_independent(self):
         config = tiny_synth(n_samples=4, n_test=4)

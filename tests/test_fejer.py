@@ -187,7 +187,7 @@ class TestMinEstimate:
         assert fejer_min_estimate(3, 1, grid_density=48) < 0
 
     def test_q2_multistart(self):
-        est = fejer_min_estimate(2, 2, grid_density=8, seed=1, n_random_starts=8)
+        est = fejer_min_estimate(2, 2, grid_density=8, seed=1)
         assert est >= -16.0
 
     def test_matches_reference_estimates(self):
@@ -213,11 +213,10 @@ class TestMinEstimate:
 
     @pytest.mark.parametrize("call", [
         lambda: fejer_min_estimate(2, 4),
-        lambda: fejer_min_estimate(2, 3, n_random_starts=fejer.CONVOLVE_MAX_EVALS),
         lambda: fejer_min_estimate(2, 1, grid_density=2049),
         lambda: fejer.grid_points(16, 5),
         lambda: fejer.grid_points(2, 10**9),
-    ], ids=["q4-scan", "q3-starts", "q1-density", "table", "huge-q"])
+    ], ids=["q4-scan", "q1-density", "table", "huge-q"])
     def test_scan_budget_checked_before_allocating(self, call):
         # every size here is rejected by the guard before any array exists
         with pytest.raises(BudgetError):
@@ -230,7 +229,8 @@ def _estimate_starts(n, q, seed, density=64):
         pts = fejer.grid_points(density, 1)
         return pts[[int(np.argmin(fejer_multi(n, q, pts)))]]
     rng = np.random.default_rng(seed)
-    pts = np.concatenate([fejer.grid_points(8, q), rng.uniform(0, 2 * np.pi, (32, 2 * q))])
+    starts = rng.uniform(0, 2 * np.pi, (fejer.MIN_ESTIMATE_STARTS, 2 * q))
+    pts = np.concatenate([fejer.grid_points(8, q), starts])
     return pts[np.argsort(fejer_multi(n, q, pts))[:8]]
 
 
@@ -295,11 +295,6 @@ def test_cli_import_leaves_scipy_optimize_out():
 
 
 class TestBetaPolicy:
-    def test_manual(self):
-        assert beta_from_policy("manual", 4, 1, value=1.0) == 1.0
-        with pytest.raises(ValueError):
-            beta_from_policy("manual", 4, 1)
-
     def test_bound(self):
         assert beta_from_policy("bound", 3, 2) == 81.0
 
@@ -311,8 +306,9 @@ class TestBetaPolicy:
         assert beta >= 0
 
     def test_unknown(self):
-        with pytest.raises(ValueError):
-            beta_from_policy("surprise", 2, 1)
+        for policy in ("surprise", "manual"):
+            with pytest.raises(ValueError, match="has no offset rule"):
+                beta_from_policy(policy, 2, 1)
 
 
 class TestConvolve:

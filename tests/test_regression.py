@@ -25,7 +25,8 @@ from spectrunc import (
 )
 from spectrunc import regression
 from spectrunc import test_error as model_test_error
-from spectrunc.regression import predict_batch
+from spectrunc.kernels import gram_values
+from spectrunc.regression import _solve_dense, predict_batch
 
 GRID = TorusGrid(32)
 
@@ -63,13 +64,14 @@ class TestAssembleGram:
         gram = assemble_gram(spec, [x])
         assert gram.matrices.shape == (GRID.m, 1, 1)
         assert np.allclose(gram.matrices, 1.0, atol=1e-12)
-        assert gram.eval_count == 1
+        assert gram_values(spec, [x])[1] == 1
 
     def test_eval_count_is_upper_triangle(self, rng):
         xs = [random_trig_tuple(GRID, rng, d=2, deg=2) for _ in range(6)]
         spec = PolyKernel(n=4, q=1, alpha=(1.0, 1.0))
-        gram = assemble_gram(spec, xs)
-        assert gram.eval_count == 6 * 7 // 2
+        field, count = gram_values(spec, xs)
+        assert count == 6 * 7 // 2
+        assert np.array_equal(field, assemble_gram(spec, xs).matrices)
 
     def test_mirror_matches_full_evaluation(self, rng):
         # evaluate both triangles independently and compare
@@ -203,15 +205,15 @@ class TestFit:
     def test_fallback_warning_on_indefinite(self, rng):
         # an indefinite shifted Gram matrix defeats the Hermitian
         # factorization; the pivoted fallback still solves it
-        xs = [random_trig_tuple(GRID, rng, d=1, deg=2) for _ in range(2)]
         ys = random_outputs(GRID, rng, 2)
         mats = np.tile(np.diag([1.0, -1.0]).astype(complex), (GRID.m, 1, 1))
         gram = GramField(GRID, mats)
+        y = np.stack([y.values for y in ys])
         with pytest.warns(SolverFallbackWarning):
-            model = fit(sep_spec(GRID), xs, ys, lam=0.1, gram=gram)
+            c = _solve_dense(gram, y.T, 0.1)
         A = mats[0] + 0.1 * np.eye(2)
-        want = np.linalg.solve(A, np.stack([y.values for y in ys]))
-        assert np.allclose(model.coefficients, want, atol=1e-10)
+        want = np.linalg.solve(A, y)
+        assert np.allclose(c.T, want, atol=1e-10)
 
     def test_real_field_solve_matches_complex_solve(self, rng):
         # a float64 field is factored in real arithmetic, with Re y and Im y
@@ -221,31 +223,30 @@ class TestFit:
         spec = real_prod_spec()
         gram = assemble_gram(spec, xs)
         assert gram.matrices.dtype == np.float64
-        real = fit(spec, xs, ys, lam=0.05, gram=gram).coefficients
+        real = fit(spec, xs, ys, lam=0.05).coefficients
         cgram = GramField(GRID, gram.matrices.astype(complex))
-        want = fit(spec, xs, ys, lam=0.05, gram=cgram).coefficients
+        want = _solve_dense(cgram, np.stack([y.values for y in ys]).T, 0.05).T
         assert real.dtype == np.complex128
         assert np.max(np.abs(real.imag)) > 0.1 * np.max(np.abs(real))
         assert np.max(np.abs(real - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_real_field_fallback_on_indefinite(self, rng):
-        xs = [random_trig_tuple(GRID, rng, d=1, deg=2) for _ in range(2)]
         ys = complex_outputs(GRID, rng, 2)
         gram = GramField(GRID, np.tile(np.diag([1.0, -1.0]), (GRID.m, 1, 1)))
         assert gram.matrices.dtype == np.float64
+        y = np.stack([y.values for y in ys])
         with pytest.warns(SolverFallbackWarning):
-            model = fit(sep_spec(GRID), xs, ys, lam=0.1, gram=gram)
+            c = _solve_dense(gram, y.T, 0.1)
         A = np.diag([1.1, -0.9])
-        want = np.linalg.solve(A, np.stack([y.values for y in ys]))
-        assert np.allclose(model.coefficients, want, atol=1e-10)
+        want = np.linalg.solve(A, y)
+        assert np.allclose(c.T, want, atol=1e-10)
 
     def test_singular_system_raises(self, rng):
-        xs = [random_trig_tuple(GRID, rng, d=1, deg=2) for _ in range(2)]
         ys = random_outputs(GRID, rng, 2)
         mats = np.tile((-0.1 * np.eye(2)).astype(complex), (GRID.m, 1, 1))
         gram = GramField(GRID, mats)
         with pytest.raises(NumericalError):
-            fit(sep_spec(GRID), xs, ys, lam=0.1, gram=gram)
+            _solve_dense(gram, np.stack([y.values for y in ys]).T, 0.1)
 
     # one spec per solve route on six d = 1 inputs: the factored poly route
     # (d*n = 4 < N), a float64 dense field (prod, same bases) and a complex
@@ -385,9 +386,10 @@ class TestFactoredRoute:
 
     @staticmethod
     def dense_fit_predict(spec, xs, ys, lam, probes):
-        model = fit(spec, xs, ys, lam, gram=assemble_gram(spec, xs, allow_aliasing=True))
+        gram = assemble_gram(spec, xs, allow_aliasing=True)
+        coeff = _solve_dense(gram, np.stack([y.values for y in ys]).T, lam).T
         K = regression.cross_values(spec, probes, xs, allow_aliasing=True)
-        return model.coefficients, np.einsum("pij,jp->ip", K, model.coefficients)
+        return coeff, np.einsum("pij,jp->ip", K, coeff)
 
     # the folded cases have d*n >= N > d*m: rank d*m on the m = 32 grid
     @pytest.mark.parametrize("q, alpha, n, N", [
