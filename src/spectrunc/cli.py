@@ -146,10 +146,12 @@ def _cmd_complexity(args) -> int:
     doc = serialize.read_config(ComplexityConfig, args.config)
     rows = []
     for spec in doc.kernels:
-        for n in doc.n_list:
-            report = diagnostics.complexity_report(
-                diagnostics.spec_at(spec, n), doc.samples, B=doc.B, L=doc.L,
-                delta=doc.delta, allow_aliasing=doc.allow_aliasing)
+        specs = [diagnostics.spec_at(spec, n) for n in doc.n_list]
+        if diagnostics.beta_falls(specs):
+            print(f"warning: {spec.family} kernel: {diagnostics.BETA_FALLS}", file=sys.stderr)
+        for spec_n in specs:
+            report = diagnostics.complexity_report(spec_n, doc.samples, doc.B, doc.L, doc.delta,
+                                                   doc.allow_aliasing)
             rows.append((report.family, report.n, float(np.sum(report.D_values)),
                          report.second_term, report.third_term))
     serialize.write_rows_csv(Path(args.out),

@@ -38,6 +38,7 @@ __all__ = [
     "complexity_D",
     "complexity_report",
     "bound_rhs",
+    "beta_falls",
     "complexity_sweep",
     "convergence_report",
     "spec_at",
@@ -152,6 +153,16 @@ def spec_at(spec: KernelSpec, n) -> KernelSpec:
     return spec_n
 
 
+BETA_FALLS = ("beta_n sweep is not nondecreasing in n; the complexity "
+              "monotonicity guarantee does not apply")
+
+
+def beta_falls(specs) -> bool:
+    """Whether the prod beta_n of ``specs``, a sweep in order of n, ever falls."""
+    betas = [s.beta for s in specs if isinstance(s, ProdKernel)]
+    return any(b2 < b1 - 1e-15 for b1, b2 in zip(betas, betas[1:]))
+
+
 def complexity_sweep(spec: KernelSpec, x: FunctionTuple, n_list,
                      allow_aliasing: bool = False) -> list[tuple[int, float]]:
     """D(k_n, x) across a truncation sweep, each n through ``spec_at``.
@@ -159,20 +170,10 @@ def complexity_sweep(spec: KernelSpec, x: FunctionTuple, n_list,
     A prod beta_n that falls as n grows (an ``estimate`` policy can) voids
     the monotonicity guarantee and triggers a ``BetaMonotonicityWarning``.
     """
-    rows = []
-    betas = []
-    for n in n_list:
-        spec_n = spec_at(spec, int(n))
-        if isinstance(spec_n, ProdKernel):
-            betas.append(spec_n.beta)
-        rows.append((int(n), complexity_D(spec_n, x, allow_aliasing)))
-    if betas and any(b2 < b1 - 1e-15 for b1, b2 in zip(betas, betas[1:])):
-        warnings.warn(
-            "beta_n sweep is not nondecreasing in n; the complexity "
-            "monotonicity guarantee does not apply",
-            BetaMonotonicityWarning,
-            stacklevel=2,
-        )
+    specs = [spec_at(spec, int(n)) for n in n_list]
+    rows = [(int(n), complexity_D(s, x, allow_aliasing)) for n, s in zip(n_list, specs)]
+    if beta_falls(specs):
+        warnings.warn(BETA_FALLS, BetaMonotonicityWarning, stacklevel=2)
     return rows
 
 

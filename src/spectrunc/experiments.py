@@ -60,9 +60,11 @@ _SPLIT_BLOBS = 2
 
 
 def _check_fields(config, lows: dict[str, int]) -> None:
-    """Integer fields in ``lows`` at least their bound, floats finite, lambda >= 0."""
+    """Integer fields in ``lows`` at least their bound, seed < 2^64, floats finite, lambda >= 0."""
     for name, low in lows.items():
         object.__setattr__(config, name, _integer(name, getattr(config, name), low))
+    if config.seed >= 2 ** 64:
+        raise ConfigError(f"seed must be below 2**64, got {config.seed}")
     for f in fields(config):
         if f.type in ("float", float):
             _real(_JSON_KEYS.get(f.name, f.name), getattr(config, f.name))
@@ -71,8 +73,7 @@ def _check_fields(config, lows: dict[str, int]) -> None:
 
 
 def _rng(seed: int, run: int, split: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64((run << 8) | split)],
-                   dtype=np.uint64)
+    key = np.array([seed, (run << 8) | split], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -26,14 +26,12 @@ e^{ikz_p} are m-periodic in k, so past n = m a truncated chain has only m
 distinct rows, row r counted cnt_r times (``_fold``): every batched route
 works on min(n, m) rows.  Each Toeplitz-times-u product is then one
 inverse FFT of the bin rows shifted by r (``_toeplitz_times_phase``).  A
-q = 1 product pair with n <= m is a weighted correlation of the two DFT
-bin rows: one cached table of window counts K[u, v] (``_band_table``),
-summed by frequency offset (v - u) mod m and sent back to the grid by one
-inverse FFT.  For n > m the folded identity
-n S_n = sum_r cnt_r conj(W1_r) W2_r splits it into FFT terms and an
-order-(n mod m) table (``_folded_pair_sn``).  The Gaussian base is
-float64: its DFT bins come from ``rfft`` and the Hermitian law, and the
-folded cross terms and the limit stay real (``_dft_bins``).  The separable
+q = 1 product pair with n <= m is a weighted correlation of the two
+spectra on the min(2n - 1, m) frequencies |k| < n: one cached table of
+window counts K[u, v] (``_band_table``), summed by frequency offset
+(v - u) mod m and sent back to the grid by one inverse FFT.  For n > m the
+folded identity n S_n = sum_r cnt_r conj(W1_r) W2_r splits it into FFT
+terms and an order-(n mod m) table (``_folded_pair_sn``).  The separable
 family smooths each block side by one batched FFT pair
 (``truncation.smooth``) and takes its L2 distances from one matrix
 product of the samples centered on the block's mean (``_sep_distance_sq``).
@@ -51,10 +49,11 @@ chain are one operator B and S_n(B^* B)(z) = (1/n) |B u(z)|^2: prod with
 ``bases1`` reversed equal to ``bases2`` (with or without beta, whose offset
 is then |prod_j int g_{2,j}|^2) and sep with a palindromic weight tuple, at
 finite n and at n = INF.  ``_real_valued`` reads this off the spec, and
-their blocks are float64: a q = 1 pair sums only the half of the weight
-table with offset delta <= m/2 and returns through ``irfft``, a q > 1 pair
-builds its chain once and keeps the real part, and the sep and limit blocks
-are real from the start.  Poly and every other spec stay complex128.
+their blocks are float64.  A q = 1 pair of float64 (Gaussian) base values
+keeps its ``rfft`` half spectrum and sums a merged table, the equal terms
+(u, v) and (-v, -u) as one entry, back through ``irfft``; other such pairs
+and q > 1 chains (built once) keep the real part, and the sep and limit
+blocks are real from the start.  Poly and every other spec stay complex128.
 """
 
 from __future__ import annotations
@@ -104,9 +103,9 @@ INF = float("inf")
 class GaussianKernel:
     """k(u, v) = exp(-gamma |u - v|^2); values in (0, 1], as float64.
 
-    |u - v|^2 sums re^2 + im^2 of the direct difference: over an inner
-    dimension of only d, a norm expansion would gain nothing and add
-    cancellation."""
+    |u - v|^2 sums the squared real and imaginary parts of the direct
+    difference, one component at a time, in place: over an inner dimension
+    of only d, a norm expansion would gain nothing and add cancellation."""
 
     gamma: float
 
@@ -117,8 +116,14 @@ class GaussianKernel:
             raise ConfigError(f"gaussian scale must be positive and finite, got {self.gamma}")
 
     def pairwise(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        diff = np.asarray(u - v, dtype=complex).view(np.float64)
-        return np.exp(-self.gamma * np.einsum("...i,...i->...", diff, diff))
+        d2 = None
+        for i in range(u.shape[-1]):
+            for part in (np.real, np.imag):
+                diff = part(u[..., i : i + 1]) - part(v[..., i : i + 1])  # stays an array
+                diff *= diff
+                d2 = diff if d2 is None else np.add(d2, diff, out=d2)
+        d2 *= -self.gamma
+        return np.exp(d2, out=d2)[..., 0]
 
 
 @dataclass(frozen=True)
@@ -552,68 +557,79 @@ def _inf_values_block(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndar
     raise ConfigError("no pointwise-limit block for this family")
 
 
+def _band_support(n: int, m: int) -> np.ndarray:
+    """The min(2n-1, m) residues mod m of the frequencies |k| < n, sorted."""
+    return np.unique(np.mod(np.arange(1 - n, n), m))
+
+
 @functools.lru_cache(maxsize=64)
-def _band_table(n: int, m: int, half: bool = False) -> tuple[np.ndarray, ...]:
-    """The q = 1 weight table for n <= m: the nonzero entries (u, v, w) of
+def _band_table(n: int, m: int, merged: bool = False) -> tuple[np.ndarray, ...]:
+    """The q = 1 weight table for n <= m: the nonzero entries (i, j, w) of
     the window counts K with S_n(R(g1)^* R(g2))(z_p) = (1/n) S1^* K S2,
     sorted by delta = (v - u) mod m, with the start of each delta run and
-    that run's delta.
+    that run's delta; i and j index u and v in ``_band_support(n, m)``.
 
     Here S_j = bins_j e^{ijz_p}, and K[u, v] counts the rows r < n whose
     length-n frequency window r-n+1..r holds both u and v (mod m): K = M^T M
-    for the window indicator M[r, j] = [(r - j) mod m < n].  Only the
-    min(2n-1, m) residues cols of |k| < n enter, so building K costs
-    O(n * min(2n-1, m)^2), never O(m^3), and the table holds at most
-    min(2n-1, m)^2 entries (3n^2 - 3n + 1 while 2n-1 <= m).  The ``half``
-    table keeps only the runs with delta <= m/2, about half the entries:
-    for a real-valued pair, K symmetric makes c_{-delta} =
-    conj(c_delta), so those runs determine the rest.
+    for M[r, j] = [(r - j) mod m < n], built on the support in
+    O(n * min(2n-1, m)^2), never O(m^3), with at most min(2n-1, m)^2 integer
+    counts (3n^2 - 3n + 1 while 2n-1 <= m).  The ``merged`` table serves a
+    real pair g1 = g2 of float64 values: it keeps the runs with delta <= m/2,
+    as c_{-delta} = conj(c_delta), and as conj(bins_u) bins_v =
+    bins_{-u} bins_v and K[u, v] = K[-v, -u] it folds each entry (-v, -u)
+    into its partner (u, v) with doubled weight; one with v = -u stays once.
     """
-    cols = np.unique(np.mod(np.arange(1 - n, n), m))
+    cols = _band_support(n, m)
     M = (np.mod(np.arange(n)[:, None] - cols[None, :], m) < n).astype(float)
     K = M.T @ M
     iu, iv = np.nonzero(K)
-    u, v = cols[iu], cols[iv]
-    delta = np.mod(v - u, m)
+    w = K[iu, iv]
+    delta = np.mod(cols[iv] - cols[iu], m)
+    if merged:
+        neg = np.mod(-cols[iu], m)
+        keep = (delta <= m // 2) & (neg <= cols[iv])
+        w = w * (1 + (neg < cols[iv]))
+        iu, iv, w, delta = iu[keep], iv[keep], w[keep], delta[keep]
     order = np.argsort(delta, kind="stable")
-    if half:
-        order = order[: np.searchsorted(delta[order], m // 2, side="right")]
-    u, v, delta, w = u[order], v[order], delta[order], K[iu[order], iv[order]]
+    iu, iv, w, delta = iu[order], iv[order], w[order], delta[order]
     starts = np.flatnonzero(np.diff(delta, prepend=-1))
-    table = (u, v, w, starts, delta[starts])
+    table = (iu, iv, w, starts, delta[starts])
     for arr in table:
         arr.setflags(write=False)
     return table
 
 
-def _band_pair_sn(bins1: np.ndarray, bins2: np.ndarray, n: int, real: bool) -> np.ndarray:
-    """(B, m) values of S_n(R(g1)^* R(g2)) for n <= m from raw DFT bin rows
-    (B, m).
+def _band_pair_sn(s1: np.ndarray, s2: np.ndarray, n: int, m: int, real: bool) -> np.ndarray:
+    """(B, m) values of S_n(R(g1)^* R(g2)) for n <= m from the unnormalized
+    ``fft`` rows (B, m) of g1 and g2, or for a ``real`` pair (g1 = g2
+    float64) from its one ``rfft`` half spectrum (B, m//2 + 1).
 
-    S_n(z_p) = (1/n) sum_{u,v} K[u, v] conj(bins1_u) bins2_v e^{2 pi i (v-u) p/m}
-    is a weighted correlation of the bin rows: summing the table by delta
-    gives its DFT-domain coefficients c_delta, and one inverse FFT returns
-    the grid values.  O(nnz + m log m) per item, exact whether or not the
-    coefficients alias.  A ``real`` pair (g1 = g2) sums only the half table
-    and returns float64 values through ``irfft``, which is exact since
-    c_{-delta} = conj(c_delta).
+    S_n(z_p) = (1/(n m^2)) sum_{u,v} K[u, v] conj(s1_u) s2_v e^{2 pi i (v-u) p/m}:
+    summing the table by delta gives the DFT-domain coefficients c_delta,
+    and one inverse FFT returns the grid values.  O(nnz + m log m) per item,
+    exact whether or not the coefficients alias.  A real pair gathers its
+    support by s_{-k} = conj(s_k), sums the merged table and returns
+    float64 values through ``irfft``.
     """
-    m = bins1.shape[-1]
-    u, v, w, starts, deltas = _band_table(n, m, real)
-    terms = np.take(np.conj(bins1), u, axis=1)
-    terms *= w
-    terms *= np.take(bins2, v, axis=1)
-    c = np.zeros((len(bins1), m // 2 + 1 if real else m), dtype=complex)
-    c[:, deltas] = np.add.reduceat(terms, starts, axis=1)
+    cols = _band_support(n, m)
     if real:
-        return np.fft.irfft(c, m, axis=1) * (m / n)
-    return np.fft.ifft(c, axis=1) * (m / n)
+        s1 = s2 = s2[:, np.minimum(cols, m - cols)]
+        np.conjugate(s2, out=s2, where=cols > m // 2)
+    else:
+        s1, s2 = s1[:, cols], s2[:, cols]
+    i, j, w, starts, deltas = _band_table(n, m, real)
+    terms = np.take(np.conj(s1), i, axis=1)
+    terms *= w / (n * m)
+    terms *= np.take(s2, j, axis=1)
+    c = np.zeros((len(terms), m // 2 + 1 if real else m), dtype=complex)
+    c[:, deltas] = np.add.reduceat(terms, starts, axis=1)
+    return np.fft.irfft(c, m, axis=1) if real else np.fft.ifft(c, axis=1)
 
 
-def _folded_pair_sn(g1: np.ndarray, g2: np.ndarray, bins1: np.ndarray, bins2: np.ndarray,
+def _folded_pair_sn(g1: np.ndarray, g2: np.ndarray, s1: np.ndarray, s2: np.ndarray,
                     n: int, real: bool) -> np.ndarray:
     """(B, m) values of S_n(R(g1)^* R(g2)) for m < n from the grid values
-    and DFT bin rows (B, m) of g1 and g2.
+    (B, m) and the spectra (``_band_pair_sn``) of g1 and g2.
 
     With n = alpha*m + rho, row r's window sum is W_r = alpha g + V_r, V_r
     the circular window of the rho frequencies ending at r, and
@@ -622,43 +638,34 @@ def _folded_pair_sn(g1: np.ndarray, g2: np.ndarray, bins1: np.ndarray, bins2: np
         n S_n = alpha^2 n h + alpha (conj(g1) A2 + conj(A1) g2 + ifft(w fft(h)))
                 + rho S_rho(R(g1)^* R(g2)),
 
-    w_delta = |arc & (arc + delta)| for an arc of rho residues, A = m ifft(a
-    bins) with a = alpha rho + w, and S_rho from ``_band_pair_sn``:
-    O(m log m + rho^2) per item.  A ``real`` pair (g1 = g2) returns float64.
+    w_delta = |arc & (arc + delta)| for an arc of rho residues, A = ifft(a s)
+    with a = alpha rho + w, and S_rho from ``_band_pair_sn``:
+    O(m log m + rho^2) per item.  A ``real`` pair returns float64.
     """
-    m = bins1.shape[-1]
+    m = g1.shape[-1]
     alpha, rho = divmod(n, m)
     delta = np.arange(m)
     w = np.maximum(rho - delta, 0) + np.maximum(rho - m + delta, 0)
     a = alpha * rho + w
-    if np.isrealobj(g2):                     # Hermitian bins2 times an even a
-        A2 = m * np.fft.irfft(a[: m // 2 + 1] * bins2[:, : m // 2 + 1], m, axis=-1)
-    else:
-        A2 = m * np.fft.ifft(a * bins2, axis=-1)
-    if real:
-        h = (np.conj(g2) * g2).real
-        vals = alpha * n * h + 2 * (np.conj(g2) * A2).real
+    if real:                                 # a half spectrum times an even a
+        A2 = np.fft.irfft(a[: m // 2 + 1] * s2, m, axis=-1)
+        h = g2 * g2
+        vals = alpha * n * h + 2 * g2 * A2
         vals += np.fft.irfft(w[: m // 2 + 1] * np.fft.rfft(h, axis=-1), m, axis=-1)
     else:
         h = np.conj(g1) * g2
-        A1 = m * np.fft.ifft(a * bins1, axis=-1)
+        A1, A2 = np.fft.ifft(a * s1, axis=-1), np.fft.ifft(a * s2, axis=-1)
         vals = alpha * n * h + np.conj(g1) * A2 + np.conj(A1) * g2
         vals += np.fft.ifft(w * np.fft.fft(h, axis=-1), axis=-1)
     vals *= alpha
     if rho:
-        vals += rho * _band_pair_sn(bins1, bins2, rho, real)
+        vals += rho * _band_pair_sn(s1, s2, rho, m, real)
     return vals / n
 
 
-def _dft_bins(vals: np.ndarray) -> np.ndarray:
-    """Normalized DFT bins (B, m) of grid values (B, m): ``fft`` for complex
-    values, ``rfft`` and the Hermitian law bins[m - k] = conj(bins[k]) for
-    real ones (the Gaussian base)."""
-    m = vals.shape[-1]
-    if np.iscomplexobj(vals):
-        return np.fft.fft(vals, axis=-1) / m
-    half = np.fft.rfft(vals, axis=-1) / m
-    return np.concatenate([half, np.conj(half[:, (m - 1) // 2 : 0 : -1])], axis=1)
+def _half_spectrum(spec: ProdKernel) -> bool:
+    """Whether a prod spec is a q = 1 real pair of float64 (Gaussian) base values."""
+    return spec.q == 1 and _real_valued(spec) and isinstance(spec.bases1[0], GaussianKernel)
 
 
 def _prod_pair_values(spec: ProdKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -666,33 +673,32 @@ def _prod_pair_values(spec: ProdKernel, a: np.ndarray, b: np.ndarray) -> np.ndar
     a, b (``_inf_values_block``); float64 for a real-valued spec."""
     n = int(spec.n)
     real = _real_valued(spec)
-    # values and DFT bins of z -> base(a(z), b(z)), once per distinct base,
-    # flattened to (B, m) rows for the routes below
+    half = _half_spectrum(spec)
+    # values and unnormalized spectra of z -> base(a(z), b(z)), once per
+    # distinct base, flattened to (B, m) rows for the routes below
     g = {base: base.pairwise(a, b) for base in set(spec.bases1 + spec.bases2)}
     shape = g[spec.bases1[0]].shape
-    g = {base: vals.reshape(-1, shape[-1]) for base, vals in g.items()}
-    bins = {base: _dft_bins(vals) for base, vals in g.items()}
-    bins1 = [bins[base] for base in spec.bases1]
-    bins2 = [bins[base] for base in spec.bases2]
-    if spec.q == 1 and shape[-1] < n:
-        vals = _folded_pair_sn(g[spec.bases1[0]], g[spec.bases2[0]], bins1[0], bins2[0],
-                               n, real)
+    m = shape[-1]
+    g = {base: vals.reshape(-1, m) for base, vals in g.items()}
+    s = {base: (np.fft.rfft if half else np.fft.fft)(vals, axis=-1) for base, vals in g.items()}
+    s1 = [s[base] for base in spec.bases1]
+    s2 = [s[base] for base in spec.bases2]
+    if spec.q == 1 and m < n:
+        vals = _folded_pair_sn(g[spec.bases1[0]], g[spec.bases2[0]], s1[0], s2[0], n, half)
     elif spec.q == 1:
-        vals = _band_pair_sn(bins1[0], bins2[0], n, real)
+        vals = _band_pair_sn(s1[0], s2[0], n, m, half)
     else:
         # (prod_j T1_j^*)^* u = T1_q ... T1_1 u ; right chain is T2_1 ... T2_q u,
         # the same chain when the spec is real-valued; rows weighted by cnt
-        right, cnt = _chain_columns(bins2, n)
-        left = right if real else _chain_columns(bins1[::-1], n)[0]
+        right, cnt = _chain_columns([c / m for c in s2], n)
+        left = right if real else _chain_columns([c / m for c in s1[::-1]], n)[0]
         vals = np.einsum("brp,brp->bp", np.conj(left), right * cnt[:, None]) / n
-        if real:
-            vals = vals.real
+    if real:
+        vals = vals.real
     if spec.beta:
-        # normalized means are the k = 0 bins
-        off = np.ones(len(vals), dtype=complex)
-        for ca, cb in zip(bins1, bins2):
-            off *= np.conj(ca[:, 0]) * cb[:, 0]
-        vals = vals + spec.beta * (off.real if real else off)[:, None]
+        # normalized means are the k = 0 bins over m
+        off = np.prod([np.conj(ca[:, 0]) * cb[:, 0] for ca, cb in zip(s1, s2)], axis=0)
+        vals += spec.beta * (off.real if real else off)[:, None] / m ** (2 * spec.q)
     return vals.reshape(shape)
 
 
@@ -770,9 +776,10 @@ def _block(spec: KernelSpec, xs: list, ys: list, allow_aliasing: bool) -> np.nda
         width = m * xv.shape[-1]
     elif spec.q == 1:
         # the n <= m table plus the result, or the folded route's rho table
-        # plus its (B, m) temporaries
+        # plus its (B, m) temporaries; a merged entry counts as the two it stands for
         rho, extra = (int(spec.n) % m, 8 * m) if spec.n > m else (int(spec.n), m)
-        width = (len(_band_table(rho, m, real)[0]) if rho else 0) + extra
+        half = _half_spectrum(spec)
+        width = (len(_band_table(rho, m, half)[0]) * (1 + half) if rho else 0) + extra
     else:
         width = (2 * min(int(spec.n), m) - 1) * m
     pair_values = _inf_values_block if spec.is_infinite else _prod_pair_values

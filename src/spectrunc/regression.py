@@ -195,16 +195,21 @@ def _solve_dense(gram: GramField, y: np.ndarray, lam: float) -> np.ndarray:
     b = np.stack([y.real, y.imag], axis=-1) if real else y[..., None]     # (m, N, k)
     c = np.empty(b.shape, b.dtype)
     fell_back = []
+
+    def shifted(p: int) -> np.ndarray:       # G[p] + lam I, with no N x N identity per point
+        A = G[p].copy()
+        A.flat[:: N + 1] += lam
+        return A
+
     for p in range(gram.grid.m):
-        A = G[p] + lam * np.eye(N)
         try:
-            c[p] = linalg.cho_solve(linalg.cho_factor(A, lower=True, check_finite=False),
-                                    b[p], check_finite=False)
+            factor = linalg.cho_factor(shifted(p), lower=True, overwrite_a=True, check_finite=False)
+            c[p] = linalg.cho_solve(factor, b[p], check_finite=False)
         except linalg.LinAlgError:
             fell_back.append(p)
             try:
                 with np.errstate(all="ignore"):
-                    c[p] = linalg.solve(A, b[p], check_finite=False)
+                    c[p] = linalg.solve(shifted(p), b[p], overwrite_a=True, check_finite=False)
             except linalg.LinAlgError:
                 c[p] = np.nan
     with np.errstate(all="ignore"):
@@ -212,7 +217,7 @@ def _solve_dense(gram: GramField, y: np.ndarray, lam: float) -> np.ndarray:
         r += lam * c - b
         # for two real columns, the Frobenius norms are the complex 2-norms
         resid = np.linalg.norm(r, axis=(1, 2))
-    _checked(c, resid, y, lambda p: _min_eig(G[p] + lam * np.eye(N)))
+    _checked(c, resid, y, lambda p: _min_eig(shifted(p)))
     if fell_back:
         warnings.warn(
             f"Hermitian factorization failed at {len(fell_back)} grid point(s) "

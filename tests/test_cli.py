@@ -152,6 +152,32 @@ def test_complexity_resolves_beta_policy_per_n(tmp_path):
     assert [float(r[2]) for r in rows] == pytest.approx([5.0, 17.0, 65.0], rel=1e-12)
 
 
+def test_complexity_warns_when_swept_beta_falls(tmp_path, capsys):
+    # the density-64 scan of the estimate policy under-resolves the Fejer
+    # minimum past n ~ 48 (beta_48 = 92.6, beta_56 = 27.5); once that scan
+    # resolves the 1/n scale of F_n, this document no longer warns
+    gauss = {"kind": "gaussian", "gamma": 1.0}
+    config = {
+        "n_list": [48, 56],
+        "samples": [[{"m": 32, "trig": [[1, 1.0, 0.0]]}]],
+        "kernels": [{"family": "prod", "n": 48, "q": 1, "beta_policy": "estimate",
+                     "bases1": [gauss], "bases2": [gauss]}],
+        "allow_aliasing": True,
+    }
+    cfg = tmp_path / "cx.json"
+    out = tmp_path / "cx.csv"
+    for policy, warned in (("estimate", True), ("bound", False)):
+        config["kernels"][0]["beta_policy"] = policy
+        cfg.write_text(json.dumps(config))
+        assert main(["complexity", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        assert len(out.read_text().strip().splitlines()) == 3
+        if warned:
+            assert len(err) == 1 and err[0].startswith("warning: prod kernel: beta_n sweep")
+        else:
+            assert err == []
+
+
 def test_converge_repeated_family_exit_code(tmp_path, capsys):
     poly = {"family": "poly", "n": 4, "alpha": [1.0]}
     config = {**CONVERGE, "kernels": [{**poly, "q": 1}, {**poly, "q": 2}]}
@@ -489,7 +515,7 @@ def base_case(id, **fields):
 
 @pytest.mark.parametrize("field, value", [
     ("runs", 0), ("n_samples", "abc"), ("n_samples", 0), ("n_test", 2.5), ("grid_m", 1),
-    ("runs", True), ("input_noise", "0.1"), ("delta", "x"), ("seed", 1.5),
+    ("runs", True), ("input_noise", "0.1"), ("delta", "x"), ("seed", 1.5), ("seed", 2 ** 64),
     kernel_case("q-abc", q="abc"), kernel_case("q-2.7", q=2.7),
     kernel_case("alpha-x", alpha=["x"]), kernel_case("alpha-quoted", alpha="12"),
     kernel_case("alpha-quoted-entry", alpha=["1.0", "1.0"]),
@@ -545,10 +571,12 @@ def test_index_out_of_range_exit_code(tmp_path, capsys, argv):
     ("converge", {**CONVERGE, "kernels": []}, ""),
     ("complexity", {**COMPLEXITY, "kernels": []}, ""),
     ("complexity", {**COMPLEXITY, "samples": []}, ""),
+    ("inpaint", {"height": 8, "width": 8, "mask_h": 4, "mask_w": 4, "n_train": 2,
+                 "n_test": 2, "n_list": [4], "seed": 2 ** 64}, "errors.csv"),
 ], ids=["complexity-B", "inpaint-n_train", "inpaint-gamma-quoted", "inpaint-one-pixel",
         "converge-allow_aliasing", "inpaint-empty-n_list", "converge-empty-n_list",
         "complexity-empty-n_list", "run-synth-empty-kernels", "converge-empty-kernels",
-        "complexity-empty-kernels", "complexity-empty-samples"])
+        "complexity-empty-kernels", "complexity-empty-samples", "inpaint-seed-2**64"])
 def test_bad_document_value_exit_code(tmp_path, capsys, command, config, written):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

@@ -464,11 +464,13 @@ class TestBatchedBlocks:
         else:
             assert np.array_equal(cross_values(spec, xs[:2], xs), cross)
 
-    # the real route (float64 blocks, half q = 1 table, one shared q > 1
+    # the real route (float64 blocks, merged q = 1 table, one shared q > 1
     # chain) on m in [5, 40], odd and even, with n alias-free, aliased
     # n <= m, n = m, n = m + 1, folded n > m, or INF, and d in {1, 2}; the
     # m = 256, d = 1 pins are the inpainting grid, where the Gaussian base's
-    # Hermitian-extended rfft bins feed the q = 1 weight table
+    # rfft half spectrum feeds the merged q = 1 weight table; the linear and
+    # polynomial bases pin a real spec over complex base values, which sums
+    # the full table (or folds past n = m) and keeps the real part
     @settings(max_examples=40, deadline=None)
     @given(hst.integers(5, 40).flatmap(lambda m: hst.tuples(hst.just(m), hst.integers(1, 3 * m))),
            hst.sampled_from(sorted(REAL_SPECS)), hst.sampled_from([0.0, 0.4]), hst.booleans(),
@@ -483,6 +485,10 @@ class TestBatchedBlocks:
     @example((9, 1), "sep-palindrome", 0.0, True, 7, 2)
     @example((256, 8), "prod-gaussian", 0.4, False, 8, 1)
     @example((256, 16), "prod-gaussian", 0.4, False, 9, 1)
+    @example((8, 5), "prod-linear", 0.4, False, 10, 1)
+    @example((8, 8), "prod-polynomial", 0.4, False, 11, 1)
+    @example((7, 20), "prod-linear", 0.4, False, 12, 1)
+    @example((30, 16), "prod-polynomial", 0.0, False, 13, 2)
     def test_real_valued_blocks_match_dense_oracle(self, mn, name, beta, limit, seed, d):
         m, n = mn
         grid = TorusGrid(m)
@@ -635,6 +641,50 @@ class TestBatchedBlocks:
         assert peak <= 128 * side ** 2 + 16 * m
         # the window counts sum to n^3 (n windows of n x n frequency pairs)
         assert np.sum(w) == n ** 3
+
+    @staticmethod
+    def table_entries(n, m, merged):
+        """(u, v, w, delta) of ``_band_table``, u and v as residues mod m."""
+        cols = kernels_mod._band_support(n, m)
+        i, j, w, starts, deltas = kernels_mod._band_table(n, m, merged)
+        return cols[i], cols[j], w, np.repeat(deltas, np.diff(np.append(starts, len(i))))
+
+    @pytest.mark.parametrize("n, m", [(8, 256), (16, 256), (8, 30), (16, 30), (4, 7), (5, 8),
+                                      (30, 30), (17, 31), (1, 8)])
+    def test_merged_table_folds_each_entry_into_its_partner(self, n, m):
+        u, v, w, delta = self.table_entries(n, m, False)
+        half = delta <= m // 2
+        mu, mv, mw, mdelta = self.table_entries(n, m, True)
+        assert np.array_equal(mdelta, np.mod(mv - mu, m))
+        # the merged weights stand for the half table's, delta <= m/2
+        assert np.sum(mw) == np.sum(w[half])
+        pairs = list(zip(mu.tolist(), mv.tolist()))
+        self_paired = {(a, b) for a, b in pairs if (a + b) % m == 0}
+        partners = {((-b) % m, (-a) % m) for a, b in pairs}
+        assert self_paired and set(pairs) & partners == self_paired
+        count = dict(zip(zip(u.tolist(), v.tolist()), w))
+        assert mw.tolist() == [count[p] * (1 if p in self_paired else 2) for p in pairs]
+        sizes = {(8, 256): (92, 48), (16, 256): (376, 192)}      # half and merged lengths
+        assert (n, m) not in sizes or (np.sum(half), len(mu)) == sizes[n, m]
+
+    # a Gaussian real pair sums the merged table from its half spectrum, at
+    # every n <= m on odd and even m, alias-free or with 2n - 1 > m
+    @pytest.mark.parametrize("m", [7, 8, 30, 31])
+    def test_merged_table_blocks_match_dense_oracle(self, m):
+        grid = TorusGrid(m)
+        rng = np.random.default_rng(m)
+        xs = [FunctionTuple(tuple(SampledFunction(grid, rng.standard_normal(m)
+                                                  + 1j * rng.standard_normal(m))
+                                  for _ in range(2))) for _ in range(3)]
+        for n, beta in itertools.product(range(1, m + 1), [0.0, 0.4]):
+            spec = ProdKernel(n=n, q=1, bases1=(G06,), bases2=(G06,), beta=beta)
+            field, _ = gram_values(spec, xs, allow_aliasing=True)
+            cross = cross_values(spec, xs[:2], xs, allow_aliasing=True)
+            want = np.stack([[evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
+                             for x in xs]).transpose(2, 0, 1)
+            assert field.dtype == cross.dtype == np.float64
+            for block, rows in ((field, want), (cross, want[:, :2])):
+                assert np.max(np.abs(block - rows)) <= 1e-12 * np.max(np.abs(rows))
 
     @pytest.mark.parametrize("family, n", [
         pytest.param("poly", 16, id="16"), pytest.param("poly", INF, id="inf"),
