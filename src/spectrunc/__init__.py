@@ -13,23 +13,19 @@ from .torus import (
     FunctionTuple,
     SampledFunction,
     TorusGrid,
-    fourier_coeff,
     integrate,
     l2_distance,
-    window_integral,
 )
 from .truncation import (
     ToeplitzRep,
     operator_norm,
     smooth,
-    sn_map,
     sn_map_at,
     truncate,
 )
 from .fejer import (
     beta_from_policy,
     dirichlet,
-    fejer_1d,
     fejer_convolve,
     fejer_min_estimate,
     fejer_multi,
@@ -45,9 +41,6 @@ from .kernels import (
     ProdKernel,
     SepKernel,
     evaluate,
-    k_poly,
-    k_prod,
-    k_sep,
     kernel_limit_gap,
 )
 from .regression import (

@@ -37,7 +37,6 @@ from .errors import BudgetError, ConfigError
 
 __all__ = [
     "dirichlet",
-    "fejer_1d",
     "fejer_multi",
     "grid_points",
     "fejer_min_estimate",
@@ -67,13 +66,6 @@ def dirichlet(n: int, s) -> np.ndarray | complex:
     ratio = np.where(pole, float(n), np.sin(n * h) / np.where(pole, 1.0, sin_h))
     out = np.exp(1j * (n - 1) * h) * ratio
     return out if s_arr.ndim else complex(out)
-
-
-def fejer_1d(n: int, t) -> np.ndarray | float:
-    """Classical Fejer kernel F_n(t) = (1/n) |D_n(t)|^2; real and nonnegative."""
-    d = np.asarray(dirichlet(n, t))
-    out = (d.real**2 + d.imag**2) / n
-    return out if out.ndim else float(out)
 
 
 def _chain(n: int, ts) -> np.ndarray:

@@ -15,11 +15,12 @@ kernels converge to:
     prod:  prod_j conj(g_{1,j}) g_{2,j}          (offset forced to 0)
     sep:   base(x, y) * prod_j conj(a_j) a_j
 
-Single-pair evaluation (``evaluate``) goes through the dense matrix calculus
-and is the oracle the tests pin the batched route to.  Gram and cross-kernel
-blocks share one core: one check reads a block's samples into one (N, m, d)
-array, then a single family dispatch.  Poly and the q > 1 product chains
-take a mathematically identical matrix-free route,
+Every kernel value comes from one batched core; a single pair
+(``evaluate``) is a 1 x 1 block.  The tests pin the core to the dense n x n
+matrix calculus of the definitions, which lives only in the tests.  Gram
+and cross-kernel blocks share one core: one check reads a block's samples
+into one (N, m, d) array, then a single family dispatch.  Poly, the q > 1
+product chains and the sep weight function take a matrix-free route,
 S_n(A^* B)(z) = (1/n) (A u(z))^* (B u(z)) with u(z)_r = e^{-irz}.  On the
 m-point grid the folded coefficients c_k = bins[k mod m] and the phases
 e^{ikz_p} are m-periodic in k, so past n = m a truncated chain has only m
@@ -68,8 +69,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import parallel
 from .errors import ConfigError, GridMismatchError
 from .fejer import BETA_POLICIES
-from .torus import FunctionTuple, SampledFunction, check_alias_free, integrate
-from .truncation import _fejer_weights, sn_map, sn_map_at, smooth, truncate
+from .torus import FunctionTuple, SampledFunction, check_alias_free
+from .truncation import _fejer_weights
+from .truncation import smooth  # noqa: F401  kept as kernels.smooth, which perfbench's probes time
 
 __all__ = [
     "INF",
@@ -82,9 +84,6 @@ __all__ = [
     "SepKernel",
     "KernelSpec",
     "evaluate",
-    "k_poly",
-    "k_prod",
-    "k_sep",
     "kernel_limit_gap",
     "gram_values",
     "cross_values",
@@ -161,9 +160,9 @@ BaseScalarKernel = GaussianKernel | LinearKernel | PolynomialKernel
 class L2GaussianTupleKernel:
     """Function-tuple kernel exp(-scale * sum_i ||x_i - y_i||^2_{L2}).
 
-    One pair takes the direct difference, so the dense ``k_sep`` oracle
-    stays independent of the blocks' Gram-product distances
-    (``_sep_distance_sq``)."""
+    One pair takes the direct difference, so the complexity term and the
+    tests' dense oracle stay independent of the blocks' Gram-product
+    distances (``_sep_distance_sq``)."""
 
     scale: float
 
@@ -311,6 +310,8 @@ def _real_valued(spec: KernelSpec) -> bool:
 def _values(spec: KernelSpec, samples, allow_aliasing: bool) -> np.ndarray:
     """The (N, m, d) values of a block's samples (or of one pair), all of one
     grid and one d that ``spec`` accepts, after the block's one alias check."""
+    if not isinstance(spec, KernelSpec):
+        raise ConfigError(f"unknown kernel spec {type(spec).__name__}")
     if not samples:
         raise ConfigError("a kernel block needs at least one sample")
     grid, d = samples[0].grid, samples[0].d
@@ -334,102 +335,14 @@ def _base_values(base: BaseScalarKernel, x: FunctionTuple, y: FunctionTuple) -> 
 
 
 # ---------------------------------------------------------------------------
-# single-pair evaluation (dense reference route)
+# single-pair evaluation
 # ---------------------------------------------------------------------------
-
-
-def _dense_chain(fs1, fs2, n: int, allow_aliasing: bool) -> np.ndarray:
-    """prod_j R_n(fs1[j])^* prod_j R_n(fs2[j]), multiplied left to right: the
-    n x n matrix whose S_n map is a finite-n truncated kernel value."""
-    left = np.eye(n, dtype=complex)
-    for f in fs1:
-        left = left @ truncate(f, n, allow_aliasing).dense().conj().T
-    right = np.eye(n, dtype=complex)
-    for f in fs2:
-        right = right @ truncate(f, n, allow_aliasing).dense()
-    return left @ right
-
-
-def k_poly(spec: PolyKernel, x: FunctionTuple, y: FunctionTuple,
-           allow_aliasing: bool = False) -> SampledFunction:
-    _values(spec, [x, y], allow_aliasing)
-    grid = x.grid
-    if spec.is_infinite:
-        vals = np.zeros(grid.m, dtype=complex)
-        for a, xc, yc in zip(spec.alpha, x.components, y.components):
-            vals += a * (np.conj(xc.values) * yc.values) ** spec.q
-        return SampledFunction(grid, vals)
-    n = int(spec.n)
-    acc = np.zeros((n, n), dtype=complex)
-    for a, xc, yc in zip(spec.alpha, x.components, y.components):
-        acc += a * _dense_chain([xc] * spec.q, [yc] * spec.q, n, allow_aliasing)
-    return sn_map(acc, grid)
-
-
-def prod_offset(spec: ProdKernel, x: FunctionTuple, y: FunctionTuple) -> complex:
-    """The factorized 2q-fold integral multiplying beta:
-    prod_j int conj(g_{1,j}) dt * int g_{2,j} dt (normalized measure)."""
-    grid = x.grid
-    out = 1.0 + 0.0j
-    for b1, b2 in zip(spec.bases1, spec.bases2):
-        g1 = SampledFunction(grid, _base_values(b1, x, y))
-        g2 = SampledFunction(grid, _base_values(b2, x, y))
-        out *= integrate(g1.conj()) * integrate(g2)
-    return out
-
-
-def k_prod(spec: ProdKernel, x: FunctionTuple, y: FunctionTuple,
-           allow_aliasing: bool = False) -> SampledFunction:
-    _values(spec, [x, y], allow_aliasing)
-    grid = x.grid
-    g1 = [SampledFunction(grid, _base_values(b, x, y)) for b in spec.bases1]
-    g2 = [SampledFunction(grid, _base_values(b, x, y)) for b in spec.bases2]
-    if spec.is_infinite:
-        vals = np.ones(grid.m, dtype=complex)
-        for f1, f2 in zip(g1, g2):
-            vals *= np.conj(f1.values) * f2.values
-        return SampledFunction(grid, vals)
-    vals = sn_map(_dense_chain(g1, g2, int(spec.n), allow_aliasing), grid).values
-    if spec.beta:
-        vals = vals + spec.beta * prod_offset(spec, x, y)
-    return SampledFunction(grid, vals)
-
-
-def sep_weight_matrix(spec: SepKernel, allow_aliasing: bool = False) -> np.ndarray:
-    """prod_j R_n(a_j)^* prod_j R_n(a_j) for finite n."""
-    return _dense_chain(spec.weights, spec.weights, int(spec.n), allow_aliasing)
-
-
-def _sep_weights(spec: SepKernel, allow_aliasing: bool) -> np.ndarray:
-    """Grid values of the sep weight function, S_n(``sep_weight_matrix``) or its limit."""
-    if not spec.is_infinite:
-        return sn_map_at(sep_weight_matrix(spec, allow_aliasing), spec.weights[0].grid.points)
-    vals = np.ones(spec.weights[0].grid.m, dtype=complex)
-    for a in spec.weights:
-        vals *= np.conj(a.values) * a.values
-    return vals
-
-
-def k_sep(spec: SepKernel, x: FunctionTuple, y: FunctionTuple,
-          allow_aliasing: bool = False) -> SampledFunction:
-    _values(spec, [x, y], allow_aliasing)
-    if not spec.is_infinite:
-        n = int(spec.n)
-        x, y = (FunctionTuple(tuple(smooth(c, n, allow_aliasing) for c in t.components))
-                for t in (x, y))
-    return SampledFunction(x.grid, spec.base(x, y) * _sep_weights(spec, allow_aliasing))
 
 
 def evaluate(spec: KernelSpec, x: FunctionTuple, y: FunctionTuple,
              allow_aliasing: bool = False) -> SampledFunction:
-    """Evaluate one kernel value k(x, y) as a sampled function."""
-    if isinstance(spec, PolyKernel):
-        return k_poly(spec, x, y, allow_aliasing)
-    if isinstance(spec, ProdKernel):
-        return k_prod(spec, x, y, allow_aliasing)
-    if isinstance(spec, SepKernel):
-        return k_sep(spec, x, y, allow_aliasing)
-    raise ConfigError(f"unknown kernel spec {type(spec).__name__}")
+    """One kernel value k(x, y) as a sampled function: a 1 x 1 block."""
+    return SampledFunction(x.grid, _block(spec, [x], [y], allow_aliasing)[:, 0, 0])
 
 
 def kernel_limit_gap(spec: KernelSpec, x: FunctionTuple, y: FunctionTuple,
@@ -437,16 +350,15 @@ def kernel_limit_gap(spec: KernelSpec, x: FunctionTuple, y: FunctionTuple,
     """Pointwise gaps |k_n(x,y) - k_INF(x,y)| for each n in n_list.
 
     Returns (n, sup_gap, mean_gap) rows.  All finite-n specs share every
-    parameter with the limit spec; each value is a 1 x 1 block of the batched
-    core, ``cross_values``.
+    parameter with the limit spec; each value is one ``evaluate``.
     """
-    limit = cross_values(dataclasses.replace(spec, n=INF), [x], [y])[:, 0, 0]
+    limit = evaluate(dataclasses.replace(spec, n=INF), x, y).values
     rows = []
     for n in n_list:
         if n == INF:
             raise ConfigError("gaps to the limit are taken at finite n; drop inf from n_list")
-        fin = cross_values(dataclasses.replace(spec, n=int(n)), [x], [y], allow_aliasing)
-        gap = np.abs(fin[:, 0, 0] - limit)
+        fin = evaluate(dataclasses.replace(spec, n=int(n)), x, y, allow_aliasing).values
+        gap = np.abs(fin - limit)
         rows.append((int(n), float(np.max(gap)), float(np.mean(gap))))
     return rows
 
@@ -454,11 +366,12 @@ def kernel_limit_gap(spec: KernelSpec, x: FunctionTuple, y: FunctionTuple,
 # ---------------------------------------------------------------------------
 # batched evaluation: Gram fields and cross-kernel blocks
 #
-# Everything below computes the same values as `evaluate`, the dense oracle
-# the tests pin it to, restructured as S_n(A^* B)(z) = (1/n) (A u(z))^* (B u(z))
-# with u(z)_r = e^{-irz} on the min(n, m) distinct rows (O(min(n, m) m log m)
-# per chain factor instead of O(n^3)), or for q = 1 products as a DFT-domain
-# weight table (O(nnz + m log m) per pair) plus FFT terms past n = m.
+# Everything below computes the values the dense n x n calculus of the
+# definitions gives (the tests' oracle), restructured as
+# S_n(A^* B)(z) = (1/n) (A u(z))^* (B u(z)) with u(z)_r = e^{-irz} on the
+# min(n, m) distinct rows (O(min(n, m) m log m) per chain factor instead of
+# O(n^3)), or for q = 1 products as a DFT-domain weight table
+# (O(nnz + m log m) per pair) plus FFT terms past n = m.
 # `_block` is the one family dispatch behind both entry points.
 # ---------------------------------------------------------------------------
 
@@ -515,6 +428,20 @@ def _chain_columns(bin_stacks: list[np.ndarray], n: int) -> tuple[np.ndarray, np
         factor = bins[..., idx]        # cnt is all ones for n <= m
         cols = np.matmul(np.multiply(factor, cnt, out=factor) if n > m else factor, cols)
     return cols, cnt
+
+
+def _chain_sn(s1: list, s2: list, n: int, real: bool) -> np.ndarray:
+    """(B, m) values of S_n(prod_j R(g1_j)^* prod_j R(g2_j)) from the
+    unnormalized ``fft`` rows (B, m) of each g1_j and g2_j.
+
+    (prod_j T1_j^*)^* u = T1_q ... T1_1 u and the right chain is
+    T2_1 ... T2_q u, each on its ``_chain_columns`` rows weighted by cnt; a
+    ``real`` spec's two chains are one, built once (the result stays complex).
+    """
+    m = s2[0].shape[-1]
+    right, cnt = _chain_columns([c / m for c in s2], n)
+    left = right if real else _chain_columns([c / m for c in s1[::-1]], n)[0]
+    return np.einsum("brp,brp->bp", np.conj(left), right * cnt[:, None]) / n
 
 
 def _poly_columns(spec: PolyKernel, values: np.ndarray) -> np.ndarray:
@@ -688,11 +615,7 @@ def _prod_pair_values(spec: ProdKernel, a: np.ndarray, b: np.ndarray) -> np.ndar
     elif spec.q == 1:
         vals = _band_pair_sn(s1[0], s2[0], n, m, half)
     else:
-        # (prod_j T1_j^*)^* u = T1_q ... T1_1 u ; right chain is T2_1 ... T2_q u,
-        # the same chain when the spec is real-valued; rows weighted by cnt
-        right, cnt = _chain_columns([c / m for c in s2], n)
-        left = right if real else _chain_columns([c / m for c in s1[::-1]], n)[0]
-        vals = np.einsum("brp,brp->bp", np.conj(left), right * cnt[:, None]) / n
+        vals = _chain_sn(s1, s2, n, real)
     if real:
         vals = vals.real
     if spec.beta:
@@ -734,10 +657,23 @@ def _sep_distance_sq(xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
     return d2 / m
 
 
+def _sep_weights(spec: SepKernel) -> np.ndarray:
+    """Grid values of the sep weight function,
+    S_n(prod_j R_n(a_j)^* prod_j R_n(a_j)) by ``_chain_sn`` on the weights'
+    spectra, or its limit prod_j |a_j|^2; the block has checked n against m."""
+    if not spec.is_infinite:
+        s = [np.fft.fft(a.values)[None] for a in spec.weights]
+        return _chain_sn(s, s, int(spec.n), _real_valued(spec))[0]
+    vals = np.ones(spec.weights[0].grid.m, dtype=complex)
+    for a in spec.weights:
+        vals *= np.conj(a.values) * a.values
+    return vals
+
+
 def _sep_blocks(spec: SepKernel, xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
     """(m, Nx, Ny) separable-kernel block of (N, m, d) sample values; float64
     for palindromic weights."""
-    wvals = _sep_weights(spec, allow_aliasing=True)          # the block is alias-checked
+    wvals = _sep_weights(spec)
     if not spec.is_infinite:
         same = yv is xv
         xv = _smooth_tuple(xv, int(spec.n))

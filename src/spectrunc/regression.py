@@ -111,7 +111,7 @@ def assemble_gram(kernel: KernelSpec, inputs, allow_aliasing: bool = False) -> G
     """Assemble the Gram field through the batched block core of
     ``kernels.gram_values``: the N(N+1)/2 distinct values, the strict lower
     triangle (row-tile slivers included) overwritten by Hermitian symmetry.
-    The dense ``kernels.evaluate`` route is the oracle the tests pin it to."""
+    The tests pin it to the dense n x n calculus of the kernel definitions."""
     inputs = list(inputs)
     if not inputs:
         raise ConfigError("need at least one training input")

@@ -3,8 +3,7 @@
 Functions are stored by their values on the uniform grid z_p = 2*pi*p/m.
 All integrals use the normalized Haar measure dt/(2*pi), realized by the
 m-point rectangle rule (1/m) * sum_p f(z_p), which is exact for
-trigonometric polynomials of degree < m/2.  The one exception is
-``window_integral``, which is an unnormalized (plain dt) Riemann sum.
+trigonometric polynomials of degree < m/2.
 """
 
 from __future__ import annotations
@@ -21,10 +20,8 @@ __all__ = [
     "SampledFunction",
     "FunctionTuple",
     "integrate",
-    "fourier_coeff",
     "l2_distance",
     "l2_distances",
-    "window_integral",
 ]
 
 # slack for closed-window membership tests: grid points sitting exactly on
@@ -131,19 +128,6 @@ def check_alias_free(kmax: int, m: int, allow_aliasing: bool) -> None:
         )
 
 
-def fourier_coeff(f: SampledFunction, k: int) -> complex:
-    """k-th Fourier coefficient (1/m) sum_p f(z_p) e^{-ik z_p}.
-
-    Raises
-    ------
-    AliasingError
-        If |k| >= m/2: the rectangle rule folds coefficient k onto
-        k mod m and the result would be corrupted by aliasing.
-    """
-    check_alias_free(abs(k), f.grid.m, False)
-    return complex(np.mean(f.values * np.exp(-1j * k * f.grid.points)))
-
-
 def l2_distance(f: SampledFunction, g: SampledFunction) -> float:
     """L2(T) distance under the normalized measure:
     sqrt((1/m) sum_p |f(z_p) - g(z_p)|^2)."""
@@ -164,17 +148,3 @@ def window_membership(grid: TorusGrid, z: float, delta: float) -> np.ndarray:
     (closed window, with a tiny slack so exact-boundary points stay in)."""
     raw = np.abs(np.remainder(grid.points - z + np.pi, 2.0 * np.pi) - np.pi)
     return raw <= delta + _BOUNDARY_EPS
-
-
-def window_integral(f: SampledFunction, z: float, delta: float) -> complex:
-    """Unnormalized windowed integral int_{z-delta}^{z+delta} f(t) dt,
-    approximated by (2*pi/m) * sum over grid points within circular
-    distance delta of z.
-
-    This is the one deliberately unnormalized integral in the package: it
-    feeds nonlinear targets where the absolute scale matters.
-    """
-    if not 0.0 < delta < np.pi:
-        raise ValueError(f"window half-width must satisfy 0 < delta < pi, got {delta}")
-    mask = window_membership(f.grid, z, delta)
-    return complex(f.grid.spacing * np.sum(f.values[mask]))

@@ -1,7 +1,7 @@
 r"""The approximate order isomorphism on the torus.
 
 ``truncate`` sends a sampled function x to the n x n Toeplitz matrix of its
-Fourier coefficients (entry (j, l) is the coefficient at j - l); ``sn_map``
+Fourier coefficients (entry (j, l) is the coefficient at j - l); ``sn_map_at``
 sends a matrix back to the function
 
     S_n(A)(z) = (1/n) * sum_{j,l=0..n-1} A_{j,l} e^{i (j-l) z},
@@ -10,9 +10,10 @@ and the round trip ``smooth`` is exactly Fejer smoothing: the coefficient
 at k is damped by (1 - |k|/n) for |k| < n and dropped beyond.  On the grid
 ``smooth`` is one FFT pair with those weights folded by residue mod m.
 
-Matrices are plain complex ndarrays.  Products of Toeplitz matrices are not
-Toeplitz, so intermediate products are kept dense; desk-scale O(n^3) dense
-products are deliberate.
+Matrices are plain complex ndarrays.  The kernels never multiply dense
+n x n truncations: they work on the min(n, m) distinct rows of a chain
+(``kernels._chain_columns``).  ``ToeplitzRep.dense`` serves the operator
+norms of ``diagnostics.complexity_D``.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .torus import SampledFunction, TorusGrid, check_alias_free
+from .torus import SampledFunction, check_alias_free
 
 __all__ = [
     "ToeplitzRep",
     "truncate",
-    "sn_map",
     "sn_map_at",
     "smooth",
     "operator_norm",
@@ -92,18 +92,10 @@ def _diagonal_sums(A: np.ndarray) -> np.ndarray:
     return np.array([np.trace(A, offset=-k) for k in range(-(n - 1), n)])
 
 
-def sn_map(A: np.ndarray, grid: TorusGrid) -> SampledFunction:
-    """S_n(A) sampled on the grid.
-
-    Computed by grouping the double sum by diagonals: O(n^2) for the sums
-    plus O(n m) for the evaluation.
-    """
-    return SampledFunction(grid, sn_map_at(A, grid.points))
-
-
 def sn_map_at(A: np.ndarray, z) -> np.ndarray:
     """S_n(A)(z) = (1/n) sum_k (sum of diagonal j-l=k) e^{ikz} at arbitrary
-    points z (scalar or array)."""
+    points z (scalar or array): O(n^2) for the diagonal sums plus O(n) per
+    point."""
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")

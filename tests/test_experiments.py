@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import random_trig_tuple
+from oracles import window_integral
 from spectrunc import (
     INF,
     FunctionTuple,
@@ -21,7 +22,6 @@ from spectrunc import (
     run_eigen_study,
     run_inpaint,
     run_synthetic,
-    window_integral,
 )
 from spectrunc import L2GaussianTupleKernel, PolyKernel
 from spectrunc import kernels, parallel

@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 from helpers import eval_trig, random_trig_coeffs
-from oracles import fejer_multi_oracle, lattice_points_mP, q_set_union
+from oracles import fejer_1d, fejer_multi_oracle, lattice_points_mP, q_set_union
 from spectrunc import fejer
 from spectrunc import (
     beta_from_policy,
     dirichlet,
-    fejer_1d,
     fejer_convolve,
     fejer_min_estimate,
     fejer_multi,

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from helpers import random_trig_tuple
+from oracles import dense_evaluate, k_poly, k_prod, k_sep, prod_offset, sep_weight_matrix, sn_map
 from spectrunc import (
     INF,
     AliasingError,
@@ -23,16 +24,13 @@ from spectrunc import (
     SepKernel,
     TorusGrid,
     evaluate,
-    k_poly,
-    k_prod,
-    k_sep,
     kernel_limit_gap,
     smooth,
 )
 from spectrunc import kernels as kernels_mod
 from spectrunc import parallel
 from spectrunc.errors import ConfigError
-from spectrunc.kernels import PolynomialKernel, cross_values, gram_values, prod_offset
+from spectrunc.kernels import PolynomialKernel, cross_values, gram_values
 
 
 GRID = TorusGrid(32)
@@ -88,20 +86,27 @@ class TestSpecValidation:
         spec = PolyKernel(n=4, q=1, alpha=(1.0,))
         x = const_tuple(GRID, [1.0, 2.0])
         with pytest.raises(ConfigError):
-            k_poly(spec, x, x)
+            evaluate(spec, x, x)
 
     def test_grid_mismatch(self):
         spec = PolyKernel(n=4, q=1, alpha=(1.0,))
         x = const_tuple(TorusGrid(16), [1.0])
         y = const_tuple(TorusGrid(32), [1.0])
         with pytest.raises(GridMismatchError):
-            k_poly(spec, x, y)
+            evaluate(spec, x, y)
+
+    def test_unknown_spec_rejected(self):
+        x = const_tuple(GRID, [1.0])
+        with pytest.raises(ConfigError, match="unknown kernel spec"):
+            evaluate(object(), x, x)
+        with pytest.raises(ConfigError, match="unknown kernel spec"):
+            gram_values(object(), [x])
 
     def test_aliasing_propagates(self):
         spec = PolyKernel(n=20, q=1, alpha=(1.0,))
         x = const_tuple(GRID, [1.0])
         with pytest.raises(AliasingError):
-            k_poly(spec, x, x)
+            evaluate(spec, x, x)
 
 
 class TestPoly:
@@ -205,12 +210,9 @@ class TestSep:
         a = SampledFunction.from_callable(grid, lambda z: np.exp(np.sin(z)).astype(complex))
         spec = SepKernel(n=5, q=1, weights=(a,), base=L2GaussianTupleKernel(scale=1.0))
         x = random_trig_tuple(grid, rng, d=1, deg=3)
-        got = k_sep(spec, x, x)
+        got = evaluate(spec, x, x)
         # x = y: zero distance, gaussian factor 1, so the value is the
         # weight-matrix part alone
-        from spectrunc.kernels import sep_weight_matrix
-        from spectrunc.truncation import sn_map
-
         want = sn_map(sep_weight_matrix(spec), grid).values
         assert np.allclose(got.values, want, atol=1e-12)
 
@@ -246,18 +248,18 @@ class TestAlgebraicLaws:
     def test_hermitian_law(self, rng):
         x = random_trig_tuple(GRID, rng, d=2, deg=3)
         y = random_trig_tuple(GRID, rng, d=2, deg=3)
-        for spec in self.specs(GRID):
-            lhs = evaluate(spec, x, y).values
-            rhs = np.conj(evaluate(spec, y, x).values)
+        for spec, ev in itertools.product(self.specs(GRID), (evaluate, dense_evaluate)):
+            lhs = ev(spec, x, y).values
+            rhs = np.conj(ev(spec, y, x).values)
             assert np.max(np.abs(lhs - rhs)) < 1e-9, spec.family
 
     def test_real_output_law(self, rng):
         x = random_trig_tuple(GRID, rng, d=2, deg=3, real=True)
         y = random_trig_tuple(GRID, rng, d=2, deg=3, real=True)
-        for spec in self.specs(GRID):
+        for spec, ev in itertools.product(self.specs(GRID), (evaluate, dense_evaluate)):
             if spec.family == "poly":
                 continue  # complex-valued in general even for real inputs
-            vals = evaluate(spec, x, y).values
+            vals = ev(spec, x, y).values
             assert np.max(np.abs(vals.imag)) < 1e-9, spec.family
 
     def test_constant_tuples_fixed_points(self, rng):
@@ -271,9 +273,9 @@ class TestAlgebraicLaws:
             ProdKernel(n=6, q=1, bases1=(g1,), bases2=(g1,), beta=0.0),
             SepKernel(n=6, q=1, weights=(one,), base=L2GaussianTupleKernel(scale=0.8)),
         ]
-        for spec in specs:
-            fin = evaluate(spec, x, y).values
-            inf = evaluate(dataclasses.replace(spec, n=INF), x, y).values
+        for spec, ev in itertools.product(specs, (evaluate, dense_evaluate)):
+            fin = ev(spec, x, y).values
+            inf = ev(dataclasses.replace(spec, n=INF), x, y).values
             assert np.max(np.abs(fin - inf)) < 1e-10, spec.family
 
     def test_limit_gap_decreases_for_smooth_inputs(self, rng):
@@ -366,7 +368,7 @@ ROW_TILE_IDS = ["strict-q1-real", "strict-q1-complex", "strict-q2", "folded", "p
 
 
 class TestBatchedBlocks:
-    """gram_values / cross_values pinned to the dense `evaluate` oracle."""
+    """gram_values / cross_values pinned to the dense `dense_evaluate` oracle."""
 
     @pytest.mark.parametrize("q", [1, 2])
     @pytest.mark.parametrize("n", [5, 20, INF], ids=["strict", "folded", "inf"])
@@ -379,7 +381,7 @@ class TestBatchedBlocks:
         cross = cross_values(spec, ys, xs, allow_aliasing=True)
         assert count == 4 * 5 // 2
         for block, rows in ((field, xs), (cross, ys)):
-            want = np.stack([[evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
+            want = np.stack([[dense_evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
                              for x in rows]).transpose(2, 0, 1)
             assert block.shape == want.shape
             assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want))
@@ -408,7 +410,7 @@ class TestBatchedBlocks:
         gram, cross = one_tile = blocks()
         assert tiles == [(7, 7), (7, 7)]
         for block, rows in ((gram, xs), (cross, ys)):
-            want = np.stack([[evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
+            want = np.stack([[dense_evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
                              for x in rows]).transpose(2, 0, 1)
             assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want))
         iu, ju = np.triu_indices(7, 1)
@@ -453,7 +455,7 @@ class TestBatchedBlocks:
         field, _ = gram_values(spec, xs, allow_aliasing=True)
         cross = cross_values(spec, xs[:2], xs, allow_aliasing=True)
         for block, rows in ((field, xs), (cross, xs[:2])):
-            want = np.stack([[evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
+            want = np.stack([[dense_evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
                              for x in rows]).transpose(2, 0, 1)
             assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want))
         if 2 * (n - 1) >= m:
@@ -501,7 +503,7 @@ class TestBatchedBlocks:
         cross = cross_values(spec, xs[:2], xs, allow_aliasing=True)
         assert field.dtype == cross.dtype == np.float64
         for block, rows in ((field, xs), (cross, xs[:2])):
-            want = np.stack([[evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
+            want = np.stack([[dense_evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
                              for x in rows]).transpose(2, 0, 1)
             assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -530,7 +532,7 @@ class TestBatchedBlocks:
         field, _ = gram_values(spec, xs, allow_aliasing=True)
         cross = cross_values(spec, xs[:2], xs, allow_aliasing=True)
         for block, rows in ((field, xs), (cross, xs[:2])):
-            want = np.stack([[evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
+            want = np.stack([[dense_evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
                              for x in rows]).transpose(2, 0, 1)
             assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want))
         if not limit:
@@ -567,7 +569,7 @@ class TestBatchedBlocks:
         cross = cross_values(spec, xs[:2], xs, allow_aliasing=True)
         assert field.dtype == cross.dtype == np.complex128
         for block, rows in ((field, xs), (cross, xs[:2])):
-            want = np.stack([[evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
+            want = np.stack([[dense_evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
                              for x in rows]).transpose(2, 0, 1)
             assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -680,7 +682,7 @@ class TestBatchedBlocks:
             spec = ProdKernel(n=n, q=1, bases1=(G06,), bases2=(G06,), beta=beta)
             field, _ = gram_values(spec, xs, allow_aliasing=True)
             cross = cross_values(spec, xs[:2], xs, allow_aliasing=True)
-            want = np.stack([[evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
+            want = np.stack([[dense_evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
                              for x in xs]).transpose(2, 0, 1)
             assert field.dtype == cross.dtype == np.float64
             for block, rows in ((field, want), (cross, want[:, :2])):
@@ -689,6 +691,7 @@ class TestBatchedBlocks:
     @pytest.mark.parametrize("family, n", [
         pytest.param("poly", 16, id="16"), pytest.param("poly", INF, id="inf"),
         pytest.param("sep", 16, id="sep-16"), pytest.param("sep", INF, id="sep-inf"),
+        pytest.param("sep", 2048, id="sep-2048"),
     ])
     def test_gram_workspace_bounded_by_field(self, family, n):
         grid = TorusGrid(30)
@@ -765,14 +768,30 @@ class TestBatchedBlocks:
         field, _ = gram_values(spec, xs, allow_aliasing=True)
         cross = cross_values(spec, ys, xs, allow_aliasing=True)
         for block, rows in ((field, xs), (cross, ys)):
-            want = np.stack([[evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
+            want = np.stack([[dense_evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
                              for x in rows]).transpose(2, 0, 1)
             assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want))
         # base(x, x) = 1, so the diagonal is the weight function itself
+        w = kernels_mod._sep_weights(spec)
         for i, x in enumerate(xs):
-            w = evaluate(spec, x, x, allow_aliasing=True).values
             assert np.array_equal(field[:, i, i], w.real if field.dtype == np.float64 else w)
+            want = dense_evaluate(spec, x, x, allow_aliasing=True).values
+            assert np.max(np.abs(field[:, i, i] - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(field, field.transpose(0, 2, 1))
+
+    # one chain on the weights' spectra against the dense n x n chain, for
+    # n <= m, n > m and past m on odd and even m, real (palindromic) and complex
+    @pytest.mark.parametrize("m", [30, 31])
+    @pytest.mark.parametrize("pick", [(0,), (0, 1), (0, 1, 0)], ids=["a", "ab", "aba"])
+    def test_sep_weights_match_dense_oracle(self, m, pick):
+        grid = TorusGrid(m)
+        a, b, _ = palindromic_weights(grid)
+        for n in [*range(1, 78), 257]:
+            spec = SepKernel(n=n, q=len(pick), weights=tuple((a, b)[i] for i in pick),
+                             base=L2GaussianTupleKernel(scale=0.8))
+            got = kernels_mod._sep_weights(spec)
+            want = sn_map(sep_weight_matrix(spec, allow_aliasing=True), grid).values
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), n
 
     @pytest.mark.parametrize("family", ["poly", "prod", "sep"])
     def test_empty_block_side_rejected(self, rng, family):

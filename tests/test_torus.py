@@ -4,16 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from helpers import random_trig_function
+from oracles import fourier_coeff, window_integral
 from spectrunc import (
     AliasingError,
     FunctionTuple,
     GridMismatchError,
     SampledFunction,
     TorusGrid,
-    fourier_coeff,
     integrate,
     l2_distance,
-    window_integral,
 )
 from spectrunc.torus import l2_distances
 

@@ -4,19 +4,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from helpers import random_trig_function
+from oracles import fejer_1d, fourier_coeff, sn_map
 from spectrunc import (
     AliasingError,
     SampledFunction,
     TorusGrid,
     ToeplitzRep,
-    fourier_coeff,
     operator_norm,
     smooth,
-    sn_map,
     sn_map_at,
     truncate,
 )
-from spectrunc.fejer import fejer_1d
 
 
 def lower_shift(n):
