@@ -18,7 +18,6 @@ from .torus import (
 )
 from .truncation import (
     ToeplitzRep,
-    operator_norm,
     smooth,
     sn_map_at,
     truncate,

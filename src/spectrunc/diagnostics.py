@@ -6,7 +6,11 @@ operator norms of truncated Toeplitz matrices:
     poly:  sum_j alpha_j ||R_n(x_j)||_op^{2q}
     prod:  prod_j ||R_n(b_{1,j}(x,x))||_op ||R_n(b_{2,j}(x,x))||_op + beta_n C,
            C = prod_j int b_{1,j}(x(t),x(t)) dt * int b_{2,j}(x(t),x(t)) dt
-    sep:   base(x,x) * prod_j ||R_n(a_j)||_op^2
+    sep:   base(x,x) * prod_j ||R_n(a_j)||_op^2,  base(x,x) = 1
+
+Each norm is taken on the min(n, m) residues of the kernel blocks
+(``kernels._truncation_norms``), after their one sample check; b(x, x) is
+real up to rounding, as conj(u) u is, and D takes its real part.
 
 D is nondecreasing in n, which makes the second bound term nondecreasing
 in n as well; that is the representation-power/complexity tradeoff knob.
@@ -26,12 +30,11 @@ from .kernels import (
     KernelSpec,
     PolyKernel,
     ProdKernel,
-    SepKernel,
-    _base_values,
+    _truncation_norms,
+    _values,
     kernel_limit_gap,
 )
-from .torus import FunctionTuple, SampledFunction, integrate
-from .truncation import operator_norm, truncate
+from .torus import FunctionTuple
 
 __all__ = [
     "ComplexityReport",
@@ -43,9 +46,6 @@ __all__ = [
     "convergence_report",
     "spec_at",
 ]
-
-_IMAG_TOL = 1e-9
-
 
 @dataclasses.dataclass(frozen=True)
 class ComplexityReport:
@@ -67,41 +67,18 @@ class ComplexityReport:
         object.__setattr__(self, "D_values", D)
 
 
-def _real(value: complex, what: str) -> float:
-    if abs(value.imag) > _IMAG_TOL * max(1.0, abs(value)):
-        raise ConfigError(f"{what} is not real-valued: {value}")
-    return float(value.real)
-
-
 def complexity_D(spec: KernelSpec, x: FunctionTuple, allow_aliasing: bool = False) -> float:
     """Per-sample complexity term D(k_n, x); finite truncation only."""
     if spec.is_infinite:
         raise ConfigError("the complexity term is defined for finite truncation only")
+    v = _values(spec, [x], allow_aliasing)[0]                  # (m, d)
     n = int(spec.n)
     if isinstance(spec, PolyKernel):
-        if x.d != len(spec.alpha):
-            raise ConfigError("alpha length does not match input dimension")
-        return sum(
-            a * operator_norm(truncate(c, n, allow_aliasing).dense()) ** (2 * spec.q)
-            for a, c in zip(spec.alpha, x.components)
-        )
+        return float(np.dot(spec.alpha, _truncation_norms(v.T, n) ** (2 * spec.q)))
     if isinstance(spec, ProdKernel):
-        prod_norms = 1.0
-        C = 1.0 + 0.0j
-        for b1, b2 in zip(spec.bases1, spec.bases2):
-            g1 = SampledFunction(x.grid, _base_values(b1, x, x))
-            g2 = SampledFunction(x.grid, _base_values(b2, x, x))
-            prod_norms *= operator_norm(truncate(g1, n, allow_aliasing).dense())
-            prod_norms *= operator_norm(truncate(g2, n, allow_aliasing).dense())
-            C *= integrate(g1) * integrate(g2)
-        return prod_norms + spec.beta * _real(C, "the offset integral C")
-    if isinstance(spec, SepKernel):
-        scal = _real(spec.base(x, x), "base(x, x)")
-        prod_norms = 1.0
-        for a in spec.weights:
-            prod_norms *= operator_norm(truncate(a, n, allow_aliasing).dense()) ** 2
-        return scal * prod_norms
-    raise ConfigError(f"unknown kernel spec {type(spec).__name__}")
+        g = np.stack([b.pairwise(v, v).real for b in spec.bases1 + spec.bases2])
+        return float(np.prod(_truncation_norms(g, n)) + spec.beta * np.prod(np.mean(g, axis=-1)))
+    return float(np.prod(_truncation_norms(np.stack([a.values for a in spec.weights]), n) ** 2))
 
 
 def _bound_terms(D: np.ndarray, B: float, L: float, delta: float) -> tuple[float, float]:

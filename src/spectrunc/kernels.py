@@ -160,9 +160,9 @@ BaseScalarKernel = GaussianKernel | LinearKernel | PolynomialKernel
 class L2GaussianTupleKernel:
     """Function-tuple kernel exp(-scale * sum_i ||x_i - y_i||^2_{L2}).
 
-    One pair takes the direct difference, so the complexity term and the
-    tests' dense oracle stay independent of the blocks' Gram-product
-    distances (``_sep_distance_sq``)."""
+    The blocks take its distances from one Gram product
+    (``_sep_distance_sq``); base(x, x) = 1, which is all the complexity
+    term needs of it."""
 
     scale: float
 
@@ -171,10 +171,6 @@ class L2GaussianTupleKernel:
     def __post_init__(self):
         if not 0 < self.scale < INF:
             raise ConfigError(f"tuple-kernel scale must be positive and finite, got {self.scale}")
-
-    def __call__(self, x: FunctionTuple, y: FunctionTuple) -> complex:
-        d2 = np.mean(np.abs(x.value_matrix() - y.value_matrix()) ** 2, axis=0).sum()
-        return complex(np.exp(-self.scale * d2))
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +325,6 @@ def _values(spec: KernelSpec, samples, allow_aliasing: bool) -> np.ndarray:
     return np.stack([t.value_matrix() for t in samples])
 
 
-def _base_values(base: BaseScalarKernel, x: FunctionTuple, y: FunctionTuple) -> np.ndarray:
-    """Grid samples of z -> base(x(z), y(z))."""
-    return base.pairwise(x.value_matrix(), y.value_matrix())
-
-
 # ---------------------------------------------------------------------------
 # single-pair evaluation
 # ---------------------------------------------------------------------------
@@ -391,6 +382,24 @@ def _fold(n: int, m: int) -> tuple[int, int, np.ndarray]:
     return alpha, rho + 1, alpha + (np.arange(min(n, m)) <= rho)
 
 
+def _residue_index(n: int, m: int) -> np.ndarray:
+    """(r - s) mod m over the min(n, m) distinct rows r, s of ``_fold``."""
+    r = np.arange(min(n, m))
+    return np.mod(r[:, None] - r[None, :], m)
+
+
+def _truncation_norms(values: np.ndarray, n: int) -> np.ndarray:
+    """Operator norms ||R_n(g)|| for a stack of grid values (..., m) of g.
+
+    With c = fft(g) / m, R_n(g) = E C E^T, C[r, s] = c[(r - s) mod m] on the
+    min(n, m) residues and E^T E = diag(cnt) (``_fold``), so ||R_n(g)|| =
+    ||diag(sqrt(cnt)) C diag(sqrt(cnt))||: O(min(n, m)^3) at any n."""
+    m = values.shape[-1]
+    w = np.sqrt(_fold(n, m)[2])
+    C = (np.fft.fft(values, axis=-1) / m)[..., _residue_index(n, m)] * w[:, None] * w
+    return np.linalg.norm(C, ord=2, axis=(-2, -1))
+
+
 def _toeplitz_times_phase(bins: np.ndarray, n: int) -> np.ndarray:
     """T u(z_p) on its min(n, m) distinct rows (``_fold``) for a stack of
     DFT bin rows, where T is the n x n Toeplitz matrix of c_k = bins[k mod m].
@@ -422,8 +431,7 @@ def _chain_columns(bin_stacks: list[np.ndarray], n: int) -> tuple[np.ndarray, np
     m = bin_stacks[-1].shape[-1]
     cols = _toeplitz_times_phase(bin_stacks[-1], n)
     cnt = _fold(n, m)[2]
-    r = np.arange(len(cnt))
-    idx = np.mod(r[:, None] - r[None, :], m)
+    idx = _residue_index(n, m)
     for bins in reversed(bin_stacks[:-1]):
         factor = bins[..., idx]        # cnt is all ones for n <= m
         cols = np.matmul(np.multiply(factor, cnt, out=factor) if n > m else factor, cols)

@@ -10,10 +10,12 @@ and the round trip ``smooth`` is exactly Fejer smoothing: the coefficient
 at k is damped by (1 - |k|/n) for |k| < n and dropped beyond.  On the grid
 ``smooth`` is one FFT pair with those weights folded by residue mod m.
 
-Matrices are plain complex ndarrays.  The kernels never multiply dense
-n x n truncations: they work on the min(n, m) distinct rows of a chain
-(``kernels._chain_columns``).  ``ToeplitzRep.dense`` serves the operator
-norms of ``diagnostics.complexity_D``.
+Matrices are plain complex ndarrays.  No library route expands a dense
+n x n truncation: the kernels work on the min(n, m) distinct rows of a
+chain (``kernels._chain_columns``), and the complexity term takes its
+operator norms on the same residues (``kernels._truncation_norms``).
+``ToeplitzRep.dense`` is the dense form the tests and the Fejer identity
+check multiply.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "truncate",
     "sn_map_at",
     "smooth",
-    "operator_norm",
 ]
 
 
@@ -129,8 +130,3 @@ def smooth(x: SampledFunction, n: int, allow_aliasing: bool = False) -> SampledF
     m = x.grid.m
     check_alias_free(n - 1, m, allow_aliasing)
     return SampledFunction(x.grid, np.fft.ifft(np.fft.fft(x.values) * _fejer_weights(n, m)))
-
-
-def operator_norm(A: np.ndarray) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(np.asarray(A, dtype=complex), ord=2))

@@ -4,7 +4,8 @@
 - The dense n x n matrix calculus of the kernel definitions (``k_poly``,
   ``k_prod``, ``k_sep``, ``dense_evaluate``), for the batched kernel core:
   it multiplies the truncations R_n as dense Toeplitz matrices, O(n^3) per
-  value, and maps the product back by ``sn_map``.
+  value, and maps the product back by ``sn_map``.  ``dense_complexity_D``
+  takes the complexity term from the SVDs of the same dense matrices.
 - Direct sums for single Fourier coefficients, window integrals and the
   classical Fejer kernel on T.
 """
@@ -15,7 +16,8 @@ import numpy as np
 
 from spectrunc.errors import BudgetError, ConfigError
 from spectrunc.fejer import ORACLE_MAX_Q, dirichlet
-from spectrunc.kernels import PolyKernel, ProdKernel, SepKernel, _base_values, _values
+from spectrunc.kernels import (L2GaussianTupleKernel, PolyKernel, ProdKernel, SepKernel,
+                               _values)
 from spectrunc.torus import (FunctionTuple, SampledFunction, TorusGrid, check_alias_free,
                              integrate, window_membership)
 from spectrunc.truncation import smooth, sn_map_at, truncate
@@ -139,6 +141,22 @@ def fejer_1d(n: int, t) -> np.ndarray | float:
 # ---------------------------------------------------------------------------
 
 
+def operator_norm(A: np.ndarray) -> float:
+    """Largest singular value."""
+    return float(np.linalg.norm(np.asarray(A, dtype=complex), ord=2))
+
+
+def base_values(base, x: FunctionTuple, y: FunctionTuple) -> np.ndarray:
+    """Grid samples of z -> base(x(z), y(z))."""
+    return base.pairwise(x.value_matrix(), y.value_matrix())
+
+
+def l2_gaussian(base: L2GaussianTupleKernel, x: FunctionTuple, y: FunctionTuple) -> complex:
+    """base(x, y) for one pair, from the direct difference."""
+    d2 = np.mean(np.abs(x.value_matrix() - y.value_matrix()) ** 2, axis=0).sum()
+    return complex(np.exp(-base.scale * d2))
+
+
 def sn_map(A: np.ndarray, grid: TorusGrid) -> SampledFunction:
     """S_n(A) sampled on the grid."""
     return SampledFunction(grid, sn_map_at(A, grid.points))
@@ -178,8 +196,8 @@ def prod_offset(spec: ProdKernel, x: FunctionTuple, y: FunctionTuple) -> complex
     grid = x.grid
     out = 1.0 + 0.0j
     for b1, b2 in zip(spec.bases1, spec.bases2):
-        g1 = SampledFunction(grid, _base_values(b1, x, y))
-        g2 = SampledFunction(grid, _base_values(b2, x, y))
+        g1 = SampledFunction(grid, base_values(b1, x, y))
+        g2 = SampledFunction(grid, base_values(b2, x, y))
         out *= integrate(g1.conj()) * integrate(g2)
     return out
 
@@ -188,8 +206,8 @@ def k_prod(spec: ProdKernel, x: FunctionTuple, y: FunctionTuple,
            allow_aliasing: bool = False) -> SampledFunction:
     _values(spec, [x, y], allow_aliasing)
     grid = x.grid
-    g1 = [SampledFunction(grid, _base_values(b, x, y)) for b in spec.bases1]
-    g2 = [SampledFunction(grid, _base_values(b, x, y)) for b in spec.bases2]
+    g1 = [SampledFunction(grid, base_values(b, x, y)) for b in spec.bases1]
+    g2 = [SampledFunction(grid, base_values(b, x, y)) for b in spec.bases2]
     if spec.is_infinite:
         vals = np.ones(grid.m, dtype=complex)
         for f1, f2 in zip(g1, g2):
@@ -219,7 +237,7 @@ def k_sep(spec: SepKernel, x: FunctionTuple, y: FunctionTuple,
         x, y = (FunctionTuple(tuple(smooth(c, n, allow_aliasing) for c in t.components))
                 for t in (x, y))
         weights = sn_map(sep_weight_matrix(spec, allow_aliasing), grid).values
-    return SampledFunction(grid, spec.base(x, y) * weights)
+    return SampledFunction(grid, l2_gaussian(spec.base, x, y) * weights)
 
 
 def dense_evaluate(spec, x: FunctionTuple, y: FunctionTuple,
@@ -231,4 +249,30 @@ def dense_evaluate(spec, x: FunctionTuple, y: FunctionTuple,
         return k_prod(spec, x, y, allow_aliasing)
     if isinstance(spec, SepKernel):
         return k_sep(spec, x, y, allow_aliasing)
+    raise ConfigError(f"unknown kernel spec {type(spec).__name__}")
+
+
+def dense_complexity_D(spec, x: FunctionTuple, allow_aliasing: bool = False) -> float:
+    """D(k_n, x) from the operator norms of the dense n x n truncations."""
+    n = int(spec.n)
+
+    def norm(f: SampledFunction) -> float:
+        return operator_norm(truncate(f, n, allow_aliasing).dense())
+
+    if isinstance(spec, PolyKernel):
+        return sum(a * norm(c) ** (2 * spec.q) for a, c in zip(spec.alpha, x.components))
+    if isinstance(spec, ProdKernel):
+        prod_norms = 1.0
+        C = 1.0 + 0.0j
+        for b1, b2 in zip(spec.bases1, spec.bases2):
+            g1 = SampledFunction(x.grid, base_values(b1, x, x))
+            g2 = SampledFunction(x.grid, base_values(b2, x, x))
+            prod_norms *= norm(g1) * norm(g2)
+            C *= integrate(g1) * integrate(g2)
+        return prod_norms + spec.beta * C.real
+    if isinstance(spec, SepKernel):
+        prod_norms = 1.0
+        for a in spec.weights:
+            prod_norms *= norm(a) ** 2
+        return l2_gaussian(spec.base, x, x).real * prod_norms
     raise ConfigError(f"unknown kernel spec {type(spec).__name__}")

@@ -152,6 +152,24 @@ def test_complexity_resolves_beta_policy_per_n(tmp_path):
     assert [float(r[2]) for r in rows] == pytest.approx([5.0, 17.0, 65.0], rel=1e-12)
 
 
+def test_complexity_far_past_m(tmp_path):
+    # x = e^{iz} on m = 8 folds R_n(x) onto an 8-cycle counted n/8 times, so
+    # ||R_n(x)|| = n/8; a dense R_n(x) at n = 10^6 would need 16 TB
+    config = {
+        "n_list": [4, 1000000],
+        "samples": [[{"m": 8, "trig": [[1, 1.0, 0.0]]}]],
+        "kernels": [{"family": "poly", "n": 4, "q": 1, "alpha": [1.0]}],
+        "allow_aliasing": True,
+    }
+    cfg = tmp_path / "cx.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "cx.csv"
+    assert main(["complexity", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert [r[1] for r in rows] == ["4", "1000000"]
+    assert [float(r[2]) for r in rows] == pytest.approx([1.0, 1.5625e10], rel=1e-12)
+
+
 def test_complexity_warns_when_swept_beta_falls(tmp_path, capsys):
     # the density-64 scan of the estimate policy under-resolves the Fejer
     # minimum past n ~ 48 (beta_48 = 92.6, beta_56 = 27.5); once that scan

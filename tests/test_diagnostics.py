@@ -1,17 +1,21 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from helpers import random_trig_tuple
+from oracles import base_values, dense_complexity_D, l2_gaussian, operator_norm
 from spectrunc import (
     INF,
     ConfigError,
     FunctionTuple,
     GaussianKernel,
+    GridMismatchError,
     L2GaussianTupleKernel,
+    LinearKernel,
     PolyKernel,
     ProdKernel,
     SampledFunction,
@@ -23,12 +27,11 @@ from spectrunc import (
     complexity_sweep,
     convergence_report,
     integrate,
-    operator_norm,
     truncate,
 )
 from spectrunc.diagnostics import spec_at
 from spectrunc.errors import BetaMonotonicityWarning
-from spectrunc.kernels import _base_values
+from spectrunc.kernels import PolynomialKernel, _truncation_norms
 
 GRID = TorusGrid(64)
 
@@ -62,8 +65,8 @@ class TestComplexityD:
         g2 = GaussianKernel(gamma=1.5)
         spec = ProdKernel(n=5, q=1, bases1=(g1,), bases2=(g2,), beta=0.7)
         x = random_trig_tuple(GRID, rng, d=2, deg=3, real=True)
-        f1 = SampledFunction(GRID, _base_values(g1, x, x))
-        f2 = SampledFunction(GRID, _base_values(g2, x, x))
+        f1 = SampledFunction(GRID, base_values(g1, x, x))
+        f2 = SampledFunction(GRID, base_values(g2, x, x))
         want = (
             operator_norm(truncate(f1, 5).dense())
             * operator_norm(truncate(f2, 5).dense())
@@ -77,7 +80,7 @@ class TestComplexityD:
         spec = SepKernel(n=6, q=2, weights=(a, a), base=base)
         x = random_trig_tuple(GRID, rng, d=2, deg=3, real=True)
         norm_a = operator_norm(truncate(a, 6).dense())
-        want = base(x, x).real * norm_a**4
+        want = l2_gaussian(base, x, x).real * norm_a**4
         assert complexity_D(spec, x) == pytest.approx(want, abs=1e-10)
 
     def test_monotone_in_n(self, rng):
@@ -93,6 +96,71 @@ class TestComplexityD:
             rows = complexity_sweep(spec, x, range(2, 20))
             vals = [v for _, v in rows]
             assert all(b >= a * (1 - 1e-10) for a, b in zip(vals, vals[1:])), spec.family
+
+    @pytest.mark.parametrize("family", ["poly", "prod", "sep"])
+    def test_matches_dense_formula(self, family, rng):
+        # the dense n x n SVDs of the definition, past n = m with aliasing allowed
+        grid = TorusGrid(32)
+        a = SampledFunction(grid, np.exp(np.sin(grid.points) + 0.5j * np.cos(2 * grid.points)))
+        b = SampledFunction(grid, 1.5 + np.exp(-1j * grid.points))
+        spec = {
+            "poly": PolyKernel(n=2, q=2, alpha=(0.5, 1.5)),
+            "prod": ProdKernel(n=2, q=2, bases1=(GaussianKernel(0.5), LinearKernel()),
+                               bases2=(PolynomialKernel(2, 1.5), GaussianKernel(1.5)), beta=0.7),
+            "sep": SepKernel(n=2, q=2, weights=(a, b), base=L2GaussianTupleKernel(scale=0.3)),
+        }[family]
+        x = random_trig_tuple(grid, rng, d=2, deg=5)
+        for n in (*range(1, 18), 31, 32, 33, 40):
+            spec_n = dataclasses.replace(spec, n=n)
+            want = dense_complexity_D(spec_n, x, allow_aliasing=True)
+            assert complexity_D(spec_n, x, allow_aliasing=True) == pytest.approx(want, rel=1e-12)
+
+    def test_sep_sample_on_another_grid_rejected(self):
+        a = SampledFunction.constant(GRID, 1.0)
+        spec = SepKernel(n=4, q=1, weights=(a,), base=L2GaussianTupleKernel(scale=0.3))
+        x = FunctionTuple((SampledFunction.constant(TorusGrid(32), 1.0),))
+        with pytest.raises(GridMismatchError):
+            complexity_D(spec, x)
+
+    def test_poly_memory_bounded_past_m(self, rng):
+        # a dense 2048 x 2048 R_n(x) alone is 64 MiB
+        x = random_trig_tuple(TorusGrid(30), rng, d=2, deg=4)
+        spec = PolyKernel(n=2048, q=2, alpha=(1.0, 1.0))
+        complexity_D(dataclasses.replace(spec, n=4), x)       # first-call setup off the books
+        tracemalloc.start()
+        try:
+            D = complexity_D(spec, x, allow_aliasing=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(D) and peak < 1 << 20
+
+
+class TestFoldedNorms:
+    @pytest.mark.parametrize("m", [30, 31, 32])
+    def test_matches_dense_svd(self, m):
+        rng = np.random.default_rng(m)
+        grid = TorusGrid(m)
+        gs = [SampledFunction(grid, rng.standard_normal(m) + 1j * rng.standard_normal(m))
+              for _ in range(2)]
+        values = np.array([g.values for g in gs])
+        for n in (*range(1, 78), 128, 257):
+            want = [np.linalg.norm(truncate(g, n, True).dense(), 2) for g in gs]
+            assert _truncation_norms(values, n) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("base", [
+    GaussianKernel(gamma=0.7),
+    LinearKernel(),
+    *(PolynomialKernel(degree, offset) for degree in (1, 2, 3) for offset in (0.0, 1.5)),
+], ids=repr)
+def test_base_diagonal_is_real(base, rng):
+    # b(x, x) is real: a Gaussian's values are float64, and conj(u) u keeps an
+    # imaginary part of rounding size only where numpy fuses the multiply-add
+    v = random_trig_tuple(GRID, rng, d=3, deg=4).value_matrix()
+    g = base.pairwise(v, v)
+    assert g.dtype == (float if isinstance(base, GaussianKernel) else complex)
+    assert np.all(np.abs(np.imag(g)) <= 16 * np.finfo(float).eps * np.abs(g))
 
 
 class TestBoundRhs:

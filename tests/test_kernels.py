@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from helpers import random_trig_tuple
-from oracles import dense_evaluate, k_poly, k_prod, k_sep, prod_offset, sep_weight_matrix, sn_map
+from oracles import (dense_evaluate, k_poly, k_prod, k_sep, l2_gaussian, prod_offset,
+                     sep_weight_matrix, sn_map)
 from spectrunc import (
     INF,
     AliasingError,
@@ -201,9 +202,9 @@ class TestSep:
         got = k_sep(spec, x, y)
         sx = FunctionTuple(tuple(smooth(c, 6) for c in x.components))
         sy = FunctionTuple(tuple(smooth(c, 6) for c in y.components))
-        assert np.allclose(got.values, base(sx, sy), atol=1e-12)
+        assert np.allclose(got.values, l2_gaussian(base, sx, sy), atol=1e-12)
         inf_spec = dataclasses.replace(spec, n=INF)
-        assert np.allclose(k_sep(inf_spec, x, y).values, base(x, y), atol=1e-12)
+        assert np.allclose(k_sep(inf_spec, x, y).values, l2_gaussian(base, x, y), atol=1e-12)
 
     def test_diagonal_scalar_is_one(self, rng):
         grid = GRID

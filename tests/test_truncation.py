@@ -4,13 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from helpers import random_trig_function
-from oracles import fejer_1d, fourier_coeff, sn_map
+from oracles import fejer_1d, fourier_coeff, operator_norm, sn_map
 from spectrunc import (
     AliasingError,
     SampledFunction,
     TorusGrid,
     ToeplitzRep,
-    operator_norm,
     smooth,
     sn_map_at,
     truncate,
@@ -103,10 +102,14 @@ class TestSnMap:
             assert np.max(np.abs(sn_map(A, g).values)) <= operator_norm(A) + 1e-10
 
     def test_sn_map_at_matches_grid(self):
+        # against the direct double sum (1/n) sum_{j,l} A_jl e^{i(j-l)z},
+        # on the grid points and off them
         rng = np.random.default_rng(8)
         A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        g = TorusGrid(12)
-        assert np.allclose(sn_map_at(A, g.points), sn_map(A, g).values)
+        z = np.concatenate([TorusGrid(12).points, rng.uniform(-np.pi, 3 * np.pi, size=9)])
+        j = np.arange(4)
+        want = [np.sum(A * np.exp(1j * (j[:, None] - j[None, :]) * t)) / 4 for t in z]
+        assert np.allclose(sn_map_at(A, z), want, rtol=0, atol=1e-12)
 
 
 class TestSmooth:
