@@ -77,10 +77,8 @@ def _cmd_run_synth(args) -> int:
         config = dataclasses.replace(config, n_samples=1000, n_test=1000, runs=5)
     rows, summary = experiments.run_synthetic(config)
     out = Path(args.out)
-    serialize.write_rows_csv(out / "results.csv",
-                             ["family", "n", "run", "test_error"], rows)
-    serialize.write_rows_csv(out / "summary.csv",
-                             ["family", "n", "median", "q1", "q3"], summary)
+    serialize.write_rows_csv(out / "results.csv", ["family", "n", "run", "test_error"], rows)
+    serialize.write_rows_csv(out / "summary.csv", ["family", "n", "median", "q1", "q3"], summary)
     print(f"wrote {out / 'results.csv'} and {out / 'summary.csv'}")
     failed = [row for row in rows if np.isnan(row[3])]
     if failed:

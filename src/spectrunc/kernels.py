@@ -400,37 +400,44 @@ def _truncation_norms(values: np.ndarray, n: int) -> np.ndarray:
     return np.linalg.norm(C, ord=2, axis=(-2, -1))
 
 
-def _toeplitz_times_phase(bins: np.ndarray, n: int) -> np.ndarray:
+def _toeplitz_times_phase(bins: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """T u(z_p) on its min(n, m) distinct rows (``_fold``) for a stack of
     DFT bin rows, where T is the n x n Toeplitz matrix of c_k = bins[k mod m].
 
-    bins (..., m) -> (..., min(n, m), m).  Both factors of (T u(z_p))_r =
-    sum_{j<n} c_{r-j} e^{-ijz_p} depend on j mod m only, and the n columns
-    hold alpha + [s < rho] of each residue s, so with k = -j mod m
-    (T u(z_p))_r = m ifft_k(bins[(k + r) mod m] (alpha + [-k mod m < rho]))[p]:
-    one inverse FFT of the bin rows shifted by r (a strided view), with no
-    phase table and no differences of running sums to cancel.
+    bins (..., m) -> (..., min(n, m), m), in ``out`` if given.  Both factors
+    of (T u(z_p))_r = sum_{j<n} c_{r-j} e^{-ijz_p} depend on j mod m only,
+    and the n columns hold alpha + [s < rho] of each residue s, so with k =
+    -j mod m, (T u(z_p))_r = m ifft_k(bins[(k + r) mod m] (alpha + [-k mod m < rho]))[p]:
+    one inverse FFT, in place, of the bin rows shifted by r (a strided view),
+    with no phase table and no differences of running sums to cancel.
     """
     m = bins.shape[-1]
     alpha, rho, cnt = _fold(n, m)
     weight = m * (alpha + (np.mod(-np.arange(m), m) < rho))
     wrapped = np.concatenate([bins, bins[..., : len(cnt) - 1]], axis=-1)
-    cols = sliding_window_view(wrapped, m, axis=-1) * weight   # (..., min(n, m), m)
-    return np.fft.ifft(cols, axis=-1)
+    cols = np.multiply(sliding_window_view(wrapped, m, axis=-1), weight, out=out)
+    return np.fft.ifft(cols, axis=-1, out=cols)
 
 
-def _chain_columns(bin_stacks: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+def _chain_columns(bin_stacks: list[np.ndarray], n: int,
+                   out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Columns (F_1 (F_2 (... (F_K u(z))))) on their min(n, m) distinct rows,
     and the rows' multiplicities cnt (``_fold``), for per-item DFT bin stacks.
 
-    bin_stacks[k] has shape (B, m); the innermost factor is one inverse FFT
+    bin_stacks[k] has shape (..., m); the innermost factor is one inverse FFT
     of shifted bin rows.  An outer factor meets an m-periodic column, so it acts
     as the min(n, m)-square matrix bins[(r - s) mod m] * cnt[s].  Returns
-    (B, min(n, m), m) columns and cnt.
+    (..., min(n, m), m) columns, in ``out`` if given, and cnt.  A longer chain
+    is built in eight slabs of items copied into ``out``: a strided matmul rounds differently.
     """
     m = bin_stacks[-1].shape[-1]
-    cols = _toeplitz_times_phase(bin_stacks[-1], n)
     cnt = _fold(n, m)[2]
+    if out is not None and len(bin_stacks) > 1:
+        step = -(-len(out) // 8)
+        for i in range(0, len(out), step):
+            out[i : i + step] = _chain_columns([b[i : i + step] for b in bin_stacks], n)[0]
+        return out, cnt
+    cols = _toeplitz_times_phase(bin_stacks[-1], n, out)
     idx = _residue_index(n, m)
     for bins in reversed(bin_stacks[:-1]):
         factor = bins[..., idx]        # cnt is all ones for n <= m
@@ -453,17 +460,18 @@ def _chain_sn(s1: list, s2: list, n: int, real: bool) -> np.ndarray:
 
 
 def _poly_columns(spec: PolyKernel, values: np.ndarray) -> np.ndarray:
-    """``poly_factors`` of (N, m, d) sample values."""
+    """``poly_factors`` of (N, m, d) sample values, written through a view of F."""
     N, m, d = values.shape
     n = int(spec.n)
     bins = np.fft.fft(np.ascontiguousarray(values.transpose(0, 2, 1)), axis=-1)  # (N, d, m)
     bins /= m
     # the factor sqrt(alpha_c / n) rides on the innermost bins, sqrt(cnt_r) is 1 for n <= m
     inner = bins * np.sqrt(np.asarray(spec.alpha) / n)[:, None]
-    w, cnt = _chain_columns([bins.reshape(-1, m)] * (spec.q - 1) + [inner.reshape(-1, m)], n)
+    F = np.empty((m, d, min(n, m), N), dtype=complex)
+    cnt = _chain_columns([bins] * (spec.q - 1) + [inner], n, F.transpose(3, 1, 2, 0))[1]
     if n > m:
-        w *= np.sqrt(cnt)[:, None]
-    return w.reshape(N, d, len(cnt), m).transpose(3, 1, 2, 0).reshape(m, d * len(cnt), N)
+        F *= np.sqrt(cnt)[:, None]
+    return F.reshape(m, d * len(cnt), N)
 
 
 def poly_factors(spec: PolyKernel, samples, allow_aliasing: bool = False) -> np.ndarray:
@@ -543,8 +551,8 @@ def _band_pair_sn(s1: np.ndarray, s2: np.ndarray, n: int, m: int, real: bool) ->
     summing the table by delta gives the DFT-domain coefficients c_delta,
     and one inverse FFT returns the grid values.  O(nnz + m log m) per item,
     exact whether or not the coefficients alias.  A real pair gathers its
-    support by s_{-k} = conj(s_k), sums the merged table and returns
-    float64 values through ``irfft``.
+    support by s_{-k} = conj(s_k), sums the merged table, whose offsets are
+    exactly 0..D-1, and returns float64 values through ``irfft``.
     """
     cols = _band_support(n, m)
     if real:
@@ -556,9 +564,12 @@ def _band_pair_sn(s1: np.ndarray, s2: np.ndarray, n: int, m: int, real: bool) ->
     terms = np.take(np.conj(s1), i, axis=1)
     terms *= w / (n * m)
     terms *= np.take(s2, j, axis=1)
-    c = np.zeros((len(terms), m // 2 + 1 if real else m), dtype=complex)
-    c[:, deltas] = np.add.reduceat(terms, starts, axis=1)
-    return np.fft.irfft(c, m, axis=1) if real else np.fft.ifft(c, axis=1)
+    sums = np.add.reduceat(terms, starts, axis=1)
+    if real:                     # merged deltas are 0..D-1, and irfft zero-pads the rest
+        return np.fft.irfft(sums, m, axis=1)
+    c = np.zeros((len(terms), m), dtype=complex)
+    c[:, deltas] = sums
+    return np.fft.ifft(c, axis=1)
 
 
 def _folded_pair_sn(g1: np.ndarray, g2: np.ndarray, s1: np.ndarray, s2: np.ndarray,

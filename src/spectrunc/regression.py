@@ -14,11 +14,12 @@ predictions are complex either way.
 The truncated polynomial kernel has low rank: G(z_p) = F_p^* F_p with F_p
 the d*min(n, m) x N factor of ``kernels.poly_factors``.  When
 d*min(n, m) < N, ``fit`` never builds the field: it solves all m systems
-at once in the factor space by the Woodbury identity (refined once if the
-residual check fails), and ``predict_batch`` evaluates F_{x,p}^* (F_p c_p)
-instead of a cross block.  The n = INF poly limit has rank d but keeps the
-dense route, whose test errors are pinned byte-for-byte; the factored solve
-moves them in the last digits.
+in the factor space by the Woodbury identity (refined once if the residual
+check fails), and ``predict_batch`` evaluates F_{x,p}^* (F_p c_p) instead
+of a cross block, both taking F^* one grid point at a time with no copy of
+F.  The n = INF poly limit has rank d but keeps the dense route, whose test
+errors are pinned byte-for-byte; the factored solve moves them in the last
+digits.
 """
 
 from __future__ import annotations
@@ -162,19 +163,21 @@ def _checked(c: np.ndarray, resid: np.ndarray, y: np.ndarray, min_eig) -> np.nda
     return c
 
 
+def _adjoint(F: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """F[p]^* t[p] for every grid point, (m, N), with no conjugate copy of F."""
+    return np.stack([np.conj(Fp).T @ tp for Fp, tp in zip(F, t)])[..., 0]
+
+
 def _solve_factored(F: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """Solve (F[p]^* F[p] + lam I) c = y[p] for every grid point at once in
     the r-dimensional factor space (Woodbury): t = (F F^* + lam I)^{-1} F y,
-    c = (y - F^* t) / lam.  F is (m, r, N), y is (m, N); returns c, (m, N).
-    Woodbury loses digits as F F^* + lam I grows ill-conditioned, so a
-    solution that fails the check gets one refinement step c -= solve(residual)
-    and is checked again."""
-    r = F.shape[1]
-    Fh = np.conj(F).transpose(0, 2, 1)
-    M = F @ Fh
-    M[:, np.arange(r), np.arange(r)] += lam
-    solve = lambda b: (b - (Fh @ np.linalg.solve(M, F @ b[..., None]))[..., 0]) / lam
-    residual = lambda c: (Fh @ (F @ c[..., None]))[..., 0] + lam * c - y
+    c = (y - F^* t) / lam, F F^* and F^* t one point at a time.  F is (m, r, N),
+    y is (m, N); returns c, (m, N).  Woodbury loses digits as F F^* + lam I grows
+    ill-conditioned: a failed check gets one refinement c -= solve(residual)."""
+    M = np.stack([Fp @ np.conj(Fp).T for Fp in F])
+    M.reshape(len(M), -1)[:, :: F.shape[1] + 1] += lam       # the diagonal of every M_p
+    solve = lambda b: (b - _adjoint(F, np.linalg.solve(M, F @ b[..., None]))) / lam
+    residual = lambda c: _adjoint(F, F @ c[..., None]) + lam * c - y
     check = lambda c: _checked(c, np.linalg.norm(residual(c), axis=1), y, lambda p: lam)
     with np.errstate(all="ignore"):
         c = solve(y)
@@ -201,11 +204,12 @@ def _solve_dense(gram: GramField, y: np.ndarray, lam: float) -> np.ndarray:
         A.flat[:: N + 1] += lam
         return A
 
+    potrf, potrs = linalg.get_lapack_funcs(("potrf", "potrs"), (G, b))
     for p in range(gram.grid.m):
-        try:
-            factor = linalg.cho_factor(shifted(p), lower=True, overwrite_a=True, check_finite=False)
-            c[p] = linalg.cho_solve(factor, b[p], check_finite=False)
-        except linalg.LinAlgError:
+        factor, info = potrf(shifted(p), lower=True, overwrite_a=True, clean=False)
+        if info == 0:
+            c[p] = potrs(factor, b[p], lower=True)[0]
+        else:                                # info > 0: not positive definite
             fell_back.append(p)
             try:
                 with np.errstate(all="ignore"):
@@ -308,12 +312,12 @@ def predict_batch(model: RidgeModel, xs) -> list[SampledFunction]:
         if Fc is None:
             Fc = poly_factors(model.kernel, model.inputs, model.allow_aliasing) @ c.T[..., None]
         Fx = poly_factors(model.kernel, xs, model.allow_aliasing)
-        vals = (np.conj(Fx).transpose(0, 2, 1) @ Fc)[..., 0].T
+        vals = _adjoint(Fx, Fc).T
     else:
         K = cross_values(model.kernel, xs, list(model.inputs),
                          allow_aliasing=model.allow_aliasing)     # (m, Nx, Ntr)
-        if K.dtype == np.float64:
-            vals = np.einsum("pij,jp->ip", K, c.real) + 1j * np.einsum("pij,jp->ip", K, c.imag)
+        if K.dtype == np.float64:              # Re c and Im c in one product, read as complex
+            vals = (K @ np.stack([c.real.T, c.imag.T], -1)).view(complex)[..., 0].T
         else:
             vals = np.einsum("pij,jp->ip", K, c)
     return [SampledFunction(grid, row) for row in vals]

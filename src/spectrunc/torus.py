@@ -105,13 +105,6 @@ class FunctionTuple:
         return np.stack([c.values for c in self.components], axis=1)
 
 
-def require_same_grid(f: SampledFunction, g: SampledFunction) -> None:
-    if f.grid != g.grid:
-        raise GridMismatchError(
-            f"grid mismatch: m={f.grid.m} vs m={g.grid.m}"
-        )
-
-
 def integrate(f: SampledFunction) -> complex:
     """Normalized integral (1/m) sum_p f(z_p); exact for trigonometric
     polynomials of degree < m/2."""
@@ -138,7 +131,8 @@ def l2_distances(fs, gs) -> np.ndarray:
     """``l2_distance`` of each pair (fs[i], gs[i]) of two equally long
     sequences, from one stacked (N, m) difference."""
     for f, g in zip(fs, gs):
-        require_same_grid(f, g)
+        if f.grid != g.grid:
+            raise GridMismatchError(f"grid mismatch: m={f.grid.m} vs m={g.grid.m}")
     diff = np.stack([f.values for f in fs]) - np.stack([g.values for g in gs])
     return np.sqrt(np.mean(np.abs(diff) ** 2, axis=1))
 

@@ -86,13 +86,6 @@ def truncate(x: SampledFunction, n: int, allow_aliasing: bool = False) -> Toepli
     return ToeplitzRep(n, (np.fft.fft(x.values) / m)[np.mod(np.arange(1 - n, n), m)])
 
 
-def _diagonal_sums(A: np.ndarray) -> np.ndarray:
-    """Sums over the diagonals j - l = k of a square matrix,
-    returned for k = -(n-1)..(n-1)."""
-    n = A.shape[0]
-    return np.array([np.trace(A, offset=-k) for k in range(-(n - 1), n)])
-
-
 def sn_map_at(A: np.ndarray, z) -> np.ndarray:
     """S_n(A)(z) = (1/n) sum_k (sum of diagonal j-l=k) e^{ikz} at arbitrary
     points z (scalar or array): O(n^2) for the diagonal sums plus O(n) per
@@ -101,8 +94,8 @@ def sn_map_at(A: np.ndarray, z) -> np.ndarray:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     n = A.shape[0]
-    d = _diagonal_sums(A)
-    ks = np.arange(-(n - 1), n)
+    ks = np.arange(1 - n, n)
+    d = np.array([np.trace(A, offset=-k) for k in ks])     # sums over the diagonals j - l = k
     z = np.asarray(z, dtype=float)
     return (d @ np.exp(1j * ks[:, None] * z.reshape(1, -1))).reshape(z.shape) / n
 

@@ -670,6 +670,14 @@ class TestBatchedBlocks:
         sizes = {(8, 256): (92, 48), (16, 256): (376, 192)}      # half and merged lengths
         assert (n, m) not in sizes or (np.sum(half), len(mu)) == sizes[n, m]
 
+    @pytest.mark.parametrize("m", [30, 31, 32, 256])
+    def test_merged_table_offsets_are_a_prefix(self, m):
+        # the merged runs' offsets are exactly 0..D-1, so their sums are the
+        # first D bins of the half spectrum and irfft zero-pads the rest
+        for n in range(1, m + 1):
+            deltas = kernels_mod._band_table.__wrapped__(n, m, True)[4]
+            assert np.array_equal(deltas, np.arange(len(deltas)))
+
     # a Gaussian real pair sums the merged table from its half spectrum, at
     # every n <= m on odd and even m, alias-free or with 2n - 1 > m
     @pytest.mark.parametrize("m", [7, 8, 30, 31])
@@ -727,6 +735,48 @@ class TestBatchedBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * factor.nbytes
+
+    @staticmethod
+    def factor_samples(n_samples):
+        grid = TorusGrid(30)
+        rng = np.random.default_rng(0)
+        return [FunctionTuple(tuple(SampledFunction(grid, rng.standard_normal(30) + 0j)
+                                    for _ in range(2))) for _ in range(n_samples)]
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_poly_factor_built_in_place(self, n):
+        # the window and its inverse FFT go straight into F's memory: no
+        # second factor-sized array lives at q = 1
+        xs = self.factor_samples(300)
+        spec = PolyKernel(n=n, q=1, alpha=(1.0, 1.0))
+        tracemalloc.start()
+        try:
+            factor = kernels_mod.poly_factors(spec, xs, allow_aliasing=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.8 * factor.nbytes
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_poly_factor_matches_window_then_transpose(self, n, q):
+        # the (N, d, min(n, m), m) chain columns built apart, then laid out
+        # as (m, d*min(n, m), N) by one transpose: the same bits as F
+        xs = self.factor_samples(40)
+        spec = PolyKernel(n=n, q=q, alpha=(0.7, 1.3))
+        values = np.stack([t.value_matrix() for t in xs])
+        N, m, d = values.shape
+        bins = np.fft.fft(np.ascontiguousarray(values.transpose(0, 2, 1)), axis=-1)
+        bins /= m
+        inner = bins * np.sqrt(np.asarray(spec.alpha) / n)[:, None]
+        w, cnt = kernels_mod._chain_columns(
+            [bins.reshape(-1, m)] * (q - 1) + [inner.reshape(-1, m)], n)
+        if n > m:
+            w *= np.sqrt(cnt)[:, None]
+        want = w.reshape(N, d, len(cnt), m).transpose(3, 1, 2, 0).reshape(m, d * len(cnt), N)
+        got = kernels_mod.poly_factors(spec, xs, allow_aliasing=True)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("family, n, q", [
         ("poly", 5, 2), ("poly", INF, 1), ("prod", 5, 1), ("prod", 20, 1), ("prod", 5, 2),

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import linalg
 
 from helpers import random_trig_tuple
 from oracles import dense_evaluate
@@ -241,6 +244,31 @@ class TestFit:
         want = np.linalg.solve(A, y)
         assert np.allclose(c.T, want, atol=1e-10)
 
+    @pytest.mark.parametrize("real", [True, False], ids=["float64", "complex"])
+    def test_dense_solve_matches_cho_factor(self, rng, real):
+        # the LAPACK pair behind cho_factor/cho_solve, called directly: the
+        # same coefficients, and point 3, made negative definite, still takes
+        # the pivoted fallback with its warning
+        xs = [random_trig_tuple(GRID, rng, d=2, deg=3) for _ in range(9)]
+        spec = real_prod_spec() if real else PolyKernel(n=6, q=1, alpha=(0.7, 1.3))
+        mats = assemble_gram(spec, xs).matrices.copy()
+        assert (mats.dtype == np.float64) == real
+        mats[3] = -mats[3] - np.eye(9)
+        y = np.stack([y.values for y in complex_outputs(GRID, rng, 9)]).T
+        with pytest.warns(SolverFallbackWarning, match="at 1 grid point"):
+            got = _solve_dense(GramField(GRID, mats), y, 0.05)
+        b = np.stack([y.real, y.imag], axis=-1) if real else y[..., None]
+        want = np.empty(b.shape, b.dtype)
+        for p, G in enumerate(mats):
+            A = G.copy()
+            A.flat[:: 10] += 0.05
+            if p == 3:
+                want[p] = linalg.solve(A, b[p], overwrite_a=True, check_finite=False)
+                continue
+            factor = linalg.cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
+            want[p] = linalg.cho_solve(factor, b[p], check_finite=False)
+        assert np.array_equal(got, want[..., 0] + 1j * want[..., 1] if real else want[..., 0])
+
     def test_singular_system_raises(self, rng):
         ys = random_outputs(GRID, rng, 2)
         mats = np.tile((-0.1 * np.eye(2)).astype(complex), (GRID.m, 1, 1))
@@ -350,6 +378,18 @@ class TestPredict:
         assert np.max(np.abs(got.imag)) > 0
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def test_real_cross_block_one_product_matches_einsum(self, rng):
+        # Re c and Im c go through one batched product with the float64 block
+        xs = [random_trig_tuple(GRID, rng, d=2, deg=3) for _ in range(12)]
+        spec = real_prod_spec()
+        model = fit(spec, xs, complex_outputs(GRID, rng, 12), lam=0.1)
+        probes = [random_trig_tuple(GRID, rng, d=2, deg=3) for _ in range(7)]
+        K = regression.cross_values(spec, probes, xs)
+        c = model.coefficients
+        want = np.einsum("pij,jp->ip", K, c.real) + 1j * np.einsum("pij,jp->ip", K, c.imag)
+        got = np.stack([p.values for p in predict_batch(model, probes)])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_grid_mismatch(self, rng):
         xs = [random_trig_tuple(GRID, rng, d=1, deg=2)]
         model = fit(sep_spec(GRID), xs, random_outputs(GRID, rng, 1), lam=0.1)
@@ -424,6 +464,45 @@ class TestFactoredRoute:
         model = fit(spec, xs, ys, lam=0.05, allow_aliasing=True)
         coeff, _ = self.dense_fit_predict(spec, xs, ys, 0.05, xs[:1])
         assert np.max(np.abs(model.coefficients - coeff)) <= 1e-9 * np.max(np.abs(coeff))
+
+    def test_factored_solve_makes_no_conjugate_copy(self):
+        # F F^* and F^* v go one grid point at a time: the workspace is a
+        # small part of F, and the coefficients are those of the same BLAS
+        # calls on a conjugate copy of all of F
+        rng = np.random.default_rng(3)
+        F = rng.standard_normal((30, 32, 1000)) + 1j * rng.standard_normal((30, 32, 1000))
+        y = rng.standard_normal((30, 1000)) + 1j * rng.standard_normal((30, 1000))
+        tracemalloc.start()
+        try:
+            c = regression._solve_factored(F, y, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * F.nbytes
+        Fh = np.conj(F).transpose(0, 2, 1)
+        M = F @ Fh
+        M[:, np.arange(32), np.arange(32)] += 0.1
+        want = (y - (Fh @ np.linalg.solve(M, F @ y[..., None]))[..., 0]) / 0.1
+        assert np.array_equal(c, want)
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_factored_predict_holds_one_batch_factor(self, n):
+        # the batch factor F_x is built in place and read one grid point at
+        # a time: a conjugate copy alone would take the peak to 2 F_x
+        grid = TorusGrid(30)
+        rng = np.random.default_rng(0)
+        tup = lambda: FunctionTuple(tuple(SampledFunction(grid, rng.standard_normal(30) + 0j)
+                                          for _ in range(2)))
+        model = fit(PolyKernel(n=n, q=1, alpha=(1.0, 1.0)), [tup() for _ in range(80)],
+                    random_outputs(grid, rng, 80), lam=0.1, allow_aliasing=True)
+        probes = [tup() for _ in range(600)]
+        tracemalloc.start()
+        try:
+            predict_batch(model, probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.8 * (30 * 2 * min(n, 30) * 600 * 16)
 
     def test_residual_invariant_against_dense_field(self, rng):
         xs = [random_trig_tuple(GRID, rng, d=2, deg=3) for _ in range(12)]
