@@ -84,6 +84,8 @@ def complexity_D(spec: KernelSpec, x: FunctionTuple, allow_aliasing: bool = Fals
 def _bound_terms(D: np.ndarray, B: float, L: float, delta: float) -> tuple[float, float]:
     """The bound's second and third terms for N per-sample D values,
     2 L B / N * (sum_i D_i)^{1/2} and 3 sqrt(log(1/delta) / N)."""
+    if not len(D):
+        raise ConfigError("the bound needs at least one sample")
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"delta must lie in (0, 1), got {delta}")
     if B <= 0 or L <= 0:
@@ -146,9 +148,10 @@ def complexity_sweep(spec: KernelSpec, x: FunctionTuple, n_list,
 
     A prod beta_n that falls as n grows (an ``estimate`` policy can) voids
     the monotonicity guarantee and triggers a ``BetaMonotonicityWarning``.
+    An n the spec rejects, or n = INF, is a ConfigError.
     """
-    specs = [spec_at(spec, int(n)) for n in n_list]
-    rows = [(int(n), complexity_D(s, x, allow_aliasing)) for n, s in zip(n_list, specs)]
+    specs = [spec_at(spec, n) for n in n_list]
+    rows = [(s.n, complexity_D(s, x, allow_aliasing)) for s in specs]
     if beta_falls(specs):
         warnings.warn(BETA_FALLS, BetaMonotonicityWarning, stacklevel=2)
     return rows

@@ -6,7 +6,7 @@ Each family maps a pair of function tuples to a function on the torus:
     prod:  S_n( prod_j R_n(g_{1,j})^* prod_j R_n(g_{2,j}) ) + beta * offset,
            where g_{i,j}(z) = base_{i,j}(x(z), y(z)) and the offset is the
            factorized 2q-fold integral prod_j int conj(g_{1,j}) int g_{2,j}
-    sep:   base(smooth(x), smooth(y)) * S_n( prod_j R_n(a_j)^* prod_j R_n(a_j) )
+    sep:   base(smooth(x), smooth(y)) * S_n( B^* B ),  B = R_n(a_1) ... R_n(a_q)
 
 Setting ``n = INF`` selects the pointwise commutative limits the truncated
 kernels converge to:
@@ -41,20 +41,21 @@ i0:i1 broadcast against the columns, one call and one contiguous slab per
 tile.  The calling thread and any spare threads of the ``parallel`` budget
 pull the tiles from one list, and k threads share one workspace budget, so
 the slabs are disjoint and the block is the same at any thread count.
-``gram_values`` runs the core with the same samples on both sides,
-so a tile takes only the columns j >= i0, and fills the strict lower
-triangle in place by the Hermitian law k(x, y) = k(y, x)^* of poly and prod.
+Every kernel is Hermitian, k(x, y) = k(y, x)^*.  ``gram_values`` runs the
+core with the same samples on both sides, so a tile takes only the columns
+j >= i0, and fills the strict lower triangle of poly and prod in place by
+that law; a sep block is real and exactly symmetric as computed.
 
-Some specs are real-valued whatever the data, because both sides of their
-chain are one operator B and S_n(B^* B)(z) = (1/n) |B u(z)|^2: prod with
-``bases1`` reversed equal to ``bases2`` (with or without beta, whose offset
-is then |prod_j int g_{2,j}|^2) and sep with a palindromic weight tuple, at
-finite n and at n = INF.  ``_real_valued`` reads this off the spec, and
-their blocks are float64.  A q = 1 pair of float64 (Gaussian) base values
-keeps its ``rfft`` half spectrum and sums a merged table, the equal terms
-(u, v) and (-v, -u) as one entry, back through ``irfft``; other such pairs
-and q > 1 chains (built once) keep the real part, and the sep and limit
-blocks are real from the start.  Poly and every other spec stay complex128.
+A chain whose sides are one operator B is real and >= 0: S_n(B^* B)(z) =
+(1/n) |B u(z)|^2.  The sep weight is such a chain for any weight tuple, as
+a positive definite separable kernel needs, and every sep block is float64.
+So is a prod spec with ``bases1`` reversed equal to ``bases2`` (beta's
+offset is then |prod_j int g_{2,j}|^2), at finite n and at n = INF
+(``_real_valued``).  A q = 1 pair of float64 (Gaussian) base values keeps
+its ``rfft`` half spectrum and sums a merged table, the equal terms (u, v)
+and (-v, -u) as one entry, back through ``irfft``; other such pairs and
+q > 1 chains (built once) keep the real part, and the limit blocks are real
+from the start.  Poly and every other prod spec stay complex128.
 """
 
 from __future__ import annotations
@@ -293,14 +294,8 @@ KernelSpec = PolyKernel | ProdKernel | SepKernel
 
 
 def _real_valued(spec: KernelSpec) -> bool:
-    """Whether ``spec`` is real-valued for all data (see the module docstring):
-    prod with bases1 reversed equal to bases2, sep with palindromic weights."""
-    if isinstance(spec, ProdKernel):
-        return tuple(reversed(spec.bases1)) == spec.bases2
-    if isinstance(spec, SepKernel):
-        return all(np.array_equal(a.values, b.values)
-                   for a, b in zip(spec.weights, reversed(spec.weights)))
-    return False
+    """Whether ``spec`` is a prod spec real for all data: bases1 reversed equals bases2."""
+    return isinstance(spec, ProdKernel) and tuple(reversed(spec.bases1)) == spec.bases2
 
 
 def _values(spec: KernelSpec, samples, allow_aliasing: bool) -> np.ndarray:
@@ -341,16 +336,16 @@ def kernel_limit_gap(spec: KernelSpec, x: FunctionTuple, y: FunctionTuple,
     """Pointwise gaps |k_n(x,y) - k_INF(x,y)| for each n in n_list.
 
     Returns (n, sup_gap, mean_gap) rows.  All finite-n specs share every
-    parameter with the limit spec; each value is one ``evaluate``.
+    parameter with the limit spec and check their n; each value is one ``evaluate``.
     """
     limit = evaluate(dataclasses.replace(spec, n=INF), x, y).values
     rows = []
     for n in n_list:
         if n == INF:
             raise ConfigError("gaps to the limit are taken at finite n; drop inf from n_list")
-        fin = evaluate(dataclasses.replace(spec, n=int(n)), x, y, allow_aliasing).values
-        gap = np.abs(fin - limit)
-        rows.append((int(n), float(np.max(gap)), float(np.mean(gap))))
+        fin_spec = dataclasses.replace(spec, n=n)
+        gap = np.abs(evaluate(fin_spec, x, y, allow_aliasing).values - limit)
+        rows.append((fin_spec.n, float(np.max(gap)), float(np.mean(gap))))
     return rows
 
 
@@ -472,6 +467,15 @@ def _poly_columns(spec: PolyKernel, values: np.ndarray) -> np.ndarray:
     if n > m:
         F *= np.sqrt(cnt)[:, None]
     return F.reshape(m, d * len(cnt), N)
+
+
+def _adjoint(F: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """F[p]^* T[p] for every grid point p, (m, F.shape[2], T.shape[2]), one
+    point at a time into one preallocated array: no conjugate copy of F."""
+    out = np.empty((len(F), F.shape[2], T.shape[2]), dtype=complex)
+    for p in range(len(F)):
+        np.matmul(np.conj(F[p]).T, T[p], out=out[p])
+    return out
 
 
 def poly_factors(spec: PolyKernel, samples, allow_aliasing: bool = False) -> np.ndarray:
@@ -677,28 +681,25 @@ def _sep_distance_sq(xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
 
 
 def _sep_weights(spec: SepKernel) -> np.ndarray:
-    """Grid values of the sep weight function,
-    S_n(prod_j R_n(a_j)^* prod_j R_n(a_j)) by ``_chain_sn`` on the weights'
-    spectra, or its limit prod_j |a_j|^2; the block has checked n against m."""
+    """float64 grid values >= 0 of the sep weight S_n(B^* B), B = R_n(a_1) ...
+    R_n(a_q), one ``_chain_sn`` chain on the weights' spectra, or of its limit
+    prod_j |a_j|^2; the block has checked n against m."""
     if not spec.is_infinite:
         s = [np.fft.fft(a.values)[None] for a in spec.weights]
-        return _chain_sn(s, s, int(spec.n), _real_valued(spec))[0]
+        return _chain_sn(s, s, int(spec.n), True)[0].real
     vals = np.ones(spec.weights[0].grid.m, dtype=complex)
     for a in spec.weights:
         vals *= np.conj(a.values) * a.values
-    return vals
+    return vals.real
 
 
 def _sep_blocks(spec: SepKernel, xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
-    """(m, Nx, Ny) separable-kernel block of (N, m, d) sample values; float64
-    for palindromic weights."""
+    """(m, Nx, Ny) float64 separable-kernel block of (N, m, d) sample values."""
     wvals = _sep_weights(spec)
     if not spec.is_infinite:
         same = yv is xv
         xv = _smooth_tuple(xv, int(spec.n))
         yv = xv if same else _smooth_tuple(yv, int(spec.n))
-    if _real_valued(spec):
-        wvals = wvals.real
     d2 = _sep_distance_sq(xv, yv)
     return wvals[:, None, None] * np.exp(-spec.base.scale * d2)[None, :, :]
 
@@ -711,8 +712,8 @@ def _block(spec: KernelSpec, xs: list, ys: list, allow_aliasing: bool) -> np.nda
     ``_PAIR_CHUNK_BUDGET`` split over the threads the block got from
     ``parallel.take``, against every column, or against the columns j >= i0
     when ``ys is xs``, leaving the rest of the strict lower triangle unset; a
-    row wider than its share of the budget is split into column tiles.  A
-    real-valued spec (``_real_valued``) gets a float64 block.
+    row wider than its share of the budget is split into column tiles.  Sep
+    and a real-valued prod spec (``_real_valued``) get a float64 block.
     """
     if not xs or not ys:
         raise ConfigError("a kernel block needs at least one sample on each side")
@@ -723,8 +724,7 @@ def _block(spec: KernelSpec, xs: list, ys: list, allow_aliasing: bool) -> np.nda
         return _sep_blocks(spec, xv, yv)
     if isinstance(spec, PolyKernel) and not spec.is_infinite:
         fx = _poly_columns(spec, xv)
-        fy = fx if yv is xv else _poly_columns(spec, yv)
-        return np.conj(fx).transpose(0, 2, 1) @ fy
+        return _adjoint(fx, fx if yv is xv else _poly_columns(spec, yv))
     real = _real_valued(spec)
     m = values.shape[1]
     if spec.is_infinite:
@@ -762,12 +762,12 @@ def cross_values(spec: KernelSpec, xs, ys, allow_aliasing: bool = False) -> np.n
 def gram_values(spec: KernelSpec, xs, allow_aliasing: bool = False) -> tuple[np.ndarray, int]:
     """Gram field G[p, i, j] = k(xs[i], xs[j])(z_p).
 
-    The block core evaluates the upper triangle, its diagonal row tiles also a
-    sliver below it; for poly and prod the whole strict lower triangle is then
-    overwritten in place, one grid point at a time, with the exact conjugate
-    of the upper one.  The whole sep block is kept as computed: with
-    non-palindromic weights that kernel is symmetric, k(x, y) = k(y, x), not
-    Hermitian.  The field is float64 for a real-valued spec, complex128
+    Every field is Hermitian.  The block core evaluates the upper triangle,
+    its diagonal row tiles also a sliver below it; for poly and prod the whole
+    strict lower triangle is then overwritten in place, one grid point at a
+    time, with the exact conjugate of the upper one.  The sep block is kept as
+    computed: it is real and exactly symmetric already (``_sep_distance_sq``).
+    The field is float64 for sep and a real-valued prod spec, complex128
     otherwise.  Returns (field, N(N+1)/2), the count of distinct values.
     """
     xs = list(xs)

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import linalg
 
 from .errors import ConfigError, NumericalError, SolverFallbackWarning
-from .kernels import KernelSpec, PolyKernel, cross_values, gram_values, poly_factors
+from .kernels import KernelSpec, PolyKernel, _adjoint, cross_values, gram_values, poly_factors
 from .torus import FunctionTuple, SampledFunction, TorusGrid, l2_distances
 
 __all__ = [
@@ -118,7 +118,7 @@ def assemble_gram(kernel: KernelSpec, inputs, allow_aliasing: bool = False) -> G
         raise ConfigError("need at least one training input")
     gram = GramField(inputs[0].grid, gram_values(kernel, inputs, allow_aliasing)[0])
     # every strict-lower entry, row-tile slivers too, is an exact conjugate of
-    # the upper one (sep: G_ij = s_ij w(z_p), s_ij <= s_ii = 1), so hermitian_defect()
+    # the upper one (a sep field is real and exactly symmetric), so hermitian_defect()
     # reduces to the diagonal's 2 max |Im G_ii|; the scale matters only past the bound
     defect = 2.0 * float(np.max(np.abs(np.diagonal(gram.matrices, axis1=1, axis2=2).imag)))
     if defect > HERMITIAN_TOL:
@@ -163,11 +163,6 @@ def _checked(c: np.ndarray, resid: np.ndarray, y: np.ndarray, min_eig) -> np.nda
     return c
 
 
-def _adjoint(F: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """F[p]^* t[p] for every grid point, (m, N), with no conjugate copy of F."""
-    return np.stack([np.conj(Fp).T @ tp for Fp, tp in zip(F, t)])[..., 0]
-
-
 def _solve_factored(F: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """Solve (F[p]^* F[p] + lam I) c = y[p] for every grid point at once in
     the r-dimensional factor space (Woodbury): t = (F F^* + lam I)^{-1} F y,
@@ -176,8 +171,8 @@ def _solve_factored(F: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     ill-conditioned: a failed check gets one refinement c -= solve(residual)."""
     M = np.stack([Fp @ np.conj(Fp).T for Fp in F])
     M.reshape(len(M), -1)[:, :: F.shape[1] + 1] += lam       # the diagonal of every M_p
-    solve = lambda b: (b - _adjoint(F, np.linalg.solve(M, F @ b[..., None]))) / lam
-    residual = lambda c: _adjoint(F, F @ c[..., None]) + lam * c - y
+    solve = lambda b: (b - _adjoint(F, np.linalg.solve(M, F @ b[..., None]))[..., 0]) / lam
+    residual = lambda c: _adjoint(F, F @ c[..., None])[..., 0] + lam * c - y
     check = lambda c: _checked(c, np.linalg.norm(residual(c), axis=1), y, lambda p: lam)
     with np.errstate(all="ignore"):
         c = solve(y)
@@ -312,7 +307,7 @@ def predict_batch(model: RidgeModel, xs) -> list[SampledFunction]:
         if Fc is None:
             Fc = poly_factors(model.kernel, model.inputs, model.allow_aliasing) @ c.T[..., None]
         Fx = poly_factors(model.kernel, xs, model.allow_aliasing)
-        vals = _adjoint(Fx, Fc).T
+        vals = _adjoint(Fx, Fc)[..., 0].T
     else:
         K = cross_values(model.kernel, xs, list(model.inputs),
                          allow_aliasing=model.allow_aliasing)     # (m, Nx, Ntr)

@@ -220,8 +220,9 @@ def k_prod(spec: ProdKernel, x: FunctionTuple, y: FunctionTuple,
 
 
 def sep_weight_matrix(spec: SepKernel, allow_aliasing: bool = False) -> np.ndarray:
-    """prod_j R_n(a_j)^* prod_j R_n(a_j) for finite n."""
-    return _dense_chain(spec.weights, spec.weights, int(spec.n), allow_aliasing)
+    """B^* B with B = R_n(a_1) ... R_n(a_q) for finite n, its left factor
+    B^* = R_n(a_q)^* ... R_n(a_1)^* multiplied out from the reversed tuple."""
+    return _dense_chain(spec.weights[::-1], spec.weights, int(spec.n), allow_aliasing)
 
 
 def k_sep(spec: SepKernel, x: FunctionTuple, y: FunctionTuple,

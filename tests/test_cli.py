@@ -50,6 +50,22 @@ def test_fit_predict_eval_pipeline(tiny_dataset, capsys):
     assert lines[-1].startswith("mean,")
 
 
+def test_fit_complex_non_palindromic_sep(tmp_path, rng):
+    # the sep weight S_n(B^* B), B = R_n(a) R_n(b), is real and >= 0 for
+    # complex weights too, so the field is Hermitian and the fit succeeds
+    g = TorusGrid(30)
+    xs = [random_trig_tuple(g, rng, d=2) for _ in range(60)]
+    ys = [SampledFunction(g, rng.normal(size=30) + 1j * rng.normal(size=30)) for _ in range(60)]
+    write_dataset(tmp_path / "ds", xs, ys)
+    a = SampledFunction.from_callable(g, lambda z: np.exp(np.sin(z)) + 0j)
+    b = SampledFunction.from_callable(g, lambda z: np.exp(1j * np.cos(z)))
+    spec = SepKernel(n=8, q=2, weights=(a, b), base=L2GaussianTupleKernel(scale=0.7))
+    write_kernel(spec, tmp_path / "kernel.json")
+    assert main(["fit", "--dataset", str(tmp_path / "ds"), "--kernel",
+                 str(tmp_path / "kernel.json"), "--lam", "0.01",
+                 "--out", str(tmp_path / "model")]) == EXIT_OK
+
+
 def test_gram_subcommand(tiny_dataset):
     out = tiny_dataset / "gram.csv"
     assert main(["gram", "--dataset", str(tiny_dataset / "ds"),

@@ -27,6 +27,7 @@ from spectrunc import (
     complexity_sweep,
     convergence_report,
     integrate,
+    kernel_limit_gap,
     truncate,
 )
 from spectrunc.diagnostics import spec_at
@@ -274,6 +275,30 @@ class TestSweepAndReport:
             gaps[q] = [r["sup_gap"] for r in rows]
             assert all(np.isfinite(g) for g in gaps[q])
         print(f"sup-gap comparison q=1 {gaps[1]} vs q=2 {gaps[2]}")
+
+    # each n is checked by the spec it builds: inf by complexity_D, a
+    # fraction by the spec's own integer check, never truncated to int(n)
+    def test_sweep_rejects_inf(self):
+        spec = PolyKernel(n=4, q=1, alpha=(1.0,))
+        x = FunctionTuple((SampledFunction.constant(GRID, 1.0),))
+        with pytest.raises(ConfigError, match="finite truncation"):
+            complexity_sweep(spec, x, [4, INF])
+
+    def test_sweep_rejects_fractional_n(self):
+        spec = PolyKernel(n=4, q=1, alpha=(1.0,))
+        x = FunctionTuple((SampledFunction.constant(GRID, 1.0),))
+        with pytest.raises(ConfigError, match="truncation n must be an integer"):
+            complexity_sweep(spec, x, [2.5])
+
+    def test_limit_gap_rejects_fractional_n(self):
+        spec = PolyKernel(n=4, q=1, alpha=(1.0,))
+        x = FunctionTuple((SampledFunction.constant(GRID, 1.0),))
+        with pytest.raises(ConfigError, match="truncation n must be an integer"):
+            kernel_limit_gap(spec, x, x, [2.5])
+
+    def test_report_rejects_no_samples(self):
+        with pytest.raises(ConfigError, match="at least one sample"):
+            complexity_report(PolyKernel(n=4, q=1, alpha=(1.0,)), [])
 
     def test_prod_beta_zeroed_for_gap(self, rng):
         # the report targets the limit kernel, so the offset must not leak in

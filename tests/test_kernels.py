@@ -237,6 +237,7 @@ class TestAlgebraicLaws:
     def specs(self, grid):
         g1 = GaussianKernel(gamma=0.6)
         a = SampledFunction.from_callable(grid, lambda z: (np.sin(z) + 1.5).astype(complex))
+        b = SampledFunction.from_callable(grid, lambda z: np.exp(1j * np.cos(z)))
         return [
             PolyKernel(n=5, q=2, alpha=(0.5, 1.5)),
             PolyKernel(n=INF, q=2, alpha=(0.5, 1.5)),
@@ -244,6 +245,7 @@ class TestAlgebraicLaws:
             ProdKernel(n=INF, q=1, bases1=(g1,), bases2=(g1,)),
             SepKernel(n=5, q=2, weights=(a, a), base=L2GaussianTupleKernel(scale=0.8)),
             SepKernel(n=INF, q=2, weights=(a, a), base=L2GaussianTupleKernel(scale=0.8)),
+            SepKernel(n=5, q=2, weights=(a, b), base=L2GaussianTupleKernel(scale=0.8)),
         ]
 
     def test_hermitian_law(self, rng):
@@ -343,7 +345,8 @@ def palindromic_weights(grid):
     return (a, b, a)
 
 
-# specs whose values are real by construction, as (n, grid, beta) -> spec
+# specs whose values are real by construction, as (n, grid, beta) -> spec:
+# every sep spec, and prod with bases1 reversed equal to bases2
 REAL_SPECS = {
     "prod-gaussian": lambda n, grid, beta: ProdKernel(n=n, q=1, bases1=(G06,), bases2=(G06,),
                                                       beta=beta),
@@ -355,6 +358,8 @@ REAL_SPECS = {
                                                          bases2=(LIN, G06), beta=beta),
     "sep-palindrome": lambda n, grid, beta: SepKernel(n=n, q=3, weights=palindromic_weights(grid),
                                                       base=L2GaussianTupleKernel(scale=0.2)),
+    "sep-not-palindrome": lambda n, grid, beta: SepKernel(
+        n=n, q=2, weights=palindromic_weights(grid)[:2], base=L2GaussianTupleKernel(scale=0.2)),
 }
 
 
@@ -492,6 +497,8 @@ class TestBatchedBlocks:
     @example((8, 8), "prod-polynomial", 0.4, False, 11, 1)
     @example((7, 20), "prod-linear", 0.4, False, 12, 1)
     @example((30, 16), "prod-polynomial", 0.0, False, 13, 2)
+    @example((10, 11), "sep-not-palindrome", 0.0, False, 14, 2)
+    @example((9, 1), "sep-not-palindrome", 0.0, True, 15, 1)
     def test_real_valued_blocks_match_dense_oracle(self, mn, name, beta, limit, seed, d):
         m, n = mn
         grid = TorusGrid(m)
@@ -539,9 +546,10 @@ class TestBatchedBlocks:
         if not limit:
             assert kernels_mod.poly_factors(spec, xs, allow_aliasing=True).shape == (m, d * min(n, m), 3)
 
-    # complex q > 1 chains, on n rows (n <= m) or on the m folded rows
-    # (n > m): prod with unrelated bases and sep with
-    # non-palindromic weights, q in {2, 3}, m in [5, 40], n in [1, 3m]
+    # q > 1 chains, on n rows (n <= m) or on the m folded rows (n > m):
+    # complex prod with unrelated bases, and sep with non-palindromic
+    # weights, whose one chain B u gives a float64 block; q in {2, 3},
+    # m in [5, 40], n in [1, 3m]
     @settings(max_examples=30, deadline=None)
     @given(hst.integers(5, 40).flatmap(lambda m: hst.tuples(hst.just(m), hst.integers(1, 3 * m))),
            hst.sampled_from(["prod", "sep"]), hst.sampled_from([2, 3]),
@@ -568,7 +576,7 @@ class TestBatchedBlocks:
                              base=L2GaussianTupleKernel(scale=0.2))
         field, _ = gram_values(spec, xs, allow_aliasing=True)
         cross = cross_values(spec, xs[:2], xs, allow_aliasing=True)
-        assert field.dtype == cross.dtype == np.complex128
+        assert field.dtype == cross.dtype == (np.complex128 if family == "prod" else np.float64)
         for block, rows in ((field, xs), (cross, xs[:2])):
             want = np.stack([[dense_evaluate(spec, x, y, allow_aliasing=True).values for y in xs]
                              for x in rows]).transpose(2, 0, 1)
@@ -582,8 +590,7 @@ class TestBatchedBlocks:
         (lambda n: block_spec("poly", n, 1), False),
         (lambda n: ProdKernel(n=n, q=1, bases1=(G06,), bases2=(LIN,)), False),
         (lambda n: ProdKernel(n=n, q=2, bases1=(G06, LIN), bases2=(G06, LIN)), False),
-        (lambda n: SepKernel(n=n, q=2, weights=palindromic_weights(PIN_GRID)[:2],
-                             base=L2GaussianTupleKernel(scale=0.2)), False),
+        (lambda n: REAL_SPECS["sep-not-palindrome"](n, PIN_GRID, 0.0), True),
     ], ids=["prod-q1", "prod-q2-reversed", "sep-palindrome", "poly", "prod-mixed",
             "prod-q2-same-order", "sep-not-palindrome"])
     def test_block_dtype_follows_realness(self, rng, spec, real, n):
@@ -778,6 +785,21 @@ class TestBatchedBlocks:
         assert got.flags.c_contiguous
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("n", [4, 8, 16, 64])
+    def test_poly_gram_takes_no_conjugate_copy(self, n):
+        # F^* F goes one grid point at a time into the field: beyond F and
+        # the field, only one point's conjugate and the samples live at once
+        xs = self.factor_samples(40)
+        spec = PolyKernel(n=n, q=1, alpha=(1.0, 1.0))
+        factor = kernels_mod.poly_factors(spec, xs, allow_aliasing=True)
+        tracemalloc.start()
+        try:
+            field, _ = gram_values(spec, xs, allow_aliasing=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (factor.nbytes + field.nbytes)
+
     @pytest.mark.parametrize("family, n, q", [
         ("poly", 5, 2), ("poly", INF, 1), ("prod", 5, 1), ("prod", 20, 1), ("prod", 5, 2),
         ("sep", 5, 2), ("sep", INF, 1),
@@ -824,14 +846,15 @@ class TestBatchedBlocks:
             assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want))
         # base(x, x) = 1, so the diagonal is the weight function itself
         w = kernels_mod._sep_weights(spec)
+        assert field.dtype == cross.dtype == w.dtype == np.float64
         for i, x in enumerate(xs):
-            assert np.array_equal(field[:, i, i], w.real if field.dtype == np.float64 else w)
+            assert np.array_equal(field[:, i, i], w)
             want = dense_evaluate(spec, x, x, allow_aliasing=True).values
             assert np.max(np.abs(field[:, i, i] - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(field, field.transpose(0, 2, 1))
 
-    # one chain on the weights' spectra against the dense n x n chain, for
-    # n <= m, n > m and past m on odd and even m, real (palindromic) and complex
+    # one chain on the weights' spectra against the dense n x n B^* B, for
+    # n <= m, n > m and past m on odd and even m, palindromic or not
     @pytest.mark.parametrize("m", [30, 31])
     @pytest.mark.parametrize("pick", [(0,), (0, 1), (0, 1, 0)], ids=["a", "ab", "aba"])
     def test_sep_weights_match_dense_oracle(self, m, pick):
@@ -842,7 +865,32 @@ class TestBatchedBlocks:
                              base=L2GaussianTupleKernel(scale=0.8))
             got = kernels_mod._sep_weights(spec)
             want = sn_map(sep_weight_matrix(spec, allow_aliasing=True), grid).values
+            assert got.dtype == np.float64
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), n
+
+    # S_n(B^* B)(z) = (1/n) |B u(z)|^2 >= 0 for non-palindromic weight
+    # tuples, real or complex, q in {2, 3}, m in [5, 40], n in [1, 3m]
+    # and n = INF; the first example read -0.0298 under the order
+    # R(a)^* R(b)^* R(a) R(b)
+    @settings(max_examples=40, deadline=None)
+    @given(hst.integers(5, 40).flatmap(lambda m: hst.tuples(hst.just(m), hst.integers(1, 3 * m))),
+           hst.lists(hst.sampled_from(range(4)), min_size=2, max_size=3)
+           .filter(lambda pick: pick != pick[::-1]), hst.booleans())
+    @example((30, 3), [0, 1], False)
+    @example((31, 8), [2, 3], False)
+    @example((30, 90), [3, 2, 2], False)
+    @example((12, 5), [0, 1], True)
+    def test_sep_weights_nonnegative(self, mn, pick, limit):
+        m, n = mn
+        grid = TorusGrid(m)
+        funcs = [lambda z: np.cos(2 * z) + 0.2, np.sin,
+                 lambda z: np.exp(np.sin(z)), lambda z: np.exp(1j * np.cos(z))]
+        weights = tuple(SampledFunction.from_callable(grid, lambda z, f=funcs[i]: f(z) + 0j)
+                        for i in pick)
+        spec = SepKernel(n=INF if limit else n, q=len(pick), weights=weights,
+                         base=L2GaussianTupleKernel(scale=0.8))
+        w = kernels_mod._sep_weights(spec)
+        assert w.dtype == np.float64 and np.all(w >= 0)
 
     @pytest.mark.parametrize("family", ["poly", "prod", "sep"])
     def test_empty_block_side_rejected(self, rng, family):
