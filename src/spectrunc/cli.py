@@ -4,8 +4,8 @@ All configs are JSON.  Datasets and models are one ``dataset.npz`` with a
 JSON manifest; predictions and result tables are CSV, recovered images PGM.
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
 failures.  The environment variable SPECTRUNC_WORKERS is the total thread
-budget, sweep cells plus the helper threads that share a kernel block's row
-tiles (absent: all available cores).
+budget (absent: all available cores) of sweep cells and of a kernel block's
+row tiles, shared by the rule stated in ``spectrunc.parallel``.
 """
 
 from __future__ import annotations

@@ -216,7 +216,8 @@ def run_synthetic(config: SyntheticConfig):
             print(f"cell family={spec.family} n={n_label(spec.n)} run={run} failed: {exc}",
                   file=sys.stderr)
 
-    # the calling thread only waits, lending its slot to one cell thread
+    # the calling thread only waits, lending its slot to one cell thread; the
+    # sweep holds its slots until its last cell ends (the ``parallel`` rule)
     share(work, range(len(cells)), take(min(workers, len(cells)) - 1), caller_works=False)
     rows = [(spec.family, n_label(spec.n), run, err) for (spec, run), err in zip(cells, errors)]
     quartiles = np.percentile(np.reshape(errors, (len(specs), config.runs)), [25, 50, 75], axis=1)

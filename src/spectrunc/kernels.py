@@ -38,9 +38,10 @@ family smooths each block side by one batched FFT pair
 product of the samples centered on the block's mean (``_sep_distance_sq``).
 Finite prod and the n = INF limits walk each block in row tiles, rows
 i0:i1 broadcast against the columns, one call and one contiguous slab per
-tile.  The calling thread and any spare threads of the ``parallel`` budget
-pull the tiles from one list, and k threads share one workspace budget, so
-the slabs are disjoint and the block is the same at any thread count.
+tile.  The caller and one thread per ``parallel`` slot free at the block's
+start pull the tiles from one list, and k threads share one workspace
+budget, so the slabs are disjoint and the block is the same at any thread
+count.
 Every kernel is Hermitian, k(x, y) = k(y, x)^*.  ``gram_values`` runs the
 core with the same samples on both sides, so a tile takes only the columns
 j >= i0, and fills the strict lower triangle of poly and prod in place by

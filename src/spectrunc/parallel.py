@@ -1,8 +1,9 @@
 """One thread budget: at most ``worker_count()`` threads do library work at
-once.  A calling thread holds one slot; ``take`` hands out spare slots
-without waiting for any, and ``share`` runs one helper thread on each.
-Sweep cells and a kernel block's row tiles draw on the same process-wide
-slots."""
+once.  A calling thread holds one slot, ``take`` hands out the spare slots
+free now, and ``share`` runs one helper thread on each.  The rule: a sweep
+holds its slots until its last cell ends, so a kernel block inside a sweep
+that holds the budget runs its row tiles on its cell's thread, and a block
+outside a sweep runs them on every free slot."""
 
 from __future__ import annotations
 
@@ -48,10 +49,9 @@ def share(work, tasks, spares: int, caller_works: bool = True) -> None:
     pulled in order by the caller and by one helper thread per slot of
     ``spares``, slots the caller took; those beyond one thread per task go
     back at once.  A caller that does not work only waits, lending its own
-    slot to one more helper.  A helper that finds no task left gives back a
-    slot while this call holds one, so the last one keeps the caller's.
-    After a task raises, none is handed out; the helpers are joined and the
-    first exception is re-raised."""
+    slot to one more helper.  All slots are held until the call returns
+    (the module's rule); after a task raises, none is handed out, the
+    helpers are joined and the first exception is re-raised."""
     held = spares + take(-max(0, spares + 1 - len(tasks)))
     pending, lock, failed = iter(tasks), threading.Lock(), []
 
@@ -66,15 +66,7 @@ def share(work, tasks, spares: int, caller_works: bool = True) -> None:
             except BaseException as exc:            # re-raised by the caller
                 failed.append(exc)
 
-    def helper() -> None:
-        nonlocal held
-        pull()
-        with lock:
-            if held:
-                held -= 1
-                take(-1)
-
-    threads = [threading.Thread(target=helper) for _ in range(held + (not caller_works))]
+    threads = [threading.Thread(target=pull) for _ in range(held + (not caller_works))]
     try:
         for t in threads:
             t.start()

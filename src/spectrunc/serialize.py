@@ -198,7 +198,7 @@ def config_to_json(config) -> dict:
 
 
 # field name -> encoder of its value, the inverse of ``_decoders``
-_ENCODERS = {"n": n_to_json, "alpha": list, "base": config_to_json,
+_ENCODERS = {"n": n_to_json, "alpha": list, "base": config_to_json, "kernel": config_to_json,
              "bases1": lambda bases: list(map(config_to_json, bases)),
              "bases2": lambda bases: list(map(config_to_json, bases)),
              "kernels": lambda specs: list(map(config_to_json, specs)),
@@ -350,23 +350,19 @@ def _read(directory) -> tuple[list[FunctionTuple], np.ndarray | None]:
         raise ConfigError(f"{path}: dataset has no samples")
     # component-major, so each component's values are one contiguous row
     inputs = np.ascontiguousarray(packed["inputs"].transpose(0, 2, 1))
-    grid = TorusGrid(inputs.shape[2])
-    xs = [FunctionTuple(tuple(SampledFunction(grid, c) for c in x)) for x in inputs]
+    with decoding(path):        # the arrays agree with an m or d that makes no grid or tuple
+        grid = TorusGrid(inputs.shape[2])
+        xs = [FunctionTuple(tuple(SampledFunction(grid, c) for c in x)) for x in inputs]
     return xs, packed.get("outputs")
 
 
 def write_model(model: RidgeModel, directory) -> Path:
     """Write the training inputs with their (N, m) coefficients as a dataset,
-    plus ``model.json``: kernel, lambda, N, m and allow_aliasing."""
+    plus ``model.json``, the ``_ModelManifest`` document."""
     directory = Path(directory)
     _write(directory, model.inputs, model.coefficients)
-    manifest = {
-        "kernel": config_to_json(model.kernel),
-        "lambda": model.lam,
-        "N": len(model.inputs),
-        "m": model.grid.m,
-        "allow_aliasing": model.allow_aliasing,
-    }
+    manifest = config_to_json(_ModelManifest(model.kernel, model.lam, len(model.inputs),
+                                             model.grid.m, model.allow_aliasing))
     path = directory / "model.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n")
     return path
@@ -432,18 +428,16 @@ def write_pgm(image: np.ndarray, path) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read an ASCII (P2) or binary (P5) graymap into floats in [0, 1]."""
+    """Read an ASCII (P2) or binary (P5) graymap into floats in [0, 1].  A P5
+    sample is one byte, or two big-endian bytes when maxval > 255; a maxval
+    outside 1..65535 or a sample above it is a ConfigError."""
     with decoding(path):
         data = Path(path).read_bytes()
         if data[:2] == b"P2":
-            tokens = []
-            for line in data.decode("ascii").splitlines():
-                line = line.split("#", 1)[0]
-                tokens.extend(line.split())
+            tokens = [t for line in data.splitlines() for t in line.split(b"#", 1)[0].split()]
             w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
             vals = np.array([int(t) for t in tokens[4 : 4 + w * h]], dtype=float)
-            return (vals / maxval).reshape(h, w)
-        if data[:2] == b"P5":
+        elif data[:2] == b"P5":
             pos = 2
             fields = []
             while len(fields) < 3:
@@ -452,6 +446,12 @@ def read_pgm(path) -> np.ndarray:
                 fields.extend(line.split())
                 pos = end + 1
             w, h, maxval = int(fields[0]), int(fields[1]), int(fields[2])
-            vals = np.frombuffer(data[pos : pos + w * h], dtype=np.uint8).astype(float)
-            return (vals / maxval).reshape(h, w)
-        raise ConfigError(f"{path}: not a P2/P5 graymap")
+            sample = np.dtype(np.uint8 if maxval < 256 else ">u2")
+            vals = np.frombuffer(data[pos : pos + w * h * sample.itemsize], dtype=sample)
+        else:
+            raise ConfigError(f"{path}: not a P2/P5 graymap")
+        if not 1 <= maxval <= 65535:
+            raise ConfigError(f"{path}: maxval must be in 1..65535, got {maxval}")
+        if vals.size and not 0 <= vals.min() <= vals.max() <= maxval:
+            raise ConfigError(f"{path}: a sample lies outside 0..{maxval}")
+        return (vals / maxval).reshape(h, w)

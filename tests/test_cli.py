@@ -630,6 +630,13 @@ def repack(ds, **arrays):
     np.savez(ds / "dataset.npz", **{k: a for k, a in packed.items() if a is not None})
 
 
+def reshape(ds, m, d):
+    # arrays and a manifest that agree, at a grid size m or width d no sample can have
+    repack(ds, inputs=np.zeros((4, m, d), complex), outputs=np.zeros((4, m), complex))
+    (ds / "dataset.json").write_text(
+        json.dumps({"m": m, "d": d, "n_samples": 4, "arrays": "dataset.npz"}))
+
+
 def csv_layout(ds):
     # the same samples as one CSV per tuple component and output, each tuple
     # listed in its own manifest and every sample in dataset.json
@@ -656,9 +663,12 @@ def csv_layout(ds):
     lambda ds: repack(ds, inputs=np.zeros((4, 16, 1))),
     lambda ds: repack(ds, outputs=np.zeros((3, 16), complex)),
     lambda ds: repack(ds, inputs=np.full((4, 16, 1), None, dtype=object)),
+    lambda ds: reshape(ds, 1, 1),
+    lambda ds: reshape(ds, 16, 0),
     csv_layout,
 ], ids=["deleted-npz", "truncated-npz", "not-a-zip", "no-inputs-array", "inputs-m-15",
-        "inputs-d-2", "real-inputs", "outputs-n-3", "object-array", "csv-layout"])
+        "inputs-d-2", "real-inputs", "outputs-n-3", "object-array", "inputs-m-1", "inputs-d-0",
+        "csv-layout"])
 def test_bad_data_file_exit_code(tiny_dataset, tmp_path, capsys, corrupt):
     ds = tiny_dataset / "ds"
     corrupt(ds)

@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from spectrunc import (
     run_synthetic,
 )
 from spectrunc import L2GaussianTupleKernel, PolyKernel
-from spectrunc import kernels, parallel
+from spectrunc import experiments, kernels, parallel
 from spectrunc.errors import ConfigError
 from spectrunc.experiments import (
     InpaintConfig,
@@ -168,8 +169,6 @@ class TestEigenStudy:
         assert run_eigen_study(config) == run_eigen_study(config)
 
     def test_each_run_generated_once(self, monkeypatch):
-        from spectrunc import experiments
-
         calls = []
         real = experiments._synthetic_split
 
@@ -338,6 +337,32 @@ class TestWorkerCount:
             sys.setswitchinterval(interval)
         assert all(np.isfinite(r[3]) for r in rows)
         assert 1 <= most[0] <= workers and parallel._taken == 0
+
+    def test_sweep_holds_its_slots_until_its_last_cell_ends(self, monkeypatch):
+        # poly and sep cells run no tiles; the last cell's prod block has many,
+        # and it starts only after the other cell thread has found no cell left
+        monkeypatch.setattr(kernels, "_PAIR_CHUNK_BUDGET", 1 << 10)
+        monkeypatch.setenv("SPECTRUNC_WORKERS", "2")
+        poly, prod, sep = default_synthetic_kernels(n_list=(4,))
+        taken, idents = [], []
+        real_cell, real_tiles = experiments._synthetic_cell, kernels._prod_pair_values
+
+        def cell(config, datasets, spec, run):
+            if spec is prod:
+                time.sleep(0.2)
+                taken.append(parallel._taken)
+            return real_cell(config, datasets, spec, run)
+
+        def tiles(*args):
+            idents.append(threading.get_ident())
+            return real_tiles(*args)
+
+        monkeypatch.setattr(experiments, "_synthetic_cell", cell)
+        monkeypatch.setattr(kernels, "_prod_pair_values", tiles)
+        rows, _ = run_synthetic(tiny_synth(runs=1, kernels=(poly, sep, prod)))
+        assert all(np.isfinite(r[3]) for r in rows)
+        assert taken == [1] and len(idents) > 2 and len(set(idents)) == 1
+        assert parallel._taken == 0
 
     def test_parallelism_does_not_change_results(self, monkeypatch):
         config = tiny_synth()

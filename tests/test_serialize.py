@@ -373,6 +373,25 @@ class TestRowsCsvAndPgm:
         with pytest.raises(ConfigError):
             read_pgm(tmp_path / "missing.pgm")
 
+    @pytest.mark.parametrize("raw, message", [
+        (b"P2\n2 1\n0\n0 0\n", "maxval must be in 1..65535, got 0"),
+        (b"P5\n1 1\n70000\n\x00\x01", "maxval must be in 1..65535, got 70000"),
+        (b"P2\n2 1\n7\n3 8\n", "a sample lies outside 0..7"),
+        (b"P2\n2 1\n7\n-1 3\n", "a sample lies outside 0..7"),
+    ], ids=["maxval-0", "maxval-70000", "sample-above-maxval", "negative-sample"])
+    def test_pgm_outside_the_format_is_config_error(self, tmp_path, raw, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(ConfigError, match=message):
+            read_pgm(path)
+
+    def test_p5_16_bit_read(self, tmp_path):
+        # maxval > 255: two big-endian bytes per sample
+        levels = np.array([[0, 1, 255], [256, 4000, 65535]], dtype=">u2")
+        path = tmp_path / "img16.pgm"
+        path.write_bytes(b"P5\n3 2\n65535\n" + levels.tobytes())
+        assert np.array_equal(read_pgm(path), levels / 65535)
+
     def test_p5_read(self, tmp_path):
         raw = b"P5\n3 2\n255\n" + bytes([0, 128, 255, 10, 20, 30])
         path = tmp_path / "img5.pgm"
