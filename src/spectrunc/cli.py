@@ -118,8 +118,14 @@ def _cmd_fejer(args) -> int:
 
 
 def _cmd_fejer_min(args) -> int:
-    est = fejer.fejer_min_estimate(args.n, args.q, grid_density=args.density,
-                                   seed=args.seed)
+    # the q = 1 scan takes --density and no random points; a q >= 2 scan --seed
+    unused = "seed" if args.q == 1 else "density"
+    if getattr(args, unused) is not None:
+        raise ConfigError(f"--{unused} has no effect at q={args.q}: the q = 1 scan "
+                          "takes --density, a q >= 2 scan --seed")
+    given = {"grid_density": args.density, "seed": args.seed}
+    est = fejer.fejer_min_estimate(args.n, args.q,
+                                   **{k: v for k, v in given.items() if v is not None})
     bound = float(args.n) ** (2 * args.q)
     if args.out:
         serialize.write_rows_csv(Path(args.out),
@@ -257,8 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fejer-min", help="estimate the Fejer kernel minimum")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, default=1)
-    p.add_argument("--density", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--density", type=int, help="scan density per axis, q = 1 only (default 64)")
+    p.add_argument("--seed", type=int, help="seed of the random scan points, q >= 2 only "
+                                            "(default 0)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_fejer_min)
 

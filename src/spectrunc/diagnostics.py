@@ -25,7 +25,6 @@ import warnings
 import numpy as np
 
 from .errors import BetaMonotonicityWarning, ConfigError
-from .fejer import beta_from_policy
 from .kernels import (
     KernelSpec,
     PolyKernel,
@@ -120,16 +119,15 @@ def complexity_report(spec: KernelSpec, xs, B: float = 1.0, L: float = 1.0,
 
 
 def spec_at(spec: KernelSpec, n) -> KernelSpec:
-    """``spec`` at truncation order n.  A prod spec whose ``beta_policy`` is
-    ``bound`` or ``estimate`` gets that policy's beta_n (``fejer.beta_from_policy``)
-    at any finite n other than its own; at its own n the loaded beta stands,
-    so an explicit beta still wins there."""
+    """``spec`` at truncation order n.  At its own n the spec stands, so an
+    explicit beta still wins there; at any other n a prod spec whose
+    ``beta_policy`` is ``bound`` or ``estimate`` is built with beta unset,
+    so ``ProdKernel`` gives it that policy's beta_n."""
     if n == spec.n:
         return spec
-    spec_n = dataclasses.replace(spec, n=n)
-    if isinstance(spec, ProdKernel) and spec.beta_policy != "manual" and not spec_n.is_infinite:
-        spec_n = dataclasses.replace(spec_n, beta=beta_from_policy(spec.beta_policy, n, spec.q))
-    return spec_n
+    if isinstance(spec, ProdKernel) and spec.beta_policy != "manual":
+        return dataclasses.replace(spec, n=n, beta=None)
+    return dataclasses.replace(spec, n=n)
 
 
 BETA_FALLS = ("beta_n sweep is not nondecreasing in n; the complexity "

@@ -260,22 +260,16 @@ def fejer_convolve(g, n: int, q: int, z: float, m_axis: int = 32) -> complex:
     return complex(np.mean(gvals * fvals))
 
 
-def beta_from_policy(
-    policy: str,
-    n: int,
-    q: int,
-    grid_density: int = 64,
-    seed: int = 0,
-) -> float:
-    """Positive-definiteness offset beta for the product kernel family.
+def beta_from_policy(policy: str, n: int, q: int) -> float:
+    """Positive-definiteness offset beta_n of the product kernel family, the
+    beta of a ``ProdKernel`` built without one.
 
-    ``estimate``: max(0, -estimated Fejer minimum) + ``BETA_MARGIN``;
+    ``estimate``: max(0, -``fejer_min_estimate``(n, q)) + ``BETA_MARGIN``;
     ``bound``: the provable ceiling n^{2q}.  A ``manual`` beta is the spec's
     own value, so that policy has no rule here.
     """
     if policy == "bound":
         return float(n) ** (2 * q)
     if policy == "estimate":
-        est = fejer_min_estimate(n, q, grid_density=grid_density, seed=seed)
-        return max(0.0, -est) + BETA_MARGIN
+        return max(0.0, -fejer_min_estimate(n, q)) + BETA_MARGIN
     raise ValueError(f"beta policy {policy!r} has no offset rule")

@@ -70,7 +70,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import parallel
 from .errors import ConfigError, GridMismatchError
-from .fejer import BETA_POLICIES
+from .fejer import BETA_POLICIES, beta_from_policy
 from .torus import FunctionTuple, SampledFunction, check_alias_free
 from .truncation import _fejer_weights
 from .truncation import smooth  # noqa: F401  kept as kernels.smooth, which perfbench's probes time
@@ -237,19 +237,19 @@ class PolyKernel(_Truncated):
 class ProdKernel(_Truncated):
     """Truncated product family with the positive-definiteness offset beta.
 
-    ``bases1``/``bases2`` each hold q base scalar kernels.  beta is forced
-    to 0 at n = INF, where the offset is not part of the limit kernel.
-    ``beta_policy`` names one of the policies ``fejer.beta_from_policy``
-    knows.  beta is always the value used: ``serialize.kernel_from_json``
-    resolves a ``bound`` or ``estimate`` policy into beta when the document
-    gives none, and an explicit beta wins.
+    ``bases1``/``bases2`` each hold q base scalar kernels.  After
+    construction beta is the float used, wherever the spec is built: a
+    beta left unset is the ``beta_policy``'s beta_n at this n
+    (``fejer.beta_from_policy``), or 0 under ``manual``; a given beta is
+    used as is.  beta is forced to 0 at n = INF, where the offset is not
+    part of the limit kernel.
     """
 
     n: int | float
     q: int
     bases1: tuple[BaseScalarKernel, ...]
     bases2: tuple[BaseScalarKernel, ...]
-    beta: float = 0.0
+    beta: float | None = None
     beta_policy: str = "manual"
 
     family = "prod"
@@ -260,13 +260,16 @@ class ProdKernel(_Truncated):
             raise ConfigError(f"need exactly q={self.q} base kernels per row")
         object.__setattr__(self, "bases1", tuple(self.bases1))
         object.__setattr__(self, "bases2", tuple(self.bases2))
-        if not 0 <= self.beta < INF:
-            raise ConfigError(f"beta must be finite and >= 0, got {self.beta}")
         if self.beta_policy not in BETA_POLICIES:
             raise ConfigError(f"beta_policy must be one of {BETA_POLICIES}, "
                               f"got {self.beta_policy!r}")
-        if self.n == INF:
-            object.__setattr__(self, "beta", 0.0)
+        beta = self.beta
+        if beta is None:
+            beta = (0.0 if self.beta_policy == "manual" or self.n == INF
+                    else beta_from_policy(self.beta_policy, self.n, self.q))
+        if not 0 <= beta < INF:
+            raise ConfigError(f"beta must be finite and >= 0, got {beta}")
+        object.__setattr__(self, "beta", 0.0 if self.n == INF else beta)
 
 
 @dataclass(frozen=True)

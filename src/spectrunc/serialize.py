@@ -21,13 +21,13 @@ import contextlib
 import csv
 import dataclasses
 import json
+import re
 import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .fejer import beta_from_policy
 from .kernels import (
     INF,
     GaussianKernel,
@@ -125,6 +125,11 @@ _TAGS = ("family", "kind")
 _KERNELS = (PolyKernel, ProdKernel, SepKernel)
 _BASES = (GaussianKernel, LinearKernel, PolynomialKernel)
 PGM_MAXVAL = 255        # the white level of a written graymap
+# magic, width, height and maxval, separated by whitespace and by comments
+# that run from # to the end of their line (matched whole, so a long comment
+# costs no backtracking); one whitespace byte ends maxval
+_PGM_SEP = rb"(?:\s|#[^\r\n]*(?=[\r\n]))+"
+_PGM_HEADER = re.compile(rb"(P[25])" + (_PGM_SEP + rb"(\d+)") * 3 + rb"\s")
 
 
 def _decoders(base_dir: Path | None, what: str) -> dict:
@@ -149,10 +154,10 @@ def config_from_json(cls, doc, what: str = "config", base_dir: Path | None = Non
     """Dataclass ``cls`` from the JSON object ``doc`` keyed by field name,
     decoded inside ``decoding(what)``.  A key that names no field is a
     ConfigError, a field without a default is a required key, a ``bool``
-    field takes only true or false and a ``float`` field only a number.  A
-    tuple of dataclasses for ``cls`` is a tagged union: the ``family`` or
-    ``kind`` key holds that class attribute.  A value ``cls`` rejects is a
-    ConfigError led by ``what``."""
+    field takes only true or false and a ``float`` field, optional or not,
+    only a number.  A tuple of dataclasses for ``cls`` is a tagged union: the
+    ``family`` or ``kind`` key holds that class attribute.  A value ``cls``
+    rejects is a ConfigError led by ``what``."""
     with decoding(what):
         if not isinstance(doc, dict):
             raise ConfigError(f"{what} must be a JSON object, got {type(doc).__name__}")
@@ -174,8 +179,8 @@ def config_from_json(cls, doc, what: str = "config", base_dir: Path | None = Non
                 raise KeyError(key)
             if f.type in ("bool", bool) and not isinstance(doc.get(key, False), bool):
                 raise ConfigError(f"{what} key {key!r} must be true or false, got {doc[key]!r}")
-            if f.type in ("float", float):
-                _real(f"{what} key {key!r}", doc.get(key, 0.0))
+            if f.type in ("float", "float | None") and key in doc:
+                _real(f"{what} key {key!r}", doc[key])
         decode = _decoders(base_dir, what)
         kwargs = {fields[key].name: raw for key, raw in doc.items()}
         try:
@@ -213,12 +218,8 @@ _ENCODERS = {"n": n_to_json, "alpha": list, "base": config_to_json, "kernel": co
 
 
 def write_function_csv(f: SampledFunction, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["z", "re", "im"])
-        for z, v in zip(f.grid.points, f.values):
-            w.writerow([fmt(z), fmt(v.real), fmt(v.imag)])
+    write_rows_csv(path, ["z", "re", "im"],
+                   zip(f.grid.points.tolist(), f.values.real.tolist(), f.values.imag.tolist()))
 
 
 def read_function_csv(path) -> SampledFunction:
@@ -273,15 +274,9 @@ def _complex(re, im) -> complex:
 
 def kernel_from_json(doc: dict, base_dir: Path | None = None,
                      what: str = "kernel spec") -> KernelSpec:
-    """Kernel spec from its JSON document, named ``what`` in errors.  A
-    finite-n prod kernel whose ``beta_policy`` is ``bound`` or ``estimate``
-    and that gives no ``beta`` gets the policy's offset from
-    ``fejer.beta_from_policy``."""
-    spec = config_from_json(_KERNELS, doc, what, base_dir)
-    if (spec.family == "prod" and "beta" not in doc and spec.beta_policy != "manual"
-            and not spec.is_infinite):
-        spec = dataclasses.replace(spec, beta=beta_from_policy(spec.beta_policy, spec.n, spec.q))
-    return spec
+    """Kernel spec from its JSON document, named ``what`` in errors.  A prod
+    document without ``beta`` takes its policy's beta_n (see ``ProdKernel``)."""
+    return config_from_json(_KERNELS, doc, what, base_dir)
 
 
 def write_kernel(spec: KernelSpec, path) -> None:
@@ -428,28 +423,23 @@ def write_pgm(image: np.ndarray, path) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read an ASCII (P2) or binary (P5) graymap into floats in [0, 1].  A P5
-    sample is one byte, or two big-endian bytes when maxval > 255; a maxval
-    outside 1..65535 or a sample above it is a ConfigError."""
+    """Read an ASCII (P2) or binary (P5) graymap into floats in [0, 1].  The
+    header is ``_PGM_HEADER``; a P5 raster starts right after the single
+    whitespace byte that ends maxval, and its sample is one byte, or two
+    big-endian bytes when maxval > 255.  A maxval outside 1..65535 or a
+    sample above it is a ConfigError."""
     with decoding(path):
         data = Path(path).read_bytes()
-        if data[:2] == b"P2":
-            tokens = [t for line in data.splitlines() for t in line.split(b"#", 1)[0].split()]
-            w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-            vals = np.array([int(t) for t in tokens[4 : 4 + w * h]], dtype=float)
-        elif data[:2] == b"P5":
-            pos = 2
-            fields = []
-            while len(fields) < 3:
-                end = data.index(b"\n", pos)
-                line = data[pos:end].split(b"#", 1)[0]
-                fields.extend(line.split())
-                pos = end + 1
-            w, h, maxval = int(fields[0]), int(fields[1]), int(fields[2])
-            sample = np.dtype(np.uint8 if maxval < 256 else ">u2")
-            vals = np.frombuffer(data[pos : pos + w * h * sample.itemsize], dtype=sample)
+        if not (header := _PGM_HEADER.match(data)):
+            raise ConfigError(f"{path}: not a P2/P5 graymap header")
+        w, h, maxval = (int(v) for v in header.groups()[1:])
+        raster = data[header.end():]
+        if header[1] == b"P2":
+            tokens = [t for line in raster.splitlines() for t in line.split(b"#", 1)[0].split()]
+            vals = np.array([int(t) for t in tokens[: w * h]], dtype=float)
         else:
-            raise ConfigError(f"{path}: not a P2/P5 graymap")
+            sample = np.dtype(np.uint8 if maxval < 256 else ">u2")
+            vals = np.frombuffer(raster[: w * h * sample.itemsize], dtype=sample)
         if not 1 <= maxval <= 65535:
             raise ConfigError(f"{path}: maxval must be in 1..65535, got {maxval}")
         if vals.size and not 0 <= vals.min() <= vals.max() <= maxval:

@@ -22,10 +22,10 @@ from spectrunc import (
     SepKernel,
     TorusGrid,
     assemble_gram,
-    beta_from_policy,
     check_pd,
     complexity_D,
     fejer_convolve,
+    fejer_min_estimate,
     fejer_multi,
     fit,
     kernel_limit_gap,
@@ -42,6 +42,7 @@ from spectrunc.experiments import (
     run_inpaint,
     run_synthetic,
 )
+from spectrunc.fejer import BETA_MARGIN
 from spectrunc.regression import predict_batch
 from spectrunc.serialize import write_rows_csv
 
@@ -69,13 +70,18 @@ def test_01_fejer_two_path_identity():
                 for c in yc:
                     M = M @ truncate(trig_from_coeffs(grid, c), n).dense()
 
-                def integrand(t, xc=xc, yc=yc, q=q):
-                    out = np.ones(t.shape[1:], dtype=complex)
-                    for j in range(q):
-                        out = out * np.conj(eval_trig(xc[j], t[j]))
-                    for j in range(q):
-                        out = out * eval_trig(yc[j], t[q + j])
-                    return out
+                values = []
+
+                def integrand(t, xc=xc, yc=yc, q=q, values=values):
+                    # the quadrature nodes do not depend on z: evaluate once
+                    if not values:
+                        out = np.ones(t.shape[1:], dtype=complex)
+                        for j in range(q):
+                            out = out * np.conj(eval_trig(xc[j], t[j]))
+                        for j in range(q):
+                            out = out * eval_trig(yc[j], t[q + j])
+                        values.append(out)
+                    return values[0]
 
                 for z in rng.uniform(0.0, 2.0 * np.pi, size=5):
                     lhs = complex(sn_map_at(M, z))
@@ -161,12 +167,11 @@ def test_05_positive_definiteness():
     g1 = GaussianKernel(gamma=1.0)
     worst = np.inf
     for n in (4, 16, 64):
-        beta = beta_from_policy("estimate", n, 1, grid_density=96)
+        beta = max(0.0, -fejer_min_estimate(n, 1, grid_density=96)) + BETA_MARGIN
         specs = [
             PolyKernel(n=n, q=1, alpha=(1.0, 1.0)),
             SepKernel(n=n, q=2, weights=(a, a), base=L2GaussianTupleKernel(scale=0.5)),
-            ProdKernel(n=n, q=1, bases1=(g1,), bases2=(g1,), beta=beta,
-                       beta_policy="estimate"),
+            ProdKernel(n=n, q=1, bases1=(g1,), bases2=(g1,), beta=beta),
         ]
         for spec in specs:
             rep = check_pd(assemble_gram(spec, xs))

@@ -6,9 +6,9 @@ import pytest
 from helpers import random_trig_tuple
 from spectrunc import FunctionTuple, SampledFunction, TorusGrid
 from spectrunc.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from spectrunc.errors import NumericalError
-from spectrunc.serialize import (read_dataset, read_function_csv, write_dataset,
-                                 write_function_csv, write_kernel)
+from spectrunc.errors import ConfigError, NumericalError
+from spectrunc.serialize import (kernel_from_json, read_dataset, read_function_csv, read_kernel,
+                                 write_dataset, write_function_csv, write_kernel, write_pgm)
 from spectrunc.kernels import L2GaussianTupleKernel, SepKernel
 
 
@@ -102,10 +102,13 @@ def test_fejer_subcommands(tmp_path):
     ["fejer-min", "--n", "0"],
     ["fejer-min", "--n", "3", "--q", "0"],
     ["fejer-min", "--n", "3", "--density", "1"],
-    ["fejer-min", "--n", "3", "--seed", "-1"],
+    ["fejer-min", "--n", "3", "--q", "2", "--seed", "-1"],
     ["fejer-min", "--n", "3", "--q", "4"],
+    ["fejer-min", "--n", "3", "--seed", "1"],
+    ["fejer-min", "--n", "3", "--q", "2", "--density", "16"],
 ], ids=["fejer-n0", "fejer-q0", "fejer-density0", "fejer-density1", "fejer-over-budget",
-        "min-n0", "min-q0", "min-density1", "min-seed-1", "min-over-budget"])
+        "min-n0", "min-q0", "min-density1", "min-seed-1", "min-over-budget",
+        "min-seed-at-q1", "min-density-at-q2"])
 def test_fejer_bad_input_exit_code(tmp_path, capsys, argv):
     # the over-budget sizes are rejected before any grid is allocated
     out = tmp_path / "out.csv"
@@ -266,6 +269,50 @@ def test_inpaint_subcommand(tmp_path):
     errors = (tmp_path / "out" / "errors.csv").read_text().splitlines()
     assert errors[0] == "n,test_error"
     assert (tmp_path / "out" / "recovered" / "n4" / "test000.pgm").exists()
+
+
+@pytest.mark.parametrize("case", ["ok", "too-few", "other-size"])
+def test_inpaint_from_pgm_directory(tmp_path, rng, capsys, case):
+    # source is a directory whose train/ and test/ hold same-size graymaps
+    src = tmp_path / "images"
+    for split, count in (("train", 4), ("test", 2)):
+        for i in range(count):
+            write_pgm(rng.uniform(size=(4, 4)), src / split / f"img{i}.pgm")
+    (src / "test" / "img1.pgm").write_bytes(b"P5 4 4 255\n" + bytes(range(0, 256, 16)))
+    config = {"height": 4, "width": 4, "mask_h": 2, "mask_w": 2, "n_train": 4, "n_test": 2,
+              "n_list": [4], "recover_count": 2, "source": str(src)}
+    if case == "too-few":
+        config["n_train"] = 5
+    if case == "other-size":
+        write_pgm(rng.uniform(size=(4, 5)), src / "train" / "img3.pgm")
+    cfg = tmp_path / "inp.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["inpaint", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    if case == "ok":
+        assert code == EXIT_OK
+        assert len((tmp_path / "out" / "errors.csv").read_text().splitlines()) == 2
+        assert (tmp_path / "out" / "recovered" / "n4" / "test001.pgm").exists()
+    else:
+        assert code == EXIT_CONFIG
+        message = {"too-few": "found 4 PGM images, need 5", "other-size": "not all (4, 4)"}
+        assert message[case] in assert_one_config_error_line(capsys)
+
+
+def test_sep_weight_file_references(tiny_dataset, tmp_path):
+    # a weight given as {"file": ...} is read from beside the spec
+    a = SampledFunction.from_callable(TorusGrid(16), lambda z: np.exp(np.sin(z)) + 0j)
+    spec_dir = tmp_path / "spec"
+    spec_dir.mkdir()
+    write_function_csv(a, spec_dir / "a.csv")
+    doc = {"family": "sep", "n": 5, "q": 1, "weights": [{"file": "a.csv"}],
+           "base": {"kind": "l2_gaussian", "scale": 0.7}}
+    (spec_dir / "kernel.json").write_text(json.dumps(doc))
+    assert np.array_equal(read_kernel(spec_dir / "kernel.json").weights[0].values, a.values)
+    assert main(["fit", "--dataset", str(tiny_dataset / "ds"),
+                 "--kernel", str(spec_dir / "kernel.json"), "--lam", "0.05",
+                 "--out", str(tmp_path / "model")]) == EXIT_OK
+    with pytest.raises(ConfigError, match="needs a base directory"):
+        kernel_from_json(doc)
 
 
 def test_config_error_exit_code(tmp_path):

@@ -21,6 +21,7 @@ from spectrunc import (
     SampledFunction,
     SepKernel,
     TorusGrid,
+    beta_from_policy,
     bound_rhs,
     complexity_D,
     complexity_report,
@@ -238,6 +239,27 @@ class TestSweepAndReport:
         assert spec_at(manual, 8) == dataclasses.replace(manual, n=8)
         poly = PolyKernel(n=2, q=1, alpha=(1.0,))
         assert spec_at(poly, 8) == PolyKernel(n=8, q=1, alpha=(1.0,))
+
+    def test_spec_at_keeps_an_explicit_beta_only_at_its_own_order(self):
+        g1 = GaussianKernel(gamma=1.0)
+        spec = ProdKernel(n=2, q=1, bases1=(g1,), bases2=(g1,), beta_policy="estimate")
+        beta_n = {n: beta_from_policy("estimate", n, 1) for n in (2, 4)}
+        assert spec_at(spec, 2).beta == spec.beta == beta_n[2]
+        assert spec_at(spec, 4).beta == beta_n[4]
+        explicit = dataclasses.replace(spec, beta=7.0)
+        assert spec_at(explicit, 2).beta == 7.0
+        assert spec_at(explicit, 4).beta == beta_n[4]
+        assert spec_at(spec_at(explicit, 4), 2).beta == beta_n[2]
+
+    def test_sweep_of_python_built_estimate_spec(self):
+        # b(x, x) = 1 for a Gaussian base, so D = 1 + beta_n, from the first n on
+        g1 = GaussianKernel(gamma=1.0)
+        spec = ProdKernel(n=8, q=1, bases1=(g1,), bases2=(g1,), beta_policy="estimate")
+        x = FunctionTuple((SampledFunction.constant(GRID, 0.5),))
+        rows = complexity_sweep(spec, x, [8, 16])
+        assert rows[0] == (8, pytest.approx(3.7227466191980554, rel=1e-12))
+        assert rows[1] == (16, pytest.approx(1.0 + beta_from_policy("estimate", 16, 1),
+                                             rel=1e-12))
 
     def test_sweep_of_bound_policy_tracks_beta_n(self):
         # b(x, x) = 1 for a Gaussian base, so D = 1 + beta_n = 1 + n^2

@@ -147,15 +147,15 @@ class TestRunSynthetic:
 
 class TestEigenStudy:
     def test_poly_control_and_policy_beta(self):
-        from spectrunc import beta_from_policy
+        from spectrunc import fejer_min_estimate
+        from spectrunc.fejer import BETA_MARGIN
 
         g1 = GaussianKernel(gamma=1.0)
         n = 4
-        beta = beta_from_policy("estimate", n, 1, grid_density=48)
+        beta = max(0.0, -fejer_min_estimate(n, 1, grid_density=48)) + BETA_MARGIN
         kernels = (
             PolyKernel(n=n, q=1, alpha=(1.0, 1.0)),
-            ProdKernel(n=n, q=1, bases1=(g1,), bases2=(g1,), beta=beta,
-                       beta_policy="estimate"),
+            ProdKernel(n=n, q=1, bases1=(g1,), bases2=(g1,), beta=beta),
         )
         config = tiny_synth(kernels=kernels, runs=2, n_samples=10)
         rows = run_eigen_study(config)

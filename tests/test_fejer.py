@@ -299,7 +299,8 @@ class TestBetaPolicy:
 
     def test_estimate_covers_minimum(self):
         n, q = 3, 1
-        beta = beta_from_policy("estimate", n, q, grid_density=48)
+        beta = beta_from_policy("estimate", n, q)
+        assert beta == max(0.0, -fejer_min_estimate(n, q)) + fejer.BETA_MARGIN
         est = fejer_min_estimate(n, q, grid_density=48)
         assert beta >= -est
         assert beta >= 0

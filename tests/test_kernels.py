@@ -24,6 +24,7 @@ from spectrunc import (
     SampledFunction,
     SepKernel,
     TorusGrid,
+    beta_from_policy,
     evaluate,
     kernel_limit_gap,
     smooth,
@@ -31,6 +32,7 @@ from spectrunc import (
 from spectrunc import kernels as kernels_mod
 from spectrunc import parallel
 from spectrunc.errors import ConfigError
+from spectrunc.fejer import BETA_POLICIES
 from spectrunc.kernels import PolynomialKernel, cross_values, gram_values
 
 
@@ -77,6 +79,24 @@ class TestSpecValidation:
         g = GaussianKernel(gamma=1.0)
         spec = ProdKernel(n=INF, q=1, bases1=(g,), bases2=(g,), beta=3.0)
         assert spec.beta == 0.0
+        for policy in BETA_POLICIES:
+            assert ProdKernel(n=INF, q=1, bases1=(g,), bases2=(g,), beta_policy=policy).beta == 0.0
+
+    @pytest.mark.parametrize("policy, n, q", [("bound", 8, 1), ("bound", 3, 2),
+                                              ("estimate", 8, 1), ("estimate", 2, 2)])
+    def test_unset_beta_is_the_policy_beta_n(self, policy, n, q):
+        # a spec built in Python gets the offset a JSON document without beta gets
+        g = GaussianKernel(gamma=1.0)
+        spec = ProdKernel(n=n, q=q, bases1=(g,) * q, bases2=(g,) * q, beta_policy=policy)
+        assert spec.beta == beta_from_policy(policy, n, q)
+        assert type(spec.beta) is float and spec.beta > 0
+
+    def test_unset_beta_under_manual_is_zero_and_given_beta_used_as_is(self):
+        g = GaussianKernel(gamma=1.0)
+        assert ProdKernel(n=8, q=1, bases1=(g,), bases2=(g,)).beta == 0.0
+        for policy in BETA_POLICIES:
+            spec = ProdKernel(n=8, q=1, bases1=(g,), bases2=(g,), beta=0.3, beta_policy=policy)
+            assert spec.beta == 0.3
 
     def test_base_row_length(self):
         g = GaussianKernel(gamma=1.0)

@@ -133,14 +133,14 @@ class TestCheckPD:
         assert report.global_min >= -1e-8
 
     def test_prod_with_policy_beta_positive(self, rng):
-        from spectrunc import beta_from_policy
+        from spectrunc import fejer_min_estimate
+        from spectrunc.fejer import BETA_MARGIN
 
         xs = [random_trig_tuple(GRID, rng, d=2, deg=3, real=True) for _ in range(8)]
         g1 = GaussianKernel(gamma=1.0)
         n = 4
-        beta = beta_from_policy("estimate", n, 1, grid_density=48)
-        spec = ProdKernel(n=n, q=1, bases1=(g1,), bases2=(g1,), beta=beta,
-                          beta_policy="estimate")
+        beta = max(0.0, -fejer_min_estimate(n, 1, grid_density=48)) + BETA_MARGIN
+        spec = ProdKernel(n=n, q=1, bases1=(g1,), bases2=(g1,), beta=beta)
         report = check_pd(assemble_gram(spec, xs))
         assert report.global_min >= -1e-8
 

@@ -20,7 +20,7 @@ from spectrunc import (
     fit,
     predict,
 )
-from spectrunc import serialize
+from spectrunc import kernels
 from spectrunc.serialize import (
     config_to_json,
     function_from_json,
@@ -140,6 +140,8 @@ class TestKernelJson:
         ({"bases1": [{"kind": "gaussian", "gamma": float("inf")}] * 2}, "'gamma' must be a finite"),
         ({"bases2": [{"kind": "polynomial", "degree": 2, "offset": float("nan")}] * 2},
          "'offset' must be a finite"),
+        ({"beta": None}, "'beta' must be a finite"),
+        ({"beta": True}, "'beta' must be a finite"),
     ])
     def test_bad_value_is_config_error(self, change, match):
         doc = {**config_to_json(self.kernels()[2]), **change}
@@ -208,7 +210,7 @@ class TestKernelJson:
         assert doc["beta"] == spec.beta
         assert doc["beta_policy"] == "estimate"
         # a round trip reads the written beta back instead of estimating again
-        monkeypatch.setattr(serialize, "beta_from_policy", None)
+        monkeypatch.setattr(kernels, "beta_from_policy", None)
         assert kernel_from_json(doc) == spec
 
     @pytest.mark.parametrize("family, key", [
@@ -391,6 +393,24 @@ class TestRowsCsvAndPgm:
         path = tmp_path / "img16.pgm"
         path.write_bytes(b"P5\n3 2\n65535\n" + levels.tobytes())
         assert np.array_equal(read_pgm(path), levels / 65535)
+
+    @pytest.mark.parametrize("header", [
+        b"P5 3 2 255 ", b"P5\n3 2\n255 ", b"P5\n# a comment\n3 # width\n2\n255\n",
+        b"P5\t3\r\n2 255\r",
+    ], ids=["one-line", "space-after-maxval", "comments", "tab-crlf"])
+    def test_p5_header_grammar(self, tmp_path, header):
+        # whitespace-separated tokens, # comments to the end of their line, and
+        # the raster right after the whitespace byte that ends maxval: raster
+        # bytes 10 (newline) and 35 (#) are samples
+        raster = bytes([10, 35, 0, 255, 10, 35])
+        path = tmp_path / "img5.pgm"
+        path.write_bytes(header + raster)
+        assert np.array_equal(read_pgm(path), np.frombuffer(raster, np.uint8).reshape(2, 3) / 255)
+
+    def test_p2_header_comment(self, tmp_path):
+        path = tmp_path / "img2.pgm"
+        path.write_bytes(b"P2 # a comment\n3 2 # size\n255\n10 35 0\n255 # end\n10 35\n")
+        assert np.array_equal(read_pgm(path), np.array([[10, 35, 0], [255, 10, 35]]) / 255)
 
     def test_p5_read(self, tmp_path):
         raw = b"P5\n3 2\n255\n" + bytes([0, 128, 255, 10, 20, 30])
