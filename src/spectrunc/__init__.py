@@ -40,7 +40,6 @@ from .kernels import (
     ProdKernel,
     SepKernel,
     evaluate,
-    kernel_limit_gap,
 )
 from .regression import (
     GramField,
@@ -59,6 +58,7 @@ from .diagnostics import (
     complexity_report,
     complexity_sweep,
     convergence_report,
+    kernel_limit_gap,
 )
 from .experiments import (
     InpaintConfig,

@@ -286,6 +286,8 @@ class InpaintConfig:
                                               "n_test", "recover_count"), 1), "seed": 0})
         if self.beta < 0:
             raise ConfigError(f"beta must be >= 0, got {self.beta}")
+        if not isinstance(self.source, str):
+            raise ConfigError(f'source must be "blobs" or a directory path, got {self.source!r}')
         if self.height * self.width < 2:
             raise ConfigError(f"an image needs at least 2 pixels, got {self.height}x{self.width}")
 

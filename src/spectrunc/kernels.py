@@ -61,7 +61,6 @@ from the start.  Poly and every other prod spec stay complex128.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -86,7 +85,6 @@ __all__ = [
     "SepKernel",
     "KernelSpec",
     "evaluate",
-    "kernel_limit_gap",
     "gram_values",
     "cross_values",
     "poly_factors",
@@ -113,7 +111,7 @@ class GaussianKernel:
     kind = "gaussian"
 
     def __post_init__(self):
-        if not 0 < self.gamma < INF:
+        if not 0 < _real("gaussian scale", self.gamma):
             raise ConfigError(f"gaussian scale must be positive and finite, got {self.gamma}")
 
     def pairwise(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -148,7 +146,7 @@ class PolynomialKernel:
 
     def __post_init__(self):
         object.__setattr__(self, "degree", _integer("polynomial degree", self.degree, 1))
-        if not 0 <= self.offset < INF:
+        if not 0 <= _real("polynomial offset", self.offset):
             raise ConfigError(f"polynomial offset must be finite and >= 0, got {self.offset}")
 
     def pairwise(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -171,7 +169,7 @@ class L2GaussianTupleKernel:
     kind = "l2_gaussian"
 
     def __post_init__(self):
-        if not 0 < self.scale < INF:
+        if not 0 < _real("tuple-kernel scale", self.scale):
             raise ConfigError(f"tuple-kernel scale must be positive and finite, got {self.scale}")
 
 
@@ -267,7 +265,7 @@ class ProdKernel(_Truncated):
         if beta is None:
             beta = (0.0 if self.beta_policy == "manual" or self.n == INF
                     else beta_from_policy(self.beta_policy, self.n, self.q))
-        if not 0 <= beta < INF:
+        if (beta := _real("beta", beta)) < 0:
             raise ConfigError(f"beta must be finite and >= 0, got {beta}")
         object.__setattr__(self, "beta", 0.0 if self.n == INF else beta)
 
@@ -333,24 +331,6 @@ def evaluate(spec: KernelSpec, x: FunctionTuple, y: FunctionTuple,
              allow_aliasing: bool = False) -> SampledFunction:
     """One kernel value k(x, y) as a sampled function: a 1 x 1 block."""
     return SampledFunction(x.grid, _block(spec, [x], [y], allow_aliasing)[:, 0, 0])
-
-
-def kernel_limit_gap(spec: KernelSpec, x: FunctionTuple, y: FunctionTuple,
-                     n_list, allow_aliasing: bool = False) -> list[tuple[int, float, float]]:
-    """Pointwise gaps |k_n(x,y) - k_INF(x,y)| for each n in n_list.
-
-    Returns (n, sup_gap, mean_gap) rows.  All finite-n specs share every
-    parameter with the limit spec and check their n; each value is one ``evaluate``.
-    """
-    limit = evaluate(dataclasses.replace(spec, n=INF), x, y).values
-    rows = []
-    for n in n_list:
-        if n == INF:
-            raise ConfigError("gaps to the limit are taken at finite n; drop inf from n_list")
-        fin_spec = dataclasses.replace(spec, n=n)
-        gap = np.abs(evaluate(fin_spec, x, y, allow_aliasing).values - limit)
-        rows.append((fin_spec.n, float(np.max(gap)), float(np.mean(gap))))
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,9 @@ def polyhedron_contains(r, scale: float = 1.0) -> bool:
 def fejer_multi_oracle(n: int, q: int, t) -> np.ndarray | float:
     """Independent evaluation of the Fejer kernel by lattice enumeration.
 
-    For each shell j = 0..n-1, sums e^{i r.t} over every integer vector r
-    in [-(n-1), n-1]^{2q} whose partial-sum windows are all bounded by j,
-    then divides by n.  Guarded to n <= 8, q <= 2.
+    Sums e^{i r.t} over every integer vector r in [-(n-1), n-1]^{2q}, weighted
+    by the number (n - w)^+ of shells j = 0..n-1 that bound its largest
+    partial-sum window w, then divides by n.  Guarded to n <= 8, q <= 2.
     """
     if n > ORACLE_MAX_N or q > ORACLE_MAX_Q:
         raise BudgetError(f"oracle guarded to n<={ORACLE_MAX_N}, q<={ORACLE_MAX_Q}")
@@ -64,11 +64,9 @@ def fejer_multi_oracle(n: int, q: int, t) -> np.ndarray | float:
     vectors = np.array(
         list(itertools.product(range(-(n - 1), n), repeat=2 * q)), dtype=int
     )
-    window = np.array([_window_maxabs(tuple(r)) for r in vectors])
-    phases = np.exp(1j * vectors @ t_arr.reshape(-1, 2 * q).T)
-    acc = np.zeros(t_arr.reshape(-1, 2 * q).shape[0], dtype=complex)
-    for j in range(n):
-        acc += phases[window <= j].sum(axis=0)
+    weight = n - np.array([_window_maxabs(tuple(r)) for r in vectors])
+    vectors, weight = vectors[weight > 0], weight[weight > 0]
+    acc = weight @ np.exp(1j * vectors @ t_arr.reshape(-1, 2 * q).T)
     out = (acc / n).real.reshape(np.shape(t)[:-1])
     return out if out.ndim else float(out)
 

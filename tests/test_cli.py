@@ -357,6 +357,14 @@ INPAINT_SMALL = {"height": 16, "width": 16, "mask_h": 6, "mask_w": 6, "n_train":
                  "n_test": 6, "n_list": [8, 16, "inf"], "recover_count": 2}
 
 
+@pytest.mark.parametrize("source", [5, ["x"], None])
+def test_inpaint_non_string_source(tmp_path, capsys, source):
+    cfg = tmp_path / "inp.json"
+    cfg.write_text(json.dumps({**INPAINT_SMALL, "source": source}))
+    assert main(["inpaint", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "source must be" in assert_one_config_error_line(capsys)
+
+
 def test_inpaint_outputs_identical_across_thread_budgets(monkeypatch, tmp_path):
     # a small pair budget splits every block into many row tiles
     monkeypatch.setattr("spectrunc.kernels._PAIR_CHUNK_BUDGET", 1 << 14)

@@ -31,6 +31,7 @@ from spectrunc import (
     kernel_limit_gap,
     truncate,
 )
+from spectrunc import diagnostics, kernels
 from spectrunc.diagnostics import spec_at
 from spectrunc.errors import BetaMonotonicityWarning
 from spectrunc.kernels import PolynomialKernel, _truncation_norms
@@ -317,6 +318,34 @@ class TestSweepAndReport:
         x = FunctionTuple((SampledFunction.constant(GRID, 1.0),))
         with pytest.raises(ConfigError, match="truncation n must be an integer"):
             kernel_limit_gap(spec, x, x, [2.5])
+
+    def test_limit_gap_leaves_the_offset_out(self):
+        # the limit has no offset: on a constant input the bound policy's
+        # beta_2 = 4 is no gap at any n
+        g1 = GaussianKernel(gamma=1.0)
+        spec = ProdKernel(n=2, q=1, bases1=(g1,), bases2=(g1,), beta_policy="bound")
+        x = FunctionTuple((SampledFunction.constant(GRID, 0.5),))
+        rows = kernel_limit_gap(spec, x, x, [2, 4, 8])
+        assert [n for n, _, _ in rows] == [2, 4, 8]
+        assert all(sup == pytest.approx(0.0, abs=1e-12) and mean == pytest.approx(0.0, abs=1e-12)
+                   for _, sup, mean in rows)
+
+    @pytest.mark.parametrize("policy, beta", [("bound", None), ("estimate", None),
+                                              ("manual", 1.0)])
+    def test_limit_gap_of_offset_spec_is_that_of_its_offset_free_twin(self, rng, policy, beta):
+        grid = TorusGrid(32)
+        x = random_trig_tuple(grid, rng, d=2, deg=3)
+        y = random_trig_tuple(grid, rng, d=2, deg=3)
+        g1 = GaussianKernel(gamma=1.0)
+        spec = ProdKernel(n=4, q=1, bases1=(g1,), bases2=(g1,), beta=beta, beta_policy=policy)
+        assert spec.beta > 0
+        twin = ProdKernel(n=4, q=1, bases1=(g1,), bases2=(g1,), beta=0.0)
+        n_list = [2, 4, 8, 16]
+        assert kernel_limit_gap(spec, x, y, n_list) == kernel_limit_gap(twin, x, y, n_list)
+
+    def test_limit_gap_lives_in_diagnostics(self):
+        assert not hasattr(kernels, "kernel_limit_gap")
+        assert diagnostics.kernel_limit_gap is kernel_limit_gap
 
     def test_report_rejects_no_samples(self):
         with pytest.raises(ConfigError, match="at least one sample"):

@@ -420,6 +420,13 @@ class TestConfigJson:
         with pytest.raises(ConfigError, match="must be a finite real number"):
             InpaintConfig(**{field: value})
 
+    @pytest.mark.parametrize("source", [5, ["x"], None])
+    def test_inpaint_non_string_source_rejected(self, source):
+        with pytest.raises(ConfigError, match="source must be"):
+            InpaintConfig(source=source)
+        with pytest.raises(ConfigError, match="source must be"):
+            config_from_json(InpaintConfig, {"source": source})
+
     def test_bad_n_list_entry_rejected(self):
         with pytest.raises(ConfigError):
             config_from_json(InpaintConfig, {"n_list": [4, "infinity"]})

@@ -63,7 +63,8 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             PolyKernel(n=2.5, q=1, alpha=(1.0,))
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    # a bool or a string is rejected in a Python-built spec as in a JSON document
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "1"])
     def test_non_finite_reals_rejected(self, value):
         g = GaussianKernel(gamma=1.0)
         makers = [lambda: ProdKernel(n=4, q=1, bases1=(g,), bases2=(g,), beta=value),
