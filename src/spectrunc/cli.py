@@ -3,9 +3,9 @@
 All configs are JSON.  Datasets and models are one ``dataset.npz`` with a
 JSON manifest; predictions and result tables are CSV, recovered images PGM.
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
-failures.  The environment variable SPECTRUNC_WORKERS is the total thread
-budget (absent: all available cores) of sweep cells and of a kernel block's
-row tiles, shared by the rule stated in ``spectrunc.parallel``.
+failures.  The environment variable SPECTRUNC_WORKERS is the number of
+sweep cells that run at once (absent: all available cores); every kernel
+block runs on the thread that calls it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, experiments, fejer, parallel, regression, serialize
+from . import diagnostics, experiments, fejer, regression, serialize
 from .errors import ConfigError, NumericalError
 from .torus import FunctionTuple, l2_distances
 
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        parallel.worker_count()            # a bad thread budget fails every command alike
+        experiments.worker_count()         # a bad SPECTRUNC_WORKERS fails every command alike
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

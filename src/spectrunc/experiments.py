@@ -19,7 +19,9 @@ and re-runs are fully deterministic.
 from __future__ import annotations
 
 import functools
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -38,7 +40,6 @@ from .kernels import (
     _real,
     _values,
 )
-from .parallel import share, take, worker_count
 from .regression import assemble_gram, fit, predict_batch, test_error
 from .serialize import _JSON_KEYS, config_to_json, n_label, read_pgm
 from .torus import FunctionTuple, SampledFunction, TorusGrid, l2_distances, window_membership
@@ -57,6 +58,24 @@ __all__ = [
 _SPLIT_TRAIN = 0
 _SPLIT_TEST = 1
 _SPLIT_BLOBS = 2
+WORKERS_ENV = "SPECTRUNC_WORKERS"
+
+
+def worker_count() -> int:
+    """The number of sweep cells that run at once: the environment
+    variable, else the CPUs of this process's affinity mask."""
+    raw = os.environ.get(WORKERS_ENV)
+    if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    try:
+        count = int(raw)
+    except ValueError:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+    if count < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {raw}")
+    return count
 
 
 def _check_fields(config, lows: dict[str, int]) -> None:
@@ -216,9 +235,9 @@ def run_synthetic(config: SyntheticConfig):
             print(f"cell family={spec.family} n={n_label(spec.n)} run={run} failed: {exc}",
                   file=sys.stderr)
 
-    # the calling thread only waits, lending its slot to one cell thread; the
-    # sweep holds its slots until its last cell ends (the ``parallel`` rule)
-    share(work, range(len(cells)), take(min(workers, len(cells)) - 1), caller_works=False)
+    # up to worker_count() cells at once, while the calling thread waits
+    with ThreadPoolExecutor(min(workers, len(cells))) as pool:
+        list(pool.map(work, range(len(cells))))
     rows = [(spec.family, n_label(spec.n), run, err) for (spec, run), err in zip(cells, errors)]
     quartiles = np.percentile(np.reshape(errors, (len(specs), config.runs)), [25, 50, 75], axis=1)
     summary = [(spec.family, n_label(spec.n), float(med), float(q1), float(q3))

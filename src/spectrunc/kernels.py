@@ -38,10 +38,7 @@ family smooths each block side by one batched FFT pair
 product of the samples centered on the block's mean (``_sep_distance_sq``).
 Finite prod and the n = INF limits walk each block in row tiles, rows
 i0:i1 broadcast against the columns, one call and one contiguous slab per
-tile.  The caller and one thread per ``parallel`` slot free at the block's
-start pull the tiles from one list, and k threads share one workspace
-budget, so the slabs are disjoint and the block is the same at any thread
-count.
+tile, all on the thread that calls the block.
 Every kernel is Hermitian, k(x, y) = k(y, x)^*.  ``gram_values`` runs the
 core with the same samples on both sides, so a tile takes only the columns
 j >= i0, and fills the strict lower triangle of poly and prod in place by
@@ -67,7 +64,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import parallel
 from .errors import ConfigError, GridMismatchError
 from .fejer import BETA_POLICIES, beta_from_policy
 from .torus import FunctionTuple, SampledFunction, check_alias_free
@@ -348,7 +344,7 @@ def evaluate(spec: KernelSpec, x: FunctionTuple, y: FunctionTuple,
 
 # complex elements of row-tile workspace live at once, height x Ny x a per-pair
 # width: the q = 1 table size plus m (8m past n = m), (2 min(n, m) - 1)*m for
-# q > 1, m*d at n = INF; a block on k threads sizes each tile from budget // k
+# q > 1, m*d at n = INF
 _PAIR_CHUNK_BUDGET = 1 << 18
 
 
@@ -472,20 +468,19 @@ def poly_factors(spec: PolyKernel, samples, allow_aliasing: bool = False) -> np.
 
 
 def _inf_values_block(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(..., m) commutative-limit values for sample values a, b (..., m, d)
-    that broadcast together, a row tile (T, 1, m, d) against (1, W, m, d)."""
+    """(..., m) commutative-limit values of a poly or prod spec (``_block``
+    returns sep before any tile) for sample values a, b (..., m, d) that
+    broadcast together, a row tile (T, 1, m, d) against (1, W, m, d)."""
     if isinstance(spec, PolyKernel):
         alpha = np.asarray(spec.alpha)
         return np.einsum("...d,d->...", (np.conj(a) * b) ** spec.q, alpha)
-    if isinstance(spec, ProdKernel):
-        # once per distinct base; real arithmetic throughout when every base
-        # value is real, and a real-valued spec's value is |prod_j g_{2,j}|^2
-        g = {base: base.pairwise(a, b) for base in set(spec.bases1 + spec.bases2)}
-        out = 1.0
-        for b1, b2 in zip(spec.bases1, spec.bases2):
-            out = out * (np.conj(g[b1]) * g[b2])
-        return out.real if _real_valued(spec) else out
-    raise ConfigError("no pointwise-limit block for this family")
+    # once per distinct base; real arithmetic throughout when every base
+    # value is real, and a real-valued spec's value is |prod_j g_{2,j}|^2
+    g = {base: base.pairwise(a, b) for base in set(spec.bases1 + spec.bases2)}
+    out = 1.0
+    for b1, b2 in zip(spec.bases1, spec.bases2):
+        out = out * (np.conj(g[b1]) * g[b2])
+    return out.real if _real_valued(spec) else out
 
 
 def _band_support(n: int, m: int) -> np.ndarray:
@@ -692,12 +687,11 @@ def _block(spec: KernelSpec, xs: list, ys: list, allow_aliasing: bool) -> np.nda
     """(m, Nx, Ny) block K[p, i, j] = k(xs[i], ys[j])(z_p).
 
     Poly and sep use their factorized whole-block routes; finite prod and the
-    n = INF limits walk row tiles i0:i1, their height bounded by
-    ``_PAIR_CHUNK_BUDGET`` split over the threads the block got from
-    ``parallel.take``, against every column, or against the columns j >= i0
-    when ``ys is xs``, leaving the rest of the strict lower triangle unset; a
-    row wider than its share of the budget is split into column tiles.  Sep
-    and a real-valued prod spec (``_real_valued``) get a float64 block.
+    n = INF limits walk row tiles i0:i1 on the calling thread, their height
+    bounded by ``_PAIR_CHUNK_BUDGET``, against every column, or against the
+    columns j >= i0 when ``ys is xs``, leaving the rest of the strict lower
+    triangle unset; a row wider than the budget is split into column tiles.
+    Sep and a real-valued prod spec (``_real_valued``) get a float64 block.
     """
     if not xs or not ys:
         raise ConfigError("a kernel block needs at least one sample on each side")
@@ -723,18 +717,13 @@ def _block(spec: KernelSpec, xs: list, ys: list, allow_aliasing: bool) -> np.nda
         width = (2 * min(int(spec.n), m) - 1) * m
     pair_values = _inf_values_block if spec.is_infinite else _prod_pair_values
     out = np.empty((m, len(xs), len(ys)), dtype=float if real else complex)
-
-    def run(tile: tuple[slice, slice]) -> None:
-        rows, cols = tile
-        out[:, rows, cols] = pair_values(spec, xv[rows, None], yv[None, cols]).transpose(2, 0, 1)
-
-    spares = parallel.take(len(xs) * len(ys) - 1)
-    budget = _PAIR_CHUNK_BUDGET // (spares + 1)
-    height = max(1, budget // (width * len(ys)))
-    cols = max(1, budget // width)                            # < Ny only when height is 1
-    parallel.share(run, [(slice(i0, i0 + height), slice(j0, j0 + cols))
-                         for i0 in range(0, len(xs), height)
-                         for j0 in range(i0 if yv is xv else 0, len(ys), cols)], spares)
+    height = max(1, _PAIR_CHUNK_BUDGET // (width * len(ys)))
+    step = max(1, _PAIR_CHUNK_BUDGET // width)                # < Ny only when height is 1
+    for i0 in range(0, len(xs), height):
+        rows = slice(i0, i0 + height)
+        for j0 in range(i0 if yv is xv else 0, len(ys), step):
+            cols = slice(j0, j0 + step)
+            out[:, rows, cols] = pair_values(spec, xv[rows, None], yv[None, cols]).transpose(2, 0, 1)
     return out
 
 

@@ -407,13 +407,38 @@ def test_bad_lam_exit_code(tmp_path, tiny_dataset, capsys, lam):
     assert "regularization must be finite and >= 0" in assert_one_config_error_line(capsys)
 
 
-def test_bad_kernel_config_exit_code(tmp_path, tiny_dataset):
+GAUSS = {"kind": "gaussian", "gamma": 1.0}
+PROD = {"family": "prod", "n": 4, "q": 1, "bases1": [GAUSS], "bases2": [GAUSS]}
+WEIGHT16 = {"m": 16, "trig": [[0, 1.0, 0.0]]}
+WEIGHT30 = {"m": 30, "trig": [[0, 1.0, 0.0]]}
+L2G = {"kind": "l2_gaussian", "scale": 0.7}
+
+
+def sep_doc(q, weights, base=L2G):
+    return {"family": "sep", "n": 4, "q": q, "weights": weights, "base": base}
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param({"family": "poly", "n": 0, "q": 1, "alpha": [1.0]}, id="n-0"),
+    pytest.param({"family": "poly", "n": 4, "q": 1, "alpha": []}, id="alpha-empty"),
+    pytest.param({"family": "poly", "n": 4, "q": 1, "alpha": [1, -1]}, id="alpha-negative"),
+    pytest.param({**PROD, "beta": -1}, id="beta-negative"),
+    pytest.param({**PROD, "bases1": [{"kind": "polynomial", "degree": 2, "offset": -1}]},
+                 id="offset-negative"),
+    pytest.param(sep_doc(2, [WEIGHT16]), id="sep-q2-one-weight"),
+    pytest.param(sep_doc(2, [WEIGHT30, WEIGHT16]), id="sep-weights-two-grids"),
+    pytest.param(sep_doc(1, [WEIGHT16], {"kind": "l2_gaussian", "scale": 0}), id="scale-0"),
+    pytest.param(sep_doc(1, [{"m": 30}]), id="weight-m-only"),
+])
+def test_bad_kernel_config_exit_code(tmp_path, tiny_dataset, capsys, kernel):
     bad = tmp_path / "bad_kernel.json"
-    bad.write_text(json.dumps({"family": "poly", "n": 0, "q": 1, "alpha": [1.0]}))
+    bad.write_text(json.dumps(kernel))
     code = main(["fit", "--dataset", str(tiny_dataset / "ds"),
                  "--kernel", str(bad), "--lam", "0.1",
                  "--out", str(tmp_path / "m")])
     assert code == EXIT_CONFIG
+    assert not (tmp_path / "m").exists()
+    assert_one_config_error_line(capsys)
 
 
 def test_kernel_file_error_names_the_file(tmp_path, tiny_dataset, capsys):
@@ -510,10 +535,6 @@ def assert_one_config_error_line(capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: "), err
     return err[0]
-
-
-GAUSS = {"kind": "gaussian", "gamma": 1.0}
-PROD = {"family": "prod", "n": 4, "q": 1, "bases1": [GAUSS], "bases2": [GAUSS]}
 
 
 POLY4 = {"family": "poly", "n": 4, "q": 1, "alpha": [1.0]}
@@ -662,10 +683,16 @@ def test_index_out_of_range_exit_code(tmp_path, capsys, argv):
     ("complexity", {**COMPLEXITY, "samples": []}, ""),
     ("inpaint", {"height": 8, "width": 8, "mask_h": 4, "mask_w": 4, "n_train": 2,
                  "n_test": 2, "n_list": [4], "seed": 2 ** 64}, "errors.csv"),
+    ("complexity", {**COMPLEXITY, "B": 0}, ""),
+    ("complexity", {**COMPLEXITY, "L": -1}, ""),
+    ("complexity", {**COMPLEXITY, "delta": 1.0}, ""),
+    ("inpaint", {"height": 8, "width": 8, "mask_h": 4, "mask_w": 4, "n_train": 2,
+                 "n_test": 2, "n_list": [4], "beta": -1}, "errors.csv"),
 ], ids=["complexity-B", "inpaint-n_train", "inpaint-gamma-quoted", "inpaint-one-pixel",
         "converge-allow_aliasing", "inpaint-empty-n_list", "converge-empty-n_list",
         "complexity-empty-n_list", "run-synth-empty-kernels", "converge-empty-kernels",
-        "complexity-empty-kernels", "complexity-empty-samples", "inpaint-seed-2**64"])
+        "complexity-empty-kernels", "complexity-empty-samples", "inpaint-seed-2**64",
+        "complexity-B-0", "complexity-L-negative", "complexity-delta-1", "inpaint-beta-negative"])
 def test_bad_document_value_exit_code(tmp_path, capsys, command, config, written):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -735,19 +762,24 @@ def test_bad_data_file_exit_code(tiny_dataset, tmp_path, capsys, corrupt):
     assert_one_config_error_line(capsys)
 
 
-@pytest.mark.parametrize("command", ["fit", "predict", "eval"],
-                         ids=["fit-packed", "predict-packed", "eval-packed"])
-def test_empty_dataset_exit_code(tiny_dataset, tmp_path, capsys, command):
+@pytest.mark.parametrize("command, missing", [
+    ("fit", "samples"), ("predict", "samples"), ("eval", "samples"),
+    ("fit", "outputs"), ("eval", "outputs"),
+], ids=["fit-packed", "predict-packed", "eval-packed", "fit-no-outputs", "eval-no-outputs"])
+def test_empty_dataset_exit_code(tiny_dataset, tmp_path, capsys, command, missing):
     ds, model = tiny_dataset / "ds", tiny_dataset / "model"
     assert main(["fit", "--dataset", str(ds), "--kernel", str(tiny_dataset / "kernel.json"),
                  "--lam", "0.05", "--out", str(model)]) == EXIT_OK
     capsys.readouterr()
     empty = tmp_path / "empty"
-    empty.mkdir()
-    np.savez(empty / "dataset.npz", inputs=np.zeros((0, 16, 1), complex),
-             outputs=np.zeros((0, 16), complex))
-    (empty / "dataset.json").write_text(
-        json.dumps({"m": 16, "d": 1, "n_samples": 0, "arrays": "dataset.npz"}))
+    if missing == "outputs":
+        write_dataset(empty, read_dataset(ds)[0])
+    else:
+        empty.mkdir()
+        np.savez(empty / "dataset.npz", inputs=np.zeros((0, 16, 1), complex),
+                 outputs=np.zeros((0, 16), complex))
+        (empty / "dataset.json").write_text(
+            json.dumps({"m": 16, "d": 1, "n_samples": 0, "arrays": "dataset.npz"}))
     if command == "fit":
         argv = ["fit", "--dataset", str(empty), "--kernel", str(tiny_dataset / "kernel.json"),
                 "--lam", "0.05"]
@@ -755,7 +787,7 @@ def test_empty_dataset_exit_code(tiny_dataset, tmp_path, capsys, command):
         argv = [command, "--model", str(model), "--dataset", str(empty)]
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert not (tmp_path / "out").exists()
-    assert "dataset has no samples" in assert_one_config_error_line(capsys)
+    assert f"dataset has no {missing}" in assert_one_config_error_line(capsys)
 
 
 @pytest.mark.parametrize("command", ["predict", "eval"])

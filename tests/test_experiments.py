@@ -25,7 +25,7 @@ from spectrunc import (
     run_synthetic,
 )
 from spectrunc import L2GaussianTupleKernel, PolyKernel
-from spectrunc import experiments, kernels, parallel
+from spectrunc import experiments, kernels
 from spectrunc.errors import ConfigError
 from spectrunc.experiments import (
     InpaintConfig,
@@ -313,8 +313,8 @@ class TestWorkerCount:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_sweep_and_tiles_stay_within_the_budget(self, monkeypatch, workers):
-        # many row tiles per block, so every free slot is worth a helper;
-        # a short switch interval interleaves the threads often
+        # many row tiles per block, and a short switch interval interleaves
+        # the cell threads often
         monkeypatch.setattr(kernels, "_PAIR_CHUNK_BUDGET", 1 << 10)
         monkeypatch.setenv("SPECTRUNC_WORKERS", str(workers))
         lock, in_flight, most = threading.Lock(), [0], [0]
@@ -336,21 +336,21 @@ class TestWorkerCount:
         finally:
             sys.setswitchinterval(interval)
         assert all(np.isfinite(r[3]) for r in rows)
-        assert 1 <= most[0] <= workers and parallel._taken == 0
+        assert 1 <= most[0] <= workers
 
     def test_sweep_holds_its_slots_until_its_last_cell_ends(self, monkeypatch):
         # poly and sep cells run no tiles; the last cell's prod block has many,
-        # and it starts only after the other cell thread has found no cell left
+        # and it starts only after the other cell thread has found no cell
+        # left, yet runs them all on its own cell's thread
         monkeypatch.setattr(kernels, "_PAIR_CHUNK_BUDGET", 1 << 10)
         monkeypatch.setenv("SPECTRUNC_WORKERS", "2")
         poly, prod, sep = default_synthetic_kernels(n_list=(4,))
-        taken, idents = [], []
+        idents = []
         real_cell, real_tiles = experiments._synthetic_cell, kernels._prod_pair_values
 
         def cell(config, datasets, spec, run):
             if spec is prod:
                 time.sleep(0.2)
-                taken.append(parallel._taken)
             return real_cell(config, datasets, spec, run)
 
         def tiles(*args):
@@ -361,8 +361,7 @@ class TestWorkerCount:
         monkeypatch.setattr(kernels, "_prod_pair_values", tiles)
         rows, _ = run_synthetic(tiny_synth(runs=1, kernels=(poly, sep, prod)))
         assert all(np.isfinite(r[3]) for r in rows)
-        assert taken == [1] and len(idents) > 2 and len(set(idents)) == 1
-        assert parallel._taken == 0
+        assert len(idents) > 2 and len(set(idents)) == 1
 
     def test_parallelism_does_not_change_results(self, monkeypatch):
         config = tiny_synth()

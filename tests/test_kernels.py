@@ -30,7 +30,6 @@ from spectrunc import (
     smooth,
 )
 from spectrunc import kernels as kernels_mod
-from spectrunc import parallel
 from spectrunc.errors import ConfigError
 from spectrunc.fejer import BETA_POLICIES
 from spectrunc.kernels import PolynomialKernel, cross_values, gram_values
@@ -944,23 +943,17 @@ class TestBatchedBlocks:
 
 
 class TestThreadBudget:
-    """Row tiles on spare threads of the SPECTRUNC_WORKERS budget."""
+    """Kernel blocks under every SPECTRUNC_WORKERS budget: one thread each."""
 
     @staticmethod
-    def spy_tiles(monkeypatch, meet=0, fail_at=None):
-        """Record the thread of every tile call; the first ``meet`` calls
-        wait for each other, and call ``fail_at`` raises."""
-        idents, lock = [], threading.Lock()
-        barrier = threading.Barrier(max(meet, 1), timeout=10)
+    def spy_tiles(monkeypatch, fail_at=None):
+        """Record the thread of every tile call; call ``fail_at`` raises."""
+        idents = []
         for name in ("_prod_pair_values", "_inf_values_block"):
             def spy(s, a, b, _real=getattr(kernels_mod, name)):
-                with lock:
-                    idents.append(threading.get_ident())
-                    call = len(idents)
-                if call == fail_at:
+                idents.append(threading.get_ident())
+                if len(idents) == fail_at:
                     raise RuntimeError("tile failed")
-                if call <= meet:
-                    barrier.wait()
                 return _real(s, a, b)
             monkeypatch.setattr(kernels_mod, name, spy)
         return idents
@@ -980,42 +973,35 @@ class TestThreadBudget:
                 for block, want in zip(other, blocks[0]):
                     assert block.dtype == want.dtype and np.array_equal(block, want)
 
-    def test_tiles_share_the_budget_threads(self, rng, monkeypatch):
+    def test_block_starts_no_thread(self, rng, monkeypatch):
         xs = [random_trig_tuple(PIN_GRID, rng, d=2, deg=3) for _ in range(7)]
         spec = block_spec("prod", 5, 1)
         monkeypatch.setattr(kernels_mod, "_PAIR_CHUNK_BUDGET", 1 << 10)
-        monkeypatch.setenv("SPECTRUNC_WORKERS", "2")
-        # the first two tiles meet, so both threads run tiles at once
-        idents = self.spy_tiles(monkeypatch, meet=2)
-        gram_values(spec, xs, allow_aliasing=True)
-        assert len(idents) > 2 and len(set(idents)) == 2
-        monkeypatch.setenv("SPECTRUNC_WORKERS", "1")
-        idents = self.spy_tiles(monkeypatch)
-        cross_values(spec, xs, xs, allow_aliasing=True)
-        assert len(idents) > 2 and set(idents) == {threading.get_ident()}
-        monkeypatch.setenv("SPECTRUNC_WORKERS", "2")
         started = []
         start = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t)))
-        cross_values(spec, xs[:1], xs[1:2], allow_aliasing=True)
-        assert started == [] and parallel._taken == 0
+        blocks = [(lambda: gram_values(spec, xs, allow_aliasing=True), True),
+                  (lambda: cross_values(spec, xs, xs, allow_aliasing=True), True),
+                  (lambda: cross_values(spec, xs[:1], xs[1:2], allow_aliasing=True), False)]
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("SPECTRUNC_WORKERS", workers)
+            for block, many_tiles in blocks:
+                idents = self.spy_tiles(monkeypatch)
+                block()
+                assert started == [] and set(idents) == {threading.get_ident()}
+                assert len(idents) > 2 if many_tiles else len(idents) == 1
 
     def test_failed_tile_returns_its_slots(self, rng, monkeypatch):
         xs = [random_trig_tuple(PIN_GRID, rng, d=2, deg=3) for _ in range(7)]
         spec = block_spec("prod", INF, 2)
         monkeypatch.setattr(kernels_mod, "_PAIR_CHUNK_BUDGET", 1 << 8)
-        for workers in ("1", "2"):
+        for workers in ("1", "2", "3"):
             monkeypatch.setenv("SPECTRUNC_WORKERS", workers)
             idents = self.spy_tiles(monkeypatch, fail_at=3)
             with pytest.raises(RuntimeError, match="tile failed"):
                 gram_values(spec, xs, allow_aliasing=True)
-            # on one thread, no tile is handed out after the failed one
-            assert len(idents) == 3 if workers == "1" else len(idents) >= 3
-            assert parallel._taken == 0
-        # the next block at budget 2 gets its helper again
-        idents = self.spy_tiles(monkeypatch, meet=2)
-        gram_values(spec, xs, allow_aliasing=True)
-        assert len(set(idents)) == 2 and parallel._taken == 0
+            # no tile runs after the failed one
+            assert len(idents) == 3
 
     def test_two_threads_share_the_workspace_budget(self, monkeypatch):
         # the inpaint shape: m = 256 pixels, N = 100 images, n = 16
